@@ -41,6 +41,7 @@ from .simulator import (
     VerificationReport,
     check_property,
     computed_function,
+    is_exact,
     query_transform,
     run,
     run_all,
@@ -107,6 +108,7 @@ __all__ = [
     "VerificationReport",
     "check_property",
     "computed_function",
+    "is_exact",
     "query_transform",
     "run",
     "run_all",

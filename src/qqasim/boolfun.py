@@ -25,6 +25,10 @@ NAMED_FUNCTIONS = (
 )
 
 
+#: Table entries as the ASCII digits ``0`` and ``1``, for :meth:`TruthTable.as_hex`.
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def bit_string(index: int, arity: int) -> str:
     """The ``arity``-bit input string for a table row index."""
     return format(index, "b").zfill(arity) if arity else ""
@@ -62,7 +66,7 @@ class TruthTable:
             raise ValueError(
                 f"table for arity {self.arity} needs {1 << self.arity} bits, got {len(self.bits)}"
             )
-        if any(b not in (0, 1) for b in self.bits):
+        if self.bits.translate(None, b"\x00\x01"):
             raise ValueError("table entries must be 0 or 1")
 
     def evaluate(self, input_bits: str) -> int:
@@ -80,9 +84,7 @@ class TruthTable:
 
     def as_hex(self) -> str:
         """Table packed as hex, first row as the most significant bit."""
-        value = 0
-        for b in self.bits:
-            value = (value << 1) | b
+        value = int(self.bits.translate(_BINARY_DIGITS), 2)
         return format(value, f"0{(len(self.bits) + 3) // 4}x")
 
 

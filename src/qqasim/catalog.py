@@ -139,8 +139,8 @@ def _verified_set(name: str, candidates: Sequence[CatalogEntry]) -> FunctionSet:
         report = verify(entry.algorithm, entry.function)
         if report.worst_case_p < floor - 1e-9:
             raise RuntimeError(
-                f"{name}: entry {entry.provenance} verified at {report.worst_case_p}, "
-                f"below the {floor} floor"
+                f"{name}: entry {entry.provenance} verified at {report.worst_case_p} "
+                f"on input {report.witness}, below the {floor} floor"
             )
     arities = tuple(sorted({entry.function.arity for entry in entries}))
     return FunctionSet(name, entries, arities, queries.pop(), floor, len(candidates))
@@ -165,8 +165,19 @@ def _routing_pool(entries: Iterable[CatalogEntry]) -> list:
     ]
 
 
-def generate_set(kind: str) -> FunctionSet:
-    """Generate one of the six catalogued families; see ``SET_NAMES``."""
+def _base_entries(name: str, bases: dict | None) -> tuple:
+    """Entries of base set ``name``, taken from ``bases`` when it holds the set."""
+    if bases and name in bases:
+        return bases[name].entries
+    return generate_set(name).entries
+
+
+def generate_set(kind: str, bases: dict | None = None) -> FunctionSet:
+    """Generate one of the six catalogued families; see ``SET_NAMES``.
+
+    A combined family is built from the ``qfunc3``/``qfunc4`` sets in
+    ``bases``, or from freshly generated ones where ``bases`` lacks them.
+    """
     if kind == "qfunc3":
         return _verified_set(kind, _transform_variants("equality3", equality3_algorithm()))
     if kind == "qfunc4":
@@ -175,7 +186,7 @@ def generate_set(kind: str) -> FunctionSet:
         )
 
     if kind == "and":
-        pool = _mixing_pool(generate_set("qfunc3").entries)
+        pool = _mixing_pool(_base_entries("qfunc3", bases))
         candidates = [
             CatalogEntry(r.target, r.algorithm, f"and({e1.provenance},{e2.provenance})")
             for e1 in pool
@@ -185,8 +196,8 @@ def generate_set(kind: str) -> FunctionSet:
         return _verified_set(kind, candidates)
 
     if kind == "or":
-        pool = _routing_pool(generate_set("qfunc3").entries) + _routing_pool(
-            generate_set("qfunc4").entries
+        pool = _routing_pool(_base_entries("qfunc3", bases)) + _routing_pool(
+            _base_entries("qfunc4", bases)
         )
         candidates = [
             CatalogEntry(r.target, r.algorithm, f"or({e1.provenance},{e2.provenance})")
@@ -197,7 +208,7 @@ def generate_set(kind: str) -> FunctionSet:
         return _verified_set(kind, candidates)
 
     if kind == "maj_even4":
-        pool = _mixing_pool(generate_set("qfunc3").entries)
+        pool = _mixing_pool(_base_entries("qfunc3", bases))
         candidates = [
             CatalogEntry(
                 r.target,
@@ -210,7 +221,7 @@ def generate_set(kind: str) -> FunctionSet:
         return _verified_set(kind, candidates)
 
     if kind == "majority3":
-        pool = _mixing_pool(generate_set("qfunc3").entries)
+        pool = _mixing_pool(_base_entries("qfunc3", bases))
         candidates = [
             CatalogEntry(
                 r.target,
@@ -226,8 +237,11 @@ def generate_set(kind: str) -> FunctionSet:
 
 
 def generate_all() -> dict:
-    """All six families, keyed by name, in ``SET_NAMES`` order."""
-    return {name: generate_set(name) for name in SET_NAMES}
+    """All six families, keyed by name, in ``SET_NAMES`` order; each built once."""
+    sets = {}
+    for name in SET_NAMES:
+        sets[name] = generate_set(name, sets)
+    return sets
 
 
 def catalog_summary(sets: dict | None = None) -> CatalogSummary:

@@ -165,15 +165,14 @@ def verify_command(obj, algorithm_spec, function_spec, expect_p, expect_exact):
             f"arity mismatch: algorithm reads {a.arity} variables, function has {f.arity}"
         )
     report = verify(a, f, tol=obj["tol"])
+    worst = f"{report.worst_case_p:.6f} on input {report.witness}"
     failures = []
     if report.worst_case_p <= 0.5 + obj["tol"]:
-        failures.append(
-            f"worst-case success probability {report.worst_case_p:.6f} is not above 1/2"
-        )
+        failures.append(f"worst-case success probability {worst} is not above 1/2")
     if expect_exact and not report.exact:
-        failures.append(f"expected exact, got worst-case p = {report.worst_case_p:.6f}")
+        failures.append(f"expected exact, got worst-case p = {worst}")
     if expect_p is not None and abs(report.worst_case_p - expect_p) > obj["tol"]:
-        failures.append(f"expected p = {expect_p:.6f}, got {report.worst_case_p:.6f}")
+        failures.append(f"expected p = {expect_p:.6f}, got {worst}")
 
     if obj["fmt"] == "json":
         click.echo(json.dumps({

@@ -84,7 +84,7 @@ def from_document(doc: dict) -> QQA:
     initial = np.array(
         [_complex_pair(v, f"initial[{i}]") for i, v in enumerate(raw_initial)]
     )
-    if abs(float(np.sum(np.abs(initial) ** 2)) - 1.0) > NORM_TOL:
+    if not abs(float(np.sum(np.abs(initial) ** 2)) - 1.0) <= NORM_TOL:
         raise ValueError("initial: state is not unit-norm")
 
     steps = []

@@ -7,17 +7,23 @@ Running it on an n-bit input yields each value with probability equal to the
 summed squared magnitudes of the amplitudes assigned to it.
 
 Only the number of query steps counts toward complexity; unitary steps are
-free.  The whole model is immutable: every operation here is a pure function,
-safe to call from concurrent workers.
+free.  The whole model is immutable, so every question asked of one
+algorithm has one answer.  :func:`computed_function`, :func:`is_exact` and
+:func:`check_property` share one :func:`run_all` simulation per algorithm
+object: the first of them to be called keeps the answers (never the
+per-input states) on the object, and :func:`verify` leaves them there too.
+Everything here is safe to call from concurrent workers: the answers never
+differ between calls, so two racing first calls at worst both simulate.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .boolfun import TruthTable, bit_string, _check_input
+from .boolfun import MAX_ARITY, TruthTable, bit_string, _check_input
 from .linalg import NORM_TOL, UNITARY_TOL, is_unitary
 
 
@@ -50,7 +56,8 @@ class QQA:
     ``steps`` holds unitary matrices and :class:`QueryGate` objects in
     execution order; ``measurement`` assigns an output value (0 or 1) to each
     basis state.  Construction validates unitarity of every gate at
-    ``UNITARY_TOL`` and unit norm of the initial state at ``NORM_TOL``.
+    ``UNITARY_TOL``, unit norm of the initial state at ``NORM_TOL``, and an
+    arity of at most ``MAX_ARITY``.
     """
 
     arity: int
@@ -58,10 +65,12 @@ class QQA:
     initial: np.ndarray
     steps: tuple
     measurement: tuple
+    #: The answers of the first simulation; never copied by ``dataclasses.replace``.
+    _memo: _Answers | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.arity < 0:
-            raise ValueError(f"arity must be non-negative, got {self.arity}")
+        if not 0 <= self.arity <= MAX_ARITY:
+            raise ValueError(f"arity must be between 0 and {MAX_ARITY}, got {self.arity}")
         if self.amplitudes < 1:
             raise ValueError(f"need at least one amplitude, got {self.amplitudes}")
         m = self.amplitudes
@@ -69,7 +78,7 @@ class QQA:
         initial = np.array(self.initial, dtype=complex)
         if initial.shape != (m,):
             raise ValueError(f"initial state must have shape ({m},), got {initial.shape}")
-        if abs(float(np.sum(np.abs(initial) ** 2)) - 1.0) > NORM_TOL:
+        if not abs(float(np.sum(np.abs(initial) ** 2)) - 1.0) <= NORM_TOL:
             raise ValueError("initial state is not unit-norm")
         object.__setattr__(self, "initial", _freeze(initial))
 
@@ -116,14 +125,26 @@ class SimulationTrace:
     states: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VerificationReport:
-    """Per-input success probabilities of an algorithm against a target table."""
+    """Success probabilities of an algorithm against a target table, on every input.
 
-    per_input: dict
+    ``success[i]`` is the probability of the target's value on input
+    ``bit_string(i, arity)``; ``witness`` is the first input, in row order,
+    whose success probability is ``worst_case_p``.
+    """
+
+    success: np.ndarray
     exact: bool
     worst_case_p: float
     queries: int
+    witness: str
+
+    @cached_property
+    def per_input(self) -> dict:
+        """``success`` keyed by input string, built on first read."""
+        arity = len(self.witness)  # one character per variable
+        return {bit_string(i, arity): float(p) for i, p in enumerate(self.success)}
 
 
 class StructuralProperty(enum.Enum):
@@ -137,6 +158,14 @@ class StructuralProperty(enum.Enum):
     ACCEPT_MINUS_ONE = "accepting-in-zero-minus-one"
     #: CERTAIN_OUTCOME plus exactly one accepting output with amplitude in {-1, 0, +1}.
     ACCEPT_SIGNED_UNIT = "accepting-signed-unit"
+
+
+#: The values the single accepting amplitude may take under each accepting discipline.
+_ACCEPTING_VALUES = {
+    StructuralProperty.ACCEPT_PLUS_ONE: (0.0, 1.0),
+    StructuralProperty.ACCEPT_MINUS_ONE: (0.0, -1.0),
+    StructuralProperty.ACCEPT_SIGNED_UNIT: (0.0, 1.0, -1.0),
+}
 
 
 def query_transform(gate: QueryGate, input_bits: str) -> np.ndarray:
@@ -168,7 +197,7 @@ def _evolve(a: QQA, input_bits: str, keep_intermediate: bool = False):
         if keep_intermediate:
             states.append(state)
     norm = float(np.sum(np.abs(state) ** 2))
-    if abs(norm - 1.0) > NORM_TOL:
+    if not abs(norm - 1.0) <= NORM_TOL:
         raise RuntimeError(f"state norm drifted to {norm} on input {input_bits!r}")
     return states if keep_intermediate else state
 
@@ -179,7 +208,7 @@ def run(a: QQA, input_bits: str):
     probs = np.abs(final) ** 2
     values = np.array(a.measurement)
     outcome = {0: float(probs[values == 0].sum()), 1: float(probs[values == 1].sum())}
-    if abs(outcome[0] + outcome[1] - 1.0) > NORM_TOL:
+    if not abs(outcome[0] + outcome[1] - 1.0) <= NORM_TOL:
         raise RuntimeError("outcome probabilities do not sum to 1")
     return final, outcome
 
@@ -194,90 +223,148 @@ def run_all(a: QQA) -> np.ndarray:
     """Final states for every input, as a ``(2**arity, amplitudes)`` array.
 
     Row i is the pre-measurement state on input ``bit_string(i, arity)``.
-    Simulating all inputs in one batch keeps exhaustive verification of the
-    constructed 12-variable algorithms to a few dense matmuls.
+    All inputs run as one batch: a unitary step is one matmul, and a query
+    step one gather-multiply by a ``(2**arity, arity + 1)`` table of ±1
+    signs whose last column, always +1, serves the unqueried amplitudes.
+    When the initial state and every gate have zero imaginary part, as in
+    every built-in and constructed algorithm, the batch runs in float64 and
+    the result is float64; otherwise the same code runs in complex.
     """
-    n, m = a.arity, a.amplitudes
-    count = 1 << n
-    shifts = np.arange(n - 1, -1, -1)
-    bits = (np.arange(count)[:, None] >> shifts[None, :]) & 1  # column k = variable k
-    states = np.tile(a.initial, (count, 1))
+    n = a.arity
+    gates = (step for step in a.steps if not isinstance(step, QueryGate))
+    real = not (a.initial.imag.any() or any(g.imag.any() for g in gates))
+    signs = np.ones((2,) * n + (n + 1,))  # one axis per variable, first variable outermost
+    for k in range(n):
+        signs[(slice(None),) * k + (1, ..., k)] = -1.0  # where variable k is 1, column k is -1
+    signs = signs.reshape(1 << n, n + 1)
+    states = np.tile(a.initial.real if real else a.initial, (1 << n, 1))
+    spare = np.empty_like(states)  # unitary steps write here and swap: no fresh pages per step
     for step in a.steps:
         if isinstance(step, QueryGate):
-            signs = np.ones((count, m))
-            for j, v in enumerate(step.assignments):
-                if v is not None:
-                    signs[:, j] = 1.0 - 2.0 * bits[:, v]
-            states = states * signs
+            states *= signs[:, [n if v is None else v for v in step.assignments]]
         else:
-            states = states @ step
-    norms = np.sum(np.abs(states) ** 2, axis=1)
-    if float(np.abs(norms - 1.0).max()) > NORM_TOL:
+            np.matmul(states, np.ascontiguousarray(step.real) if real else step, out=spare)
+            states, spare = spare, states
+    norms = np.einsum("ij,ij->i", states, states.conj()).real
+    if not float(np.abs(norms - 1.0).max()) <= NORM_TOL:
         raise RuntimeError("state norm drifted during batch simulation")
     return states
 
 
-def _success_probabilities(a: QQA) -> np.ndarray:
+def _p_one(a: QQA, states: np.ndarray) -> np.ndarray:
     """P(output = 1) for every input, in row order."""
-    states = run_all(a)
     mask = np.array(a.measurement) == 1
     return (np.abs(states[:, mask]) ** 2).sum(axis=1)
+
+
+@dataclass(frozen=True)
+class _Answers:
+    """What the questions asked of one algorithm need from its simulation.
+
+    Only answers are kept, no per-input array: a catalog keeps hundreds of
+    4096-input algorithms alive.  Each scalar answers its question for any
+    tolerance.
+    """
+
+    #: Majority outcome on every input, in row order.
+    bits: bytes
+    #: Smallest ``|P(1) - 1/2|`` over the inputs, and the first input reaching it.
+    margin: float
+    closest: int
+    #: Worst-case success probability against ``bits``.
+    agreement: float
+    #: Smallest, over the inputs, of the largest basis-state probability.
+    peak: float
+    #: Per accepting discipline, the largest distance of the single accepting
+    #: amplitude from its allowed values; empty unless exactly one output accepts.
+    spread: dict
+
+
+def _remember(a: QQA, states: np.ndarray, p_one: np.ndarray) -> None:
+    """Keep the answers of one simulation (``states``, ``p_one``) on the algorithm."""
+    margins = np.abs(p_one - 0.5)
+    closest = int(margins.argmin())
+    bits = (p_one > 0.5).astype(np.uint8)
+    spread = {}
+    accepting = a.accepting_outputs()
+    if len(accepting) == 1:
+        column = states[:, accepting[0]]
+        for which, values in _ACCEPTING_VALUES.items():
+            distance = np.min([np.abs(column - v) for v in values], axis=0)
+            spread[which] = float(distance.max())
+    answers = _Answers(
+        bits=bits.tobytes(),
+        margin=float(margins[closest]),
+        closest=closest,
+        agreement=float(np.where(bits == 1, p_one, 1.0 - p_one).min()),
+        # Column-major, so that the maximum over each row runs along whole columns.
+        peak=float((np.abs(states, order="F") ** 2).max(axis=1).min()),
+        spread=spread,
+    )
+    object.__setattr__(a, "_memo", answers)
+
+
+def _answers(a: QQA) -> _Answers:
+    """The algorithm's answers, simulating it on the first call only."""
+    if a._memo is None:
+        states = run_all(a)
+        _remember(a, states, _p_one(a, states))
+    return a._memo
 
 
 def verify(a: QQA, f: TruthTable, tol: float = NORM_TOL) -> VerificationReport:
     """Exhaustively compare an algorithm against a target truth table.
 
     ``exact`` means the worst-case success probability is within ``tol`` of 1.
+    Each call simulates the algorithm once.
     """
     if a.arity != f.arity:
         raise ValueError(f"arity mismatch: algorithm has {a.arity}, function has {f.arity}")
-    p_one = _success_probabilities(a)
+    states = run_all(a)
+    p_one = _p_one(a, states)
+    if a._memo is None:
+        _remember(a, states, p_one)
     target = np.frombuffer(f.bits, dtype=np.uint8)
-    success = np.where(target == 1, p_one, 1.0 - p_one)
-    per_input = {bit_string(i, a.arity): float(p) for i, p in enumerate(success)}
-    worst = float(success.min())
-    return VerificationReport(per_input, worst >= 1.0 - tol, worst, a.query_count)
+    success = _freeze(np.where(target == 1, p_one, 1.0 - p_one))
+    worst_at = int(success.argmin())
+    worst = float(success[worst_at])
+    return VerificationReport(
+        success, worst >= 1.0 - tol, worst, a.query_count, bit_string(worst_at, a.arity)
+    )
 
 
 def computed_function(a: QQA, tol: float = NORM_TOL) -> TruthTable:
     """The majority-outcome truth table of an algorithm.
 
     Fails if on some input neither value has probability above 1/2, in which
-    case the algorithm computes nothing even under bounded error.
+    case the algorithm computes nothing even under bounded error; the error
+    names the input closest to a tie.
     """
     if a.arity < 1:
         raise ValueError("algorithm must read at least one variable to define a truth table")
-    p_one = _success_probabilities(a)
-    bits = bytearray(len(p_one))
-    for i, p in enumerate(p_one):
-        if abs(p - 0.5) <= tol:
-            raise ValueError(
-                f"no outcome has probability above 1/2 on input {bit_string(i, a.arity)}"
-            )
-        bits[i] = 1 if p > 0.5 else 0
-    return TruthTable(a.arity, bytes(bits))
+    answers = _answers(a)
+    if answers.margin <= tol:
+        raise ValueError(
+            f"no outcome has probability above 1/2 on input {bit_string(answers.closest, a.arity)}"
+        )
+    return TruthTable(a.arity, answers.bits)
+
+
+def is_exact(a: QQA, tol: float = NORM_TOL) -> bool:
+    """Whether ``verify(a, computed_function(a), tol).exact`` holds, without simulating twice."""
+    return _answers(a).agreement >= 1.0 - tol
 
 
 def check_property(a: QQA, which: StructuralProperty, tol: float = NORM_TOL) -> bool:
-    """Exhaustively test one of the pre-measurement amplitude disciplines."""
-    states = run_all(a)
-    probs = np.abs(states) ** 2
+    """Whether one of the pre-measurement amplitude disciplines holds on every input."""
+    answers = _answers(a)
+    certain = answers.peak >= 1.0 - tol
     if which is StructuralProperty.CERTAIN_OUTCOME:
-        return bool(np.all(probs.max(axis=1) >= 1.0 - tol))
-
-    accepting = a.accepting_outputs()
-    if len(accepting) != 1:
-        return False
-    column = states[:, accepting[0]]
-
-    def near(value):
-        return np.abs(column - value) <= tol
-
-    if which is StructuralProperty.ACCEPT_PLUS_ONE:
-        return bool(np.all(near(0.0) | near(1.0)))
-    if which is StructuralProperty.ACCEPT_MINUS_ONE:
-        return bool(np.all(near(0.0) | near(-1.0)))
+        return certain
+    if which not in _ACCEPTING_VALUES:
+        raise ValueError(f"unknown property {which!r}")
+    spread = answers.spread.get(which)
+    held = spread is not None and spread <= tol
     if which is StructuralProperty.ACCEPT_SIGNED_UNIT:
-        certain = bool(np.all(probs.max(axis=1) >= 1.0 - tol))
-        return certain and bool(np.all(near(0.0) | near(1.0) | near(-1.0)))
-    raise ValueError(f"unknown property {which!r}")
+        return held and certain
+    return held

@@ -2,9 +2,11 @@ import io
 
 import pytest
 
-from qqasim.boolfun import named_function
+from qqasim.boolfun import TruthTable, named_function
 from qqasim.catalog import (
     SET_NAMES,
+    CatalogEntry,
+    _verified_set,
     catalog_summary,
     export_csv,
     generate_set,
@@ -108,6 +110,22 @@ def test_generation_is_deterministic():
     second = generate_set("qfunc3")
     assert [e.function for e in first.entries] == [e.function for e in second.entries]
     assert [e.provenance for e in first.entries] == [e.provenance for e in second.entries]
+
+
+def test_combined_set_alone_matches_the_full_catalog(full_catalog):
+    alone = generate_set("and")
+    shared = full_catalog["and"]
+    assert [e.function for e in alone.entries] == [e.function for e in shared.entries]
+    assert [e.provenance for e in alone.entries] == [e.provenance for e in shared.entries]
+    assert alone.candidates == shared.candidates
+
+
+def test_floor_failure_names_the_witness(eq3, f_eq3):
+    bits = bytearray(f_eq3.bits)
+    bits[5] = 1
+    wrong = CatalogEntry(TruthTable(3, bytes(bits)), eq3, "equality3")
+    with pytest.raises(RuntimeError, match="on input 101, below the 0.75 floor"):
+        _verified_set("and", [wrong])
 
 
 def test_unknown_set_rejected():

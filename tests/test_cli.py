@@ -2,7 +2,7 @@ import json
 
 from click.testing import CliRunner
 
-from qqasim.boolfun import named_function, table_to_csv
+from qqasim.boolfun import TruthTable, named_function, table_to_csv
 from qqasim.cli import format_amplitude, format_state, main
 from qqasim.serialize import load
 from qqasim.simulator import computed_function
@@ -26,11 +26,13 @@ class TestVerifyCommand:
         assert result.exit_code == 0
 
     def test_wrong_function_fails(self, tmp_path):
-        csv_path = tmp_path / "complement.csv"
-        table_to_csv(named_function("equality3").complement(), csv_path)
+        csv_path = tmp_path / "flipped.csv"
+        bits = bytearray(named_function("equality3").bits)
+        bits[5] = 1
+        table_to_csv(TruthTable(3, bytes(bits)), csv_path)
         result = invoke("verify", "--algorithm", "builtin:equality3", "--function", str(csv_path))
         assert result.exit_code == 1
-        assert "FAIL" in result.output
+        assert "FAIL: worst-case success probability 0.000000 on input 101 is not" in result.output
 
     def test_expect_p_mismatch_fails(self):
         result = invoke(
@@ -38,7 +40,7 @@ class TestVerifyCommand:
             "--function", "equality3", "--expect-p", "0.75",
         )
         assert result.exit_code == 1
-        assert "expected p = 0.750000" in result.output
+        assert "expected p = 0.750000, got 1.000000 on input " in result.output
 
     def test_arity_mismatch_is_diagnosed(self):
         result = invoke("verify", "--algorithm", "builtin:equality3", "--function", "constant1:4")

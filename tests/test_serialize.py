@@ -93,6 +93,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="initial"):
             from_document(doc)
 
+    def test_non_finite_initial(self, eq3):
+        doc = self._document(eq3)
+        doc["initial"][0] = [float("nan"), 0.0]
+        with pytest.raises(ValueError, match="initial: state is not unit-norm"):
+            from_document(doc)
+
     def test_bad_measurement(self, eq3):
         doc = self._document(eq3)
         doc["measurement"][0] = 3

@@ -1,20 +1,35 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from qqasim.boolfun import all_inputs
+from qqasim import simulator
+from qqasim.boolfun import MAX_ARITY, TruthTable, all_inputs
 from qqasim.simulator import (
     QQA,
     QueryGate,
     StructuralProperty,
     check_property,
     computed_function,
+    is_exact,
     query_transform,
     run,
     run_all,
     trace,
     verify,
 )
-from qqasim.transforms import permute_outputs
+from qqasim.transforms import invert_outputs, permute_outputs
+
+#: Every (amplitudes, arity) shape the catalog simulates.
+CATALOG_SHAPES = ("m4n3", "m4n4", "m8n6", "m16n6", "m16n7", "m16n8", "m13n9", "m16n12")
+
+
+def _with_phase_gate(a):
+    """``a`` with a complex diagonal phase gate after its first query."""
+    phase = np.diag(np.exp(1j * np.linspace(0.3, 2.1, a.amplitudes)))
+    first_query = next(k for k, step in enumerate(a.steps) if isinstance(step, QueryGate))
+    steps = a.steps[:first_query + 1] + (phase,) + a.steps[first_query + 1:]
+    return QQA(a.arity, a.amplitudes, a.initial, steps, a.measurement)
 
 
 def _zero_step(m=2, arity=1):
@@ -89,11 +104,21 @@ class TestTrace:
 
 
 class TestRunAll:
-    def test_matches_single_runs(self, pe4):
-        table = run_all(pe4)
-        for i, x in enumerate(all_inputs(4)):
-            final, _ = run(pe4, x)
-            assert np.allclose(table[i], final, atol=1e-12)
+    @pytest.mark.parametrize("shape", [*CATALOG_SHAPES, "complex-phase"])
+    def test_matches_single_runs(self, shape, full_catalog, eq3):
+        if shape == "complex-phase":
+            a = _with_phase_gate(eq3)
+        else:
+            a = next(
+                e.algorithm
+                for s in full_catalog.values()
+                for e in s.entries
+                if f"m{e.algorithm.amplitudes}n{e.algorithm.arity}" == shape
+            )
+        table = run_all(a)
+        assert table.dtype == (complex if shape == "complex-phase" else np.float64)
+        singles = np.array([run(a, x)[0] for x in all_inputs(a.arity)])
+        assert np.allclose(table, singles, rtol=0, atol=1e-12)
 
     def test_probabilities_sum_to_one(self, eq3):
         states = run_all(eq3)
@@ -116,6 +141,59 @@ class TestVerify:
     def test_arity_mismatch(self, eq3, f_pe4):
         with pytest.raises(ValueError, match="arity mismatch"):
             verify(eq3, f_pe4)
+
+    def test_witness_is_the_first_worst_input(self, pe4, f_pe4):
+        bits = bytearray(f_pe4.bits)
+        bits[5] ^= 1
+        bits[9] ^= 1
+        report = verify(pe4, TruthTable(4, bytes(bits)))
+        assert report.witness == "0101"
+        assert report.worst_case_p == pytest.approx(0.0, abs=1e-9)
+        assert type(report.per_input) is dict
+        assert report.per_input["0101"] == report.worst_case_p
+        assert report.per_input["0000"] == pytest.approx(1.0, abs=1e-9)
+
+
+class TestOneSimulationPerAlgorithm:
+    def test_questions_share_one_simulation(self, eq3, monkeypatch):
+        simulated = []
+        batch = simulator.run_all
+        monkeypatch.setattr(simulator, "run_all", lambda a: simulated.append(a) or batch(a))
+        computed_function(eq3)
+        for which in StructuralProperty:
+            check_property(eq3, which)
+        invert_outputs(eq3)
+        assert simulated == [eq3]
+
+    def test_verify_simulates_on_every_call(self, eq3, f_eq3, monkeypatch):
+        simulated = []
+        batch = simulator.run_all
+        monkeypatch.setattr(simulator, "run_all", lambda a: simulated.append(a) or batch(a))
+        verify(eq3, f_eq3)
+        assert computed_function(eq3) == f_eq3
+        verify(eq3, f_eq3)
+        assert simulated == [eq3, eq3]
+
+    def test_answers_hold_for_any_tolerance(self):
+        # P(1) = 0.5 + 1e-6 on both inputs, and the single accepting amplitude is sqrt of it.
+        p = 0.5 + 1e-6
+        a = QQA(1, 2, [np.sqrt(p), np.sqrt(1 - p)], (), (1, 0))
+        assert computed_function(a, tol=1e-7).bits == b"\x01\x01"
+        with pytest.raises(ValueError, match="on input 0"):
+            computed_function(a, tol=1e-5)
+        assert not is_exact(a)
+        assert is_exact(a, tol=0.6)
+        assert not check_property(a, StructuralProperty.CERTAIN_OUTCOME)
+        assert check_property(a, StructuralProperty.CERTAIN_OUTCOME, tol=0.6)
+        assert check_property(a, StructuralProperty.ACCEPT_PLUS_ONE, tol=0.3)
+        assert not check_property(a, StructuralProperty.ACCEPT_PLUS_ONE, tol=0.2)
+
+    def test_replaced_algorithm_does_not_inherit_answers(self, eq3, f_eq3):
+        assert computed_function(eq3) == f_eq3
+        assert check_property(eq3, StructuralProperty.ACCEPT_PLUS_ONE)
+        flipped = replace(eq3, measurement=tuple(1 - v for v in eq3.measurement))
+        assert computed_function(flipped) == f_eq3.complement()
+        assert not check_property(flipped, StructuralProperty.ACCEPT_PLUS_ONE)
 
 
 class TestComputedFunction:
@@ -184,6 +262,16 @@ class TestValidation:
     def test_non_unit_initial(self):
         with pytest.raises(ValueError, match="unit-norm"):
             QQA(1, 2, [1, 1], (), (1, 0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_initial(self, bad):
+        with pytest.raises(ValueError, match="unit-norm"):
+            QQA(1, 2, [bad, 0], (), (1, 0))
+
+    def test_arity_cap(self):
+        assert QQA(MAX_ARITY, 1, [1], (), (1,)).arity == MAX_ARITY
+        with pytest.raises(ValueError, match="arity"):
+            QQA(MAX_ARITY + 1, 1, [1], (), (1,))
 
     def test_query_gate_length(self):
         with pytest.raises(ValueError, match="assignments"):
