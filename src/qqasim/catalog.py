@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -29,7 +29,12 @@ from .constructors import (
     or_construct,
 )
 from .simulator import QQA, StructuralProperty, check_property, computed_function, verify
-from .transforms import invert_outputs, permute_outputs, permute_variables
+from .transforms import (
+    invert_outputs,
+    normalize_accepting_sign,
+    permute_outputs,
+    permute_variables,
+)
 
 SET_NAMES = ("qfunc3", "qfunc4", "and", "or", "maj_even4", "majority3")
 
@@ -147,13 +152,18 @@ def _verified_set(name: str, candidates: Sequence[CatalogEntry]) -> FunctionSet:
 
 
 def _mixing_pool(entries: Iterable[CatalogEntry]) -> list:
-    """Entries whose accepting amplitude stays in {0, +1} or {0, -1}."""
-    return [
-        e
-        for e in entries
-        if check_property(e.algorithm, StructuralProperty.ACCEPT_PLUS_ONE)
-        or check_property(e.algorithm, StructuralProperty.ACCEPT_MINUS_ONE)
-    ]
+    """Entries whose accepting amplitude stays in {0, +1} or {0, -1}, all brought to {0, +1}.
+
+    Normalising here, once per pool, lets every combination share the pool's
+    algorithms instead of sign-flipping a fresh copy for each one.
+    """
+    pool = []
+    for e in entries:
+        if check_property(e.algorithm, StructuralProperty.ACCEPT_PLUS_ONE):
+            pool.append(e)
+        elif check_property(e.algorithm, StructuralProperty.ACCEPT_MINUS_ONE):
+            pool.append(replace(e, algorithm=normalize_accepting_sign(e.algorithm)))
+    return pool
 
 
 def _routing_pool(entries: Iterable[CatalogEntry]) -> list:

@@ -12,6 +12,11 @@ probability mass determined only by how many sub-functions are true:
 
 Sub-algorithms with unequal query schedules are padded with no-op queries and
 identity gates, so a combination always costs max(queries) queries.
+
+Each combined algorithm records its parts (as they enter the blocks, after
+padding and sign normalisation), the scale of its initial state and the
+length of its mixing tail, so that :func:`qqasim.simulator.run_all`
+simulates it from the parts on their own inputs.
 """
 from __future__ import annotations
 
@@ -24,7 +29,14 @@ import numpy as np
 from .algorithms import constant_one_algorithm
 from .boolfun import TruthTable, combine_disjoint, majority_compose
 from .linalg import block_diag, permutation_matrix
-from .simulator import QQA, QueryGate, StructuralProperty, check_property, computed_function
+from .simulator import (
+    QQA,
+    QueryGate,
+    StructuralProperty,
+    _composed,
+    check_property,
+    computed_function,
+)
 from .transforms import normalize_accepting_sign
 
 _S = 1.0 / math.sqrt(2.0)
@@ -175,6 +187,7 @@ def and_construct(a1: QQA, a2: QQA) -> ConstructionResult:
         steps=tuple(steps) + (mix,),
         measurement=measurement,
     )
+    _composed(algorithm, (p1, p2), _S, tail=1)
     target = combine_disjoint(f1, f2, "and")
     return ConstructionResult(algorithm, target, guaranteed_p=3 / 4, queries=algorithm.query_count)
 
@@ -243,6 +256,7 @@ def or_construct(a1: QQA, a2: QQA) -> ConstructionResult:
         steps=tuple(steps) + (swap, mix),
         measurement=measurement,
     )
+    _composed(algorithm, (a1, a2), _S, tail=2)
     target = combine_disjoint(f1, f2, "or")
     return ConstructionResult(algorithm, target, guaranteed_p=5 / 8, queries=algorithm.query_count)
 
@@ -263,13 +277,14 @@ def _majority_pipeline(algs: Sequence[QQA]) -> QQA:
     second_mix = _hadamard_pairs(total, [(acc[0], acc[2])])
     initial = np.concatenate([a.initial for a in algs]) / 2.0
     measurement = tuple(1 if i == acc[0] else 0 for i in range(total))
-    return QQA(
+    algorithm = QQA(
         arity=sum(a.arity for a in algs),
         amplitudes=total,
         initial=initial,
         steps=tuple(steps) + (first_mix, second_mix),
         measurement=measurement,
     )
+    return _composed(algorithm, algs, 0.5, tail=2)
 
 
 def majority_even4_construct(a1: QQA, a2: QQA, a3: QQA, a4: QQA) -> ConstructionResult:

@@ -14,6 +14,20 @@ object: the first of them to be called keeps the answers (never the
 per-input states) on the object, and :func:`verify` leaves them there too.
 Everything here is safe to call from concurrent workers: the answers never
 differ between calls, so two racing first calls at worst both simulate.
+
+The combiners in :mod:`qqasim.constructors` run k parts side by side on
+disjoint variable blocks and end with a short input-independent tail, so
+the final state on X = (X1..Xk) is the sum over the blocks of each part's
+final state on its own Xi, scaled and pushed through the tail.  Such an
+algorithm carries a record of its parts, and :func:`run_all` simulates it
+from them: each part on its own 2^{n_i} inputs (sum over i of 2^{n_i} rows
+in place of 2^n rows times every step), then one sum of the k blocks onto
+the 2^n rows.  A part keeps its final states once simulated, since parts
+are small and one part object is shared by many composites (the catalog
+builds 256 majorities from 4 of them).  Every other algorithm, and any algorithm derived from a
+composite by ``dataclasses.replace`` or reloaded from a document, runs the
+dense kernel over its whole step list; the tests use it as the oracle for
+the composed path.
 """
 from __future__ import annotations
 
@@ -67,6 +81,12 @@ class QQA:
     measurement: tuple
     #: The answers of the first simulation; never copied by ``dataclasses.replace``.
     _memo: _Answers | None = field(default=None, init=False, repr=False)
+    #: The parts a combiner built this algorithm from, set by :func:`_composed`;
+    #: never copied by ``dataclasses.replace``.
+    _composition: _Composition | None = field(default=None, init=False, repr=False)
+    #: Final states on every input, kept only once this algorithm has been
+    #: simulated as a part of a composite; never copied by ``dataclasses.replace``.
+    _part_states: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if not 0 <= self.arity <= MAX_ARITY:
@@ -79,7 +99,7 @@ class QQA:
         if initial.shape != (m,):
             raise ValueError(f"initial state must have shape ({m},), got {initial.shape}")
         if not abs(float(np.sum(np.abs(initial) ** 2)) - 1.0) <= NORM_TOL:
-            raise ValueError("initial state is not unit-norm")
+            raise ValueError("initial: state is not unit-norm")
         object.__setattr__(self, "initial", _freeze(initial))
 
         steps = []
@@ -98,7 +118,9 @@ class QQA:
                 if matrix.shape != (m, m):
                     raise ValueError(f"step {k}: expected a {m}x{m} matrix, got {matrix.shape}")
                 if not is_unitary(matrix, UNITARY_TOL):
-                    raise ValueError(f"step {k}: matrix is not unitary within {UNITARY_TOL}")
+                    raise ValueError(
+                        f"steps[{k}].unitary: matrix is not unitary within {UNITARY_TOL}"
+                    )
                 steps.append(_freeze(matrix))
         object.__setattr__(self, "steps", tuple(steps))
 
@@ -115,6 +137,45 @@ class QQA:
     def accepting_outputs(self) -> tuple:
         """Indices of basis states assigned value 1."""
         return tuple(i for i, v in enumerate(self.measurement) if v == 1)
+
+
+@dataclass(frozen=True, eq=False)
+class _Composition:
+    """How a combiner built an algorithm from parts on disjoint variable blocks.
+
+    Before its last ``tail`` steps the algorithm holds ``scale`` times the
+    parts' states side by side, in block order, followed by zeros.
+    """
+
+    parts: tuple
+    scale: float
+    tail: int
+
+
+def _composed(a: QQA, parts, scale: float, tail: int) -> QQA:
+    """Record on ``a`` that its first steps run ``parts`` in parallel; returns ``a``.
+
+    Only the facts that are cheap to check are checked: the arities add up,
+    the parts fit in the amplitudes, the initial state is the scaled, zero-padded
+    concatenation of the parts' initial states, and the last ``tail`` steps
+    are unitary gates.
+    """
+    parts = tuple(parts)
+    if sum(p.arity for p in parts) != a.arity:
+        raise ValueError(f"the parts' arities do not add up to {a.arity}")
+    width = sum(p.amplitudes for p in parts)
+    if not 1 <= width <= a.amplitudes:
+        raise ValueError(f"the parts' {width} amplitudes do not fit in {a.amplitudes}")
+    expected = np.zeros(a.amplitudes, dtype=complex)
+    expected[:width] = np.concatenate([p.initial for p in parts]) * scale
+    if not float(np.abs(a.initial - expected).max()) <= NORM_TOL:
+        raise ValueError("the initial state is not the scaled concatenation of the parts'")
+    if not 0 <= tail <= len(a.steps) or any(
+        isinstance(step, QueryGate) for step in a.steps[len(a.steps) - tail:]
+    ):
+        raise ValueError(f"the last {tail} steps are not all unitary gates")
+    object.__setattr__(a, "_composition", _Composition(parts, scale, tail))
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,10 +287,25 @@ def run_all(a: QQA) -> np.ndarray:
     All inputs run as one batch: a unitary step is one matmul, and a query
     step one gather-multiply by a ``(2**arity, arity + 1)`` table of ±1
     signs whose last column, always +1, serves the unqueried amplitudes.
+    An algorithm a combiner built is simulated from its parts instead: each
+    part's final states on its own inputs go through its rows of the tail
+    product, and the k blocks are summed onto the 2^n rows, the first
+    block's variables outermost.
     When the initial state and every gate have zero imaginary part, as in
     every built-in and constructed algorithm, the batch runs in float64 and
     the result is float64; otherwise the same code runs in complex.
     """
+    states = _final_states(a)
+    norms = np.einsum("ij,ij->i", states, states.conj()).real
+    if not float(np.abs(norms - 1.0).max()) <= NORM_TOL:
+        raise RuntimeError("state norm drifted during batch simulation")
+    return states
+
+
+def _final_states(a: QQA) -> np.ndarray:
+    """:func:`run_all` without its norm check, for an algorithm and for each of its parts."""
+    if a._composition is not None:
+        return _composed_states(a, a._composition)
     n = a.arity
     gates = (step for step in a.steps if not isinstance(step, QueryGate))
     real = not (a.initial.imag.any() or any(g.imag.any() for g in gates))
@@ -245,9 +321,37 @@ def run_all(a: QQA) -> np.ndarray:
         else:
             np.matmul(states, np.ascontiguousarray(step.real) if real else step, out=spare)
             states, spare = spare, states
-    norms = np.einsum("ij,ij->i", states, states.conj()).real
-    if not float(np.abs(norms - 1.0).max()) <= NORM_TOL:
-        raise RuntimeError("state norm drifted during batch simulation")
+    return states
+
+
+def _states_as_part(part: QQA) -> np.ndarray:
+    """A part's final states, simulated on the first call only."""
+    if part._part_states is None:
+        object.__setattr__(part, "_part_states", _freeze(_final_states(part)))
+    return part._part_states
+
+
+def _composed_states(a: QQA, composition: _Composition) -> np.ndarray:
+    """Final states of a composite, from its parts' final states on their own blocks."""
+    blocks = [_states_as_part(part) for part in composition.parts]
+    tail = a.steps[len(a.steps) - composition.tail:]
+    real = all(b.dtype == np.float64 for b in blocks) and not any(g.imag.any() for g in tail)
+    product = np.eye(a.amplitudes)
+    for gate in tail:
+        product = product @ (gate.real if real else gate)
+    m = a.amplitudes
+    states = np.zeros((1, m), dtype=np.float64 if real else complex)
+    offset = 0
+    for part, block in zip(composition.parts, blocks):
+        # Scaling before the tail, as the dense kernel does, keeps the two
+        # paths' worst cases equal to the last digit on the whole catalog.
+        rows = (block * composition.scale) @ product[offset:offset + part.amplitudes]
+        offset += part.amplitudes
+        # The next block's variables are less significant: each row so far
+        # becomes len(rows) consecutive rows, one per input of this block.
+        states = np.repeat(states, len(rows), axis=0)
+        grouped = states.reshape(-1, len(rows) * m)  # a view, one line per earlier row
+        grouped += rows.reshape(1, -1)
     return states
 
 

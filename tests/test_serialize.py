@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qqasim import serialize, simulator
 from qqasim.constructors import or_construct
 from qqasim.serialize import from_document, load, save, to_document
 from qqasim.simulator import QueryGate, verify
@@ -104,6 +105,37 @@ class TestValidation:
         doc["measurement"][0] = 3
         with pytest.raises(ValueError, match="measurement"):
             from_document(doc)
+
+    @pytest.mark.parametrize("where", ["initial", "unitary"])
+    def test_boolean_amplitude_rejected(self, eq3, where):
+        doc = self._document(eq3)
+        if where == "initial":
+            doc["initial"][0] = [True, False]
+            field = r"initial\[0\]"
+        else:
+            doc["steps"][0]["unitary"][0][0] = [True, False]
+            field = r"steps\[0\].unitary\[0\]\[0\]"
+        with pytest.raises(ValueError, match=field):
+            from_document(doc)
+
+    def test_boolean_measurement_rejected(self, eq3):
+        doc = self._document(eq3)
+        doc["measurement"][0] = True
+        with pytest.raises(ValueError, match="measurement"):
+            from_document(doc)
+
+    def test_each_gate_checked_once(self, eq3, monkeypatch):
+        checked = []
+        original = simulator.is_unitary
+
+        def counting(matrix, tol):
+            checked.append(matrix)
+            return original(matrix, tol)
+
+        for module in (serialize, simulator):  # wherever a loader could look it up
+            monkeypatch.setattr(module, "is_unitary", counting, raising=False)
+        from_document(self._document(eq3))
+        assert len(checked) == len(eq3.steps) - eq3.query_count
 
     def test_step_with_both_kinds(self, eq3):
         doc = self._document(eq3)

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from qqasim import simulator
+from qqasim.algorithms import constant_one_algorithm
 from qqasim.boolfun import MAX_ARITY, TruthTable, all_inputs
+from qqasim.catalog import SET_NAMES
+from qqasim.constructors import and_construct, majority_even4_construct
+from qqasim.serialize import load, save
 from qqasim.simulator import (
     QQA,
     QueryGate,
@@ -18,7 +22,12 @@ from qqasim.simulator import (
     trace,
     verify,
 )
-from qqasim.transforms import invert_outputs, permute_outputs
+from qqasim.transforms import (
+    invert_outputs,
+    normalize_accepting_sign,
+    permute_outputs,
+    permute_variables,
+)
 
 #: Every (amplitudes, arity) shape the catalog simulates.
 CATALOG_SHAPES = ("m4n3", "m4n4", "m8n6", "m16n6", "m16n7", "m16n8", "m13n9", "m16n12")
@@ -123,6 +132,102 @@ class TestRunAll:
     def test_probabilities_sum_to_one(self, eq3):
         states = run_all(eq3)
         assert np.allclose(np.sum(np.abs(states) ** 2, axis=1), 1.0, atol=1e-9)
+
+
+def _rebuilt(a):
+    """The same algorithm without a composition record, simulated by the dense kernel."""
+    return QQA(a.arity, a.amplitudes, a.initial, a.steps, a.measurement)
+
+
+class TestComposedPath:
+    @pytest.fixture(scope="class")
+    def composites(self, full_catalog):
+        return [
+            e.algorithm
+            for s in full_catalog.values()
+            for e in s.entries
+            if e.algorithm._composition is not None
+        ]
+
+    def test_every_constructed_entry_is_composed(self, full_catalog, composites):
+        constructed = sum(len(full_catalog[name].entries) for name in SET_NAMES[2:])
+        assert len(composites) == constructed == 592
+
+    def test_matches_dense_kernel(self, composites):
+        for a in composites:
+            composed, dense = run_all(a), run_all(_rebuilt(a))
+            assert composed.dtype == dense.dtype == np.float64
+            assert composed.shape == dense.shape
+            assert np.allclose(composed, dense, rtol=0, atol=1e-12)
+
+    def test_complex_part_gives_complex_states(self, eq3):
+        phase = np.diag(np.exp(1j * np.array([0.0, 0.4, 1.1, 2.0])))  # keeps output 0 real
+        part = QQA(eq3.arity, 4, eq3.initial, eq3.steps + (phase,), eq3.measurement)
+        result = and_construct(part, eq3)
+        composed, dense = run_all(result.algorithm), run_all(_rebuilt(result.algorithm))
+        assert composed.dtype == dense.dtype == complex
+        assert np.allclose(composed, dense, rtol=0, atol=1e-12)
+
+    def test_derived_algorithms_drop_the_composition(self, full_catalog, tmp_path):
+        a = full_catalog["maj_even4"].entries[-1].algorithm
+        states = run_all(a)
+        flipped = replace(a, measurement=tuple(1 - v for v in a.measurement))
+        save(a, tmp_path / "a.json")
+        sigma = list(reversed(range(a.arity)))
+        permuted = permute_variables(a, sigma)
+        # The permuted algorithm on y behaves as the original on y[sigma[0]], y[sigma[1]], ...
+        rows = [int("".join(y[v] for v in sigma), 2) for y in all_inputs(a.arity)]
+        for derived, expected in (
+            (flipped, states),
+            (load(tmp_path / "a.json"), states),
+            (permuted, states[rows]),
+        ):
+            assert derived._composition is None
+            assert np.allclose(run_all(derived), expected, rtol=0, atol=1e-12)
+
+    def test_sign_normalised_composite_drops_the_composition(self, eq3):
+        moved = permute_outputs(eq3, [3, 1, 2, 0])  # accepting amplitude in {0, -1}
+        a = simulator._composed(_rebuilt(moved), (moved,), 1.0, tail=0)
+        normalised = normalize_accepting_sign(a)
+        assert normalised._composition is None
+        expected = run_all(a).copy()
+        expected[:, 3] *= -1
+        assert np.allclose(run_all(normalised), expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "parts, scale, tail, message",
+        [
+            ("eq3", 2**-0.5, 1, "arities"),
+            ("eq3 eq3 one", 2**-0.5, 1, "amplitudes"),
+            ("eq3 eq3", 0.5, 1, "initial state"),
+            ("eq3 eq3", 2**-0.5, 99, "steps"),
+            ("eq3 eq3", 2**-0.5, 3, "steps"),  # the third step from the end is a query
+        ],
+    )
+    def test_inconsistent_composition_rejected(self, eq3, parts, scale, tail, message):
+        named = {"eq3": eq3, "one": constant_one_algorithm(num_amplitudes=1, arity=0, queries=0)}
+        a = _rebuilt(and_construct(eq3, eq3).algorithm)
+        assert simulator._composed(_rebuilt(a), (eq3, eq3), 2**-0.5, 1)._composition is not None
+        with pytest.raises(ValueError, match=message):
+            simulator._composed(a, [named[p] for p in parts.split()], scale, tail)
+        assert a._composition is None
+
+    def test_shared_part_is_simulated_once(self, eq3, monkeypatch):
+        composites = [and_construct(eq3, eq3), majority_even4_construct(eq3, eq3, eq3, eq3)]
+        simulated = []
+        kernel = simulator._final_states
+        monkeypatch.setattr(simulator, "_final_states", lambda a: simulated.append(a) or kernel(a))
+        for result in composites:
+            run_all(result.algorithm)
+        assert simulated == [composites[0].algorithm, eq3, composites[1].algorithm]
+
+    def test_one_public_run_all_per_verify(self, eq3, monkeypatch):
+        result = majority_even4_construct(eq3, eq3, eq3, eq3)
+        simulated = []
+        batch = simulator.run_all
+        monkeypatch.setattr(simulator, "run_all", lambda a: simulated.append(a) or batch(a))
+        assert verify(result.algorithm, result.target).worst_case_p == pytest.approx(9 / 16)
+        assert simulated == [result.algorithm]
 
 
 class TestVerify:
