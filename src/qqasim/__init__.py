@@ -9,12 +9,11 @@ algorithms, exactness-preserving transformations, bounded-error combiners for
 AND/OR/MAJORITY compositions, and catalog generation over everything the
 transformations and combiners reach.
 """
+from types import ModuleType as _ModuleType
 
 from .linalg import (
     NORM_TOL,
     UNITARY_TOL,
-    adjoint,
-    apply,
     block_diag,
     is_unitary,
     permutation_matrix,
@@ -42,7 +41,6 @@ from .simulator import (
     check_property,
     computed_function,
     is_exact,
-    query_transform,
     run,
     run_all,
     trace,
@@ -58,7 +56,6 @@ from .transforms import (
     normalize_accepting_sign,
     permute_outputs,
     permute_variables,
-    permuted_input,
 )
 from .constructors import (
     ConstructionResult,
@@ -81,62 +78,9 @@ from .catalog import (
 
 __version__ = "0.1.0"
 
+#: Every public name imported above; the imports are the one list of exports.
 __all__ = [
-    "NORM_TOL",
-    "UNITARY_TOL",
-    "adjoint",
-    "apply",
-    "block_diag",
-    "is_unitary",
-    "permutation_matrix",
-    "MAX_ARITY",
-    "SensitivityResult",
-    "TruthTable",
-    "all_inputs",
-    "bit_string",
-    "combine_disjoint",
-    "from_accepting",
-    "majority_compose",
-    "named_function",
-    "sensitivity",
-    "table_from_csv",
-    "table_to_csv",
-    "QQA",
-    "QueryGate",
-    "SimulationTrace",
-    "StructuralProperty",
-    "VerificationReport",
-    "check_property",
-    "computed_function",
-    "is_exact",
-    "query_transform",
-    "run",
-    "run_all",
-    "trace",
-    "verify",
-    "constant_one_algorithm",
-    "equality3_algorithm",
-    "pair_equality4_algorithm",
-    "invert_outputs",
-    "normalize_accepting_sign",
-    "permute_outputs",
-    "permute_variables",
-    "permuted_input",
-    "ConstructionResult",
-    "and_construct",
-    "majority3_construct",
-    "majority_even4_construct",
-    "or_construct",
-    "from_document",
-    "load",
-    "save",
-    "to_document",
-    "CatalogEntry",
-    "CatalogSummary",
-    "FunctionSet",
-    "SET_NAMES",
-    "catalog_summary",
-    "export_csv",
-    "generate_all",
-    "generate_set",
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

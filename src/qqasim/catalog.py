@@ -195,55 +195,26 @@ def generate_set(kind: str, bases: dict | None = None) -> FunctionSet:
             kind, _transform_variants("pair_equality4", pair_equality4_algorithm())
         )
 
-    if kind == "and":
-        pool = _mixing_pool(_base_entries("qfunc3", bases))
-        candidates = [
-            CatalogEntry(r.target, r.algorithm, f"and({e1.provenance},{e2.provenance})")
-            for e1 in pool
-            for e2 in pool
-            for r in (and_construct(e1.algorithm, e2.algorithm),)
-        ]
-        return _verified_set(kind, candidates)
-
-    if kind == "or":
-        pool = _routing_pool(_base_entries("qfunc3", bases)) + _routing_pool(
-            _base_entries("qfunc4", bases)
-        )
-        candidates = [
-            CatalogEntry(r.target, r.algorithm, f"or({e1.provenance},{e2.provenance})")
-            for e1 in pool
-            for e2 in pool
-            for r in (or_construct(e1.algorithm, e2.algorithm),)
-        ]
-        return _verified_set(kind, candidates)
-
-    if kind == "maj_even4":
-        pool = _mixing_pool(_base_entries("qfunc3", bases))
-        candidates = [
-            CatalogEntry(
-                r.target,
-                r.algorithm,
-                "maj_even4({})".format(",".join(e.provenance for e in picks)),
-            )
-            for picks in itertools.product(pool, repeat=4)
-            for r in (majority_even4_construct(*(e.algorithm for e in picks)),)
-        ]
-        return _verified_set(kind, candidates)
-
-    if kind == "majority3":
-        pool = _mixing_pool(_base_entries("qfunc3", bases))
-        candidates = [
-            CatalogEntry(
-                r.target,
-                r.algorithm,
-                "majority3({})".format(",".join(e.provenance for e in picks)),
-            )
-            for picks in itertools.product(pool, repeat=3)
-            for r in (majority3_construct(*(e.algorithm for e in picks)),)
-        ]
-        return _verified_set(kind, candidates)
-
-    raise ValueError(f"unknown set {kind!r} (expected one of {SET_NAMES})")
+    # Per combined set: its base sets, the pool they feed, the combiner and
+    # the number of picks per combination.  Built on each call, so that a
+    # combiner rebound on this module (as perfbench's traced run rebinds
+    # them) is the one called.
+    combined = {
+        "and": (("qfunc3",), _mixing_pool, and_construct, 2),
+        "or": (("qfunc3", "qfunc4"), _routing_pool, or_construct, 2),
+        "maj_even4": (("qfunc3",), _mixing_pool, majority_even4_construct, 4),
+        "majority3": (("qfunc3",), _mixing_pool, majority3_construct, 3),
+    }
+    if kind not in combined:
+        raise ValueError(f"unknown set {kind!r} (expected one of {SET_NAMES})")
+    base_names, pool_of, combine, picks_per_combination = combined[kind]
+    pool = pool_of(e for name in base_names for e in _base_entries(name, bases))
+    candidates = []
+    for picks in itertools.product(pool, repeat=picks_per_combination):
+        result = combine(*(e.algorithm for e in picks))
+        provenance = "{}({})".format(kind, ",".join(e.provenance for e in picks))
+        candidates.append(CatalogEntry(result.target, result.algorithm, provenance))
+    return _verified_set(kind, candidates)
 
 
 def generate_all() -> dict:

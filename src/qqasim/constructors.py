@@ -11,7 +11,9 @@ probability mass determined only by how many sub-functions are true:
 - ``majority_even4_construct``: P(1) = b^2 / 16, worst case 9/16.
 
 Sub-algorithms with unequal query schedules are padded with no-op queries and
-identity gates, so a combination always costs max(queries) queries.
+identity gates, so a combination always costs max(queries) queries.  The
+parallel gates are written into one identity-initialised stack that spans
+every amplitude, auxiliary ones included, so no gate is padded twice.
 
 Each combined algorithm records its parts (as they enter the blocks, after
 padding and sign normalisation), the scale of its initial state and the
@@ -20,6 +22,7 @@ simulates it from the parts on their own inputs.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -78,13 +81,7 @@ def _pad_amplitudes(a: QQA, m: int) -> QQA:
     if extra < 0:
         raise ValueError("cannot shrink an algorithm")
     initial = np.concatenate([a.initial, np.zeros(extra)])
-    steps = tuple(
-        QueryGate(step.assignments + (None,) * extra)
-        if isinstance(step, QueryGate)
-        else block_diag([step, np.eye(extra)])
-        for step in a.steps
-    )
-    return QQA(a.arity, m, initial, steps, a.measurement + (0,) * extra)
+    return QQA(a.arity, m, initial, _parallel_steps([a], m), a.measurement + (0,) * extra)
 
 
 def _segments(a: QQA):
@@ -100,54 +97,49 @@ def _segments(a: QQA):
     return segments, queries
 
 
-def _aligned_step_lists(algs: Sequence[QQA]) -> list[list]:
-    """Rewrite each algorithm's steps onto one shared step-kind pattern.
+def _parallel_steps(algs: Sequence[QQA], amplitudes: int) -> tuple:
+    """Steps running all ``algs`` side by side on disjoint variables, over ``amplitudes`` states.
 
+    Algorithm i acts on its own block of amplitudes, in order; amplitudes
+    past the last block are auxiliary, and every step leaves them alone.
     Short query schedules gain no-op queries just before their final unitary
-    run, and unitary runs are identity-padded to a common length per slot.
-    Padding never changes what an algorithm computes.
+    run, and unitary runs are identity-padded to a common length per slot, so
+    the steps share one step-kind pattern; padding never changes what an
+    algorithm computes.  Every gate is written into one identity-initialised
+    ``(slots, amplitudes, amplitudes)`` stack.  Variable indices of later
+    blocks are shifted past the arities of earlier ones, matching the
+    convention of :func:`qqasim.boolfun.combine_disjoint`.
     """
     split = [_segments(a) for a in algs]
     t_max = max(len(queries) for _, queries in split)
-    padded = []
     for a, (segments, queries) in zip(algs, split):
-        segments, queries = list(segments), list(queries)
         while len(queries) < t_max:
             queries.append(QueryGate((None,) * a.amplitudes))
             segments.insert(len(segments) - 1, [])
-        padded.append((segments, queries))
-    run_lengths = [max(len(seg[i]) for seg, _ in padded) for i in range(t_max + 1)]
-    out = []
-    for a, (segments, queries) in zip(algs, padded):
-        eye = np.eye(a.amplitudes)
-        steps: list = []
-        for i in range(t_max + 1):
-            steps.extend(segments[i])
-            steps.extend([eye] * (run_lengths[i] - len(segments[i])))
-            if i < t_max:
-                steps.append(queries[i])
-        out.append(steps)
-    return out
-
-
-def _combined_steps(algs: Sequence[QQA]) -> list:
-    """Block-diagonal steps running all ``algs`` in parallel on disjoint variables.
-
-    Variable indices of later blocks are shifted past the arities of earlier
-    ones, matching the convention of :func:`qqasim.boolfun.combine_disjoint`.
-    """
-    aligned = _aligned_step_lists(algs)
-    var_offsets = np.cumsum([0] + [a.arity for a in algs])[:-1]
-    combined = []
-    for parts in zip(*aligned):
-        if isinstance(parts[0], QueryGate):
-            assignments: list = []
-            for offset, gate in zip(var_offsets, parts):
-                assignments.extend(None if v is None else v + int(offset) for v in gate.assignments)
-            combined.append(QueryGate(tuple(assignments)))
-        else:
-            combined.append(block_diag(parts))
-    return combined
+    run_lengths = [max(len(segments[i]) for segments, _ in split) for i in range(t_max + 1)]
+    starts = list(itertools.accumulate(run_lengths, initial=0))
+    stack = np.empty((starts[-1], amplitudes, amplitudes), dtype=complex)
+    stack[...] = np.eye(amplitudes)
+    offset = 0
+    for a, (segments, _) in zip(algs, split):
+        block = slice(offset, offset + a.amplitudes)
+        for start, segment in zip(starts, segments):
+            for slot, gate in enumerate(segment, start):
+                stack[slot, block, block] = gate
+        offset += a.amplitudes
+    shifts = list(itertools.accumulate((a.arity for a in algs), initial=0))
+    auxiliary = (None,) * (amplitudes - offset)
+    steps: list = []
+    for i in range(t_max + 1):
+        steps.extend(stack[starts[i]:starts[i + 1]])
+        if i < t_max:
+            assignments = tuple(
+                None if v is None else v + shift
+                for shift, (_, queries) in zip(shifts, split)
+                for v in queries[i].assignments
+            )
+            steps.append(QueryGate(assignments + auxiliary))
+    return tuple(steps)
 
 
 def _hadamard_pairs(dim: int, pairs: Sequence[tuple]) -> np.ndarray:
@@ -174,7 +166,7 @@ def and_construct(a1: QQA, a2: QQA) -> ConstructionResult:
     f1, f2 = computed_function(a1), computed_function(a2)
     m = max(a1.amplitudes, a2.amplitudes)
     p1, p2 = _pad_amplitudes(a1, m), _pad_amplitudes(a2, m)
-    steps = _combined_steps([p1, p2])
+    steps = _parallel_steps([p1, p2], 2 * m)
     acc1 = _accepting_index(p1)
     acc2 = m + _accepting_index(p2)
     mix = _hadamard_pairs(2 * m, [(acc1, acc2)])
@@ -184,7 +176,7 @@ def and_construct(a1: QQA, a2: QQA) -> ConstructionResult:
         arity=a1.arity + a2.arity,
         amplitudes=2 * m,
         initial=initial,
-        steps=tuple(steps) + (mix,),
+        steps=steps + (mix,),
         measurement=measurement,
     )
     _composed(algorithm, (p1, p2), _S, tail=1)
@@ -236,12 +228,7 @@ def or_construct(a1: QQA, a2: QQA) -> ConstructionResult:
                 f"{label}: needs a certain outcome with one accepting amplitude in {{-1, 0, +1}}"
             )
     f1, f2 = computed_function(a1), computed_function(a2)
-    steps = []
-    for step in _combined_steps([a1, a2]):
-        if isinstance(step, QueryGate):
-            steps.append(QueryGate(step.assignments + (None,) * 8))
-        else:
-            steps.append(block_diag([step, np.eye(8)]))
+    steps = _parallel_steps([a1, a2], 16)
     swap = permutation_matrix(_or_routing(_accepting_index(a1), 4 + _accepting_index(a2)))
     h2 = np.array([[_S, _S], [_S, -_S]])
     h4 = np.kron(h2, h2)
@@ -253,7 +240,7 @@ def or_construct(a1: QQA, a2: QQA) -> ConstructionResult:
         arity=a1.arity + a2.arity,
         amplitudes=16,
         initial=initial,
-        steps=tuple(steps) + (swap, mix),
+        steps=steps + (swap, mix),
         measurement=measurement,
     )
     _composed(algorithm, (a1, a2), _S, tail=2)
@@ -269,9 +256,9 @@ def _majority_pipeline(algs: Sequence[QQA]) -> QQA:
     where b counts the true sub-functions.
     """
     algs = [_as_accept_plus(a, f"input {i + 1}") for i, a in enumerate(algs)]
-    steps = _combined_steps(algs)
     offsets = np.cumsum([0] + [a.amplitudes for a in algs])
     total = int(offsets[-1])
+    steps = _parallel_steps(algs, total)
     acc = [int(off) + _accepting_index(a) for off, a in zip(offsets, algs)]
     first_mix = _hadamard_pairs(total, [(acc[0], acc[1]), (acc[2], acc[3])])
     second_mix = _hadamard_pairs(total, [(acc[0], acc[2])])
@@ -281,7 +268,7 @@ def _majority_pipeline(algs: Sequence[QQA]) -> QQA:
         arity=sum(a.arity for a in algs),
         amplitudes=total,
         initial=initial,
-        steps=tuple(steps) + (first_mix, second_mix),
+        steps=steps + (first_mix, second_mix),
         measurement=measurement,
     )
     return _composed(algorithm, algs, 0.5, tail=2)

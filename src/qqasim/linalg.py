@@ -23,24 +23,16 @@ def is_unitary(matrix, tol: float = UNITARY_TOL) -> bool:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    eye = np.eye(m.shape[0])
-    return float(np.abs(m @ m.conj().T - eye).max()) <= tol
+    return float(_unitarity_errors(m[np.newaxis])[0]) <= tol
 
 
-def apply(state, matrix) -> np.ndarray:
-    """Apply a gate to a row-vector state, returning ``state @ matrix``."""
-    s = np.asarray(state, dtype=complex)
-    m = np.asarray(matrix, dtype=complex)
-    if s.ndim != 1 or m.ndim != 2 or m.shape != (s.shape[0], s.shape[0]):
-        raise ValueError(
-            f"dimension mismatch: state has shape {s.shape}, matrix has shape {m.shape}"
-        )
-    return s @ m
+def _unitarity_errors(stack: np.ndarray) -> np.ndarray:
+    """Largest entrywise ``|G @ G† - I|`` of each gate ``G`` in a ``(k, m, m)`` complex stack.
 
-
-def adjoint(matrix) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(matrix, dtype=complex).conj().T
+    A gate that is not finite gets NaN or inf, so a guard reads ``not err <= tol``.
+    """
+    eye = np.eye(stack.shape[-1])
+    return np.abs(stack @ stack.conj().swapaxes(-1, -2) - eye).max(axis=(-2, -1))
 
 
 def block_diag(blocks: Sequence) -> np.ndarray:

@@ -123,7 +123,7 @@ def from_document(doc: dict) -> QQA:
 
     raw_measurement = _require(doc, "measurement", list)
     if len(raw_measurement) != amplitudes or any(
-        isinstance(v, bool) or v not in (0, 1) for v in raw_measurement
+        type(v) is not int or v not in (0, 1) for v in raw_measurement
     ):
         raise ValueError(f"measurement: expected {amplitudes} values of 0 or 1")
 

@@ -8,10 +8,12 @@ summed squared magnitudes of the amplitudes assigned to it.
 
 Only the number of query steps counts toward complexity; unitary steps are
 free.  The whole model is immutable, so every question asked of one
-algorithm has one answer.  :func:`computed_function`, :func:`is_exact` and
-:func:`check_property` share one :func:`run_all` simulation per algorithm
-object: the first of them to be called keeps the answers (never the
-per-input states) on the object, and :func:`verify` leaves them there too.
+algorithm has one answer.  Construction checks all of an algorithm's gates
+for unitarity in one batch.  :func:`computed_function`, :func:`is_exact`
+and :func:`check_property` share one :func:`run_all` simulation per
+algorithm object: the first of them to be called keeps the answers (never
+the per-input states) on the object, taken in one pass over the states'
+magnitudes, and :func:`verify` leaves them there too.
 Everything here is safe to call from concurrent workers: the answers never
 differ between calls, so two racing first calls at worst both simulate.
 
@@ -38,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .boolfun import MAX_ARITY, TruthTable, bit_string, _check_input
-from .linalg import NORM_TOL, UNITARY_TOL, is_unitary
+from .linalg import NORM_TOL, UNITARY_TOL, _unitarity_errors
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,9 @@ class QueryGate:
     def __post_init__(self):
         object.__setattr__(self, "assignments", tuple(self.assignments))
         for v in self.assignments:
-            if v is not None and (not isinstance(v, (int, np.integer)) or v < 0):
+            if v is not None and (
+                isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0
+            ):
                 raise ValueError(f"variable index must be None or a non-negative int, got {v!r}")
 
 
@@ -70,8 +74,10 @@ class QQA:
     ``steps`` holds unitary matrices and :class:`QueryGate` objects in
     execution order; ``measurement`` assigns an output value (0 or 1) to each
     basis state.  Construction validates unitarity of every gate at
-    ``UNITARY_TOL``, unit norm of the initial state at ``NORM_TOL``, and an
-    arity of at most ``MAX_ARITY``.
+    ``UNITARY_TOL``, all gates in one batch, unit norm of the initial state at
+    ``NORM_TOL``, an arity of at most ``MAX_ARITY``, and integer variable
+    indices and measurement values (never booleans).  The stored gates are
+    read-only views of one ``(gates, m, m)`` complex array.
     """
 
     arity: int
@@ -102,32 +108,47 @@ class QQA:
             raise ValueError("initial: state is not unit-norm")
         object.__setattr__(self, "initial", _freeze(initial))
 
-        steps = []
+        steps, malformed = [], None
         for k, step in enumerate(self.steps):
             if isinstance(step, QueryGate):
+                unknown = [v for v in step.assignments if v is not None and v >= self.arity]
                 if len(step.assignments) != m:
-                    raise ValueError(f"step {k}: query gate needs {m} assignments")
-                for v in step.assignments:
-                    if v is not None and v >= self.arity:
-                        raise ValueError(
-                            f"step {k}: variable index {v} out of range for arity {self.arity}"
-                        )
-                steps.append(step)
-            else:
-                matrix = np.array(step, dtype=complex)
-                if matrix.shape != (m, m):
-                    raise ValueError(f"step {k}: expected a {m}x{m} matrix, got {matrix.shape}")
-                if not is_unitary(matrix, UNITARY_TOL):
-                    raise ValueError(
-                        f"steps[{k}].unitary: matrix is not unitary within {UNITARY_TOL}"
+                    malformed = f"step {k}: query gate needs {m} assignments"
+                elif unknown:
+                    malformed = (
+                        f"step {k}: variable index {unknown[0]} out of range for arity {self.arity}"
                     )
-                steps.append(_freeze(matrix))
+            else:
+                step = np.asarray(step, dtype=complex)
+                if step.shape != (m, m):
+                    malformed = f"step {k}: expected a {m}x{m} matrix, got {step.shape}"
+            if malformed:
+                break
+            steps.append(step)
+        # The gates before the first malformed step are checked in one batch;
+        # a failing gate among them comes first, so it is the one named.
+        gates = [k for k, step in enumerate(steps) if not isinstance(step, QueryGate)]
+        stack = np.empty((len(gates), m, m), dtype=complex)
+        for gate, k in zip(stack, gates):
+            gate[...] = steps[k]
+        failing = np.flatnonzero(~(_unitarity_errors(stack) <= UNITARY_TOL))
+        if failing.size:
+            raise ValueError(
+                f"steps[{gates[failing[0]]}].unitary: matrix is not unitary within {UNITARY_TOL}"
+            )
+        if malformed:
+            raise ValueError(malformed)
+        for k, gate in zip(gates, _freeze(stack)):
+            steps[k] = gate
         object.__setattr__(self, "steps", tuple(steps))
 
-        measurement = tuple(int(v) for v in self.measurement)
-        if len(measurement) != m or any(v not in (0, 1) for v in measurement):
+        measurement = tuple(self.measurement)
+        if len(measurement) != m or any(
+            isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v not in (0, 1)
+            for v in measurement
+        ):
             raise ValueError(f"measurement must assign 0 or 1 to each of the {m} outputs")
-        object.__setattr__(self, "measurement", measurement)
+        object.__setattr__(self, "measurement", tuple(int(v) for v in measurement))
 
     @property
     def query_count(self) -> int:
@@ -221,18 +242,12 @@ class StructuralProperty(enum.Enum):
     ACCEPT_SIGNED_UNIT = "accepting-signed-unit"
 
 
-#: The values the single accepting amplitude may take under each accepting discipline.
-_ACCEPTING_VALUES = {
-    StructuralProperty.ACCEPT_PLUS_ONE: (0.0, 1.0),
-    StructuralProperty.ACCEPT_MINUS_ONE: (0.0, -1.0),
-    StructuralProperty.ACCEPT_SIGNED_UNIT: (0.0, 1.0, -1.0),
-}
-
-
-def query_transform(gate: QueryGate, input_bits: str) -> np.ndarray:
-    """The concrete diagonal ±1 matrix of a query gate on one input."""
-    signs = _signs(gate, input_bits, len(input_bits))
-    return np.diag(signs.astype(complex))
+#: The disciplines on the single accepting amplitude.
+_ACCEPTING = (
+    StructuralProperty.ACCEPT_PLUS_ONE,
+    StructuralProperty.ACCEPT_MINUS_ONE,
+    StructuralProperty.ACCEPT_SIGNED_UNIT,
+)
 
 
 def _signs(gate: QueryGate, input_bits: str, arity: int) -> np.ndarray:
@@ -385,24 +400,41 @@ class _Answers:
 
 
 def _remember(a: QQA, states: np.ndarray, p_one: np.ndarray) -> None:
-    """Keep the answers of one simulation (``states``, ``p_one``) on the algorithm."""
+    """Keep the answers of one simulation (``states``, ``p_one``) on the algorithm.
+
+    Squaring is monotone, so the peak probability is the square of the peak
+    magnitude, and the accepting amplitude's distances from 0, +1 and -1 are
+    ``|c|``, ``|c - 1|`` and ``|c + 1|``.  The peak magnitude of each row is
+    taken one column at a time: a maximum along each short row is several
+    times slower, and a ``(2^n, m)`` temporary beside ``states`` is enough
+    to make the allocator hand the heap back and fault it in again for the
+    next algorithm.
+    """
     margins = np.abs(p_one - 0.5)
     closest = int(margins.argmin())
     bits = (p_one > 0.5).astype(np.uint8)
+    top = np.abs(states[:, 0])
+    for column in states.T[1:]:
+        np.maximum(top, np.abs(column), out=top)
+    peak = float(top.min())
     spread = {}
     accepting = a.accepting_outputs()
     if len(accepting) == 1:
         column = states[:, accepting[0]]
-        for which, values in _ACCEPTING_VALUES.items():
-            distance = np.min([np.abs(column - v) for v in values], axis=0)
-            spread[which] = float(distance.max())
+        to_zero = np.abs(column)
+        to_plus = np.minimum(to_zero, np.abs(column - 1.0))
+        to_minus = np.minimum(to_zero, np.abs(column + 1.0))
+        spread = {
+            StructuralProperty.ACCEPT_PLUS_ONE: float(to_plus.max()),
+            StructuralProperty.ACCEPT_MINUS_ONE: float(to_minus.max()),
+            StructuralProperty.ACCEPT_SIGNED_UNIT: float(np.minimum(to_plus, to_minus).max()),
+        }
     answers = _Answers(
         bits=bits.tobytes(),
         margin=float(margins[closest]),
         closest=closest,
         agreement=float(np.where(bits == 1, p_one, 1.0 - p_one).min()),
-        # Column-major, so that the maximum over each row runs along whole columns.
-        peak=float((np.abs(states, order="F") ** 2).max(axis=1).min()),
+        peak=peak * peak,
         spread=spread,
     )
     object.__setattr__(a, "_memo", answers)
@@ -465,7 +497,7 @@ def check_property(a: QQA, which: StructuralProperty, tol: float = NORM_TOL) -> 
     certain = answers.peak >= 1.0 - tol
     if which is StructuralProperty.CERTAIN_OUTCOME:
         return certain
-    if which not in _ACCEPTING_VALUES:
+    if which not in _ACCEPTING:
         raise ValueError(f"unknown property {which!r}")
     spread = answers.spread.get(which)
     held = spread is not None and spread <= tol

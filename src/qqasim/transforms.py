@@ -74,11 +74,6 @@ def permute_variables(a: QQA, sigma: Sequence[int]) -> QQA:
     return replace(a, steps=steps)
 
 
-def permuted_input(input_bits: str, sigma: Sequence[int]) -> str:
-    """The input the original algorithm sees when the permuted one reads ``input_bits``."""
-    return "".join(input_bits[s] for s in sigma)
-
-
 def normalize_accepting_sign(a: QQA) -> QQA:
     """Append a sign flip at the accepting output, turning {0, -1} into {0, +1}.
 

@@ -1,12 +1,20 @@
 import math
 
 import pytest
+from hypothesis import settings
 
 from qqasim.algorithms import equality3_algorithm, pair_equality4_algorithm
 from qqasim.boolfun import named_function
 from qqasim.catalog import generate_all
 
 S = 1.0 / math.sqrt(2.0)
+
+# Property tests draw the same examples on every run, never time out on a
+# slow machine, and keep the suite's running time bounded.
+settings.register_profile(
+    "qqasim", derandomize=True, deadline=None, max_examples=100, database=None
+)
+settings.load_profile("qqasim")
 
 # Expected evolution of the equality-of-three algorithm on every input:
 # state after the first unitary+query, after the second, final state, result.

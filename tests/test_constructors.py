@@ -11,7 +11,7 @@ from qqasim.constructors import (
     majority_even4_construct,
     or_construct,
 )
-from qqasim.linalg import is_unitary
+from qqasim.linalg import block_diag, is_unitary
 from qqasim.simulator import QQA, QueryGate, run, run_all, verify
 from qqasim.transforms import permute_outputs
 
@@ -22,6 +22,78 @@ def _p_one(algorithm):
     states = run_all(algorithm)
     mask = np.array(algorithm.measurement) == 1
     return (np.abs(states[:, mask]) ** 2).sum(axis=1)
+
+
+def _block_diag_steps(algs, widths, amplitudes):
+    """The parallel steps of ``algs`` as :func:`block_diag` builds them, one slot at a time.
+
+    Algorithm i gets a block of ``widths[i]`` amplitudes, and auxiliary
+    amplitudes fill the rest up to ``amplitudes``; query schedules are aligned
+    as the module docstring says.  The reference for every combiner's gates.
+    """
+    schedules = []
+    for a in algs:
+        segments, queries = [[]], []
+        for step in a.steps:
+            if isinstance(step, QueryGate):
+                queries.append(step)
+                segments.append([])
+            else:
+                segments[-1].append(step)
+        schedules.append((segments, queries))
+    rounds = max(len(queries) for _, queries in schedules)
+    for a, (segments, queries) in zip(algs, schedules):
+        while len(queries) < rounds:
+            queries.append(QueryGate((None,) * a.amplitudes))
+            segments.insert(len(segments) - 1, [])
+    pads = [w - a.amplitudes for a, w in zip(algs, widths)]
+    auxiliary = amplitudes - sum(widths)
+    steps = []
+    for i in range(rounds + 1):
+        for j in range(max(len(segments[i]) for segments, _ in schedules)):
+            blocks = []
+            for a, (segments, _), pad in zip(algs, schedules, pads):
+                blocks.append(segments[i][j] if j < len(segments[i]) else np.eye(a.amplitudes))
+                blocks += [np.eye(pad)] if pad else []
+            steps.append(block_diag(blocks + ([np.eye(auxiliary)] if auxiliary else [])))
+        if i < rounds:
+            assignments, shift = [], 0
+            for a, (_, queries), pad in zip(algs, schedules, pads):
+                assignments += [None if v is None else v + shift for v in queries[i].assignments]
+                assignments += [None] * pad
+                shift += a.arity
+            steps.append(QueryGate(tuple(assignments) + (None,) * auxiliary))
+    return steps
+
+
+class TestParallelGates:
+    @pytest.mark.parametrize(
+        "combine, names, widths, amplitudes, tail",
+        [
+            (and_construct, ("eq3", "eq3"), (4, 4), 8, 1),
+            (and_construct, ("eq3", "const2"), (4, 4), 8, 1),
+            (or_construct, ("pe4", "eq3"), (4, 4), 16, 2),
+            (majority_even4_construct, ("eq3", "const2", "eq3", "eq3"), (4, 2, 4, 4), 14, 2),
+            (majority3_construct, ("eq3", "eq3", "const2"), (4, 4, 2, 1), 11, 2),
+        ],
+    )
+    def test_gates_equal_block_diag_reference(
+        self, eq3, pe4, combine, names, widths, amplitudes, tail
+    ):
+        inputs = {"eq3": eq3, "pe4": pe4, "const2": constant_one_algorithm(2, arity=1)}
+        algs = [inputs[name] for name in names]
+        algorithm = combine(*algs).algorithm
+        if combine is majority3_construct:
+            algs.append(constant_one_algorithm())  # the filler in the fourth slot
+        expected = _block_diag_steps(algs, widths, amplitudes)
+        assert algorithm.amplitudes == amplitudes
+        assert len(algorithm.steps) == len(expected) + tail
+        for step, reference in zip(algorithm.steps, expected):
+            if isinstance(reference, QueryGate):
+                assert step.assignments == reference.assignments
+            else:
+                assert step.dtype == reference.dtype == complex
+                assert np.array_equal(step, reference)
 
 
 class TestAndConstruct:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qqasim.linalg import adjoint, apply, block_diag, is_unitary, permutation_matrix
+from qqasim.linalg import _unitarity_errors, block_diag, is_unitary, permutation_matrix
+from qqasim.simulator import QQA, run
 
 S = 1.0 / math.sqrt(2.0)
 H2 = np.array([[S, S], [S, -S]])
@@ -30,41 +31,67 @@ class TestIsUnitary:
         with pytest.raises(ValueError):
             is_unitary(np.eye(2), tol=0.0)
 
+    def test_batch_gives_each_gate_its_own_verdict(self):
+        gates = [np.eye(2), H2, 2 * H2, [[S, S], [S, S]], [[np.nan, 0], [0, 1]], H2]
+        with np.errstate(invalid="ignore"):
+            errors = _unitarity_errors(np.array(gates, dtype=complex))
+            verdicts = [is_unitary(g, tol=1e-10) for g in gates]
+        assert list(errors <= 1e-10) == verdicts == [True, True, False, False, False, True]
+        assert np.isnan(errors[4])
+
+
+def _apply(state, gate) -> np.ndarray:
+    """The final state of a one-gate algorithm: gates act on row vectors, ``state @ gate``."""
+    state = np.asarray(state, dtype=complex)
+    m = len(state)
+    final, _ = run(QQA(0, m, state, (gate,), (1,) + (0,) * (m - 1)), "")
+    return final
+
 
 class TestApply:
     def test_uniform_spread(self):
         u0 = np.kron(H2, H2)
-        out = apply([1, 0, 0, 0], u0)
+        out = _apply([1, 0, 0, 0], u0)
         assert np.allclose(out, [0.5, 0.5, 0.5, 0.5], atol=1e-9)
 
     def test_identity_fixes_state(self):
         state = np.array([0.5, S, 0.0, 0.5])
-        assert np.allclose(apply(state, np.eye(4)), state)
+        assert np.allclose(_apply(state, np.eye(4)), state)
 
     def test_final_gate_concentrates(self, eq3):
         final_gate = eq3.steps[-1]
-        out = apply([0.5, S, 0.0, 0.5], final_gate)
+        out = _apply([0.5, S, 0.0, 0.5], final_gate)
         assert np.allclose(out, [1, 0, 0, 0], atol=1e-9)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            apply([1, 0, 0], np.eye(4))
+        with pytest.raises(ValueError, match=r"expected a 3x3 matrix, got \(4, 4\)"):
+            _apply([1, 0, 0], np.eye(4))
 
 
 class TestAdjoint:
+    """The unitarity check multiplies each gate by its conjugate transpose."""
+
     def test_real_orthogonal_is_transpose(self):
-        assert np.allclose(adjoint(H2), H2.T)
+        rotation = np.array([[0.6, -0.8], [0.8, 0.6]])
+        assert is_unitary(rotation, tol=1e-12)
+        assert _unitarity_errors(np.array([rotation, rotation.T], dtype=complex)).max() <= 1e-15
 
     def test_involution(self):
         m = np.array([[1, 2j], [3, 4 - 1j]])
-        assert np.allclose(adjoint(adjoint(m)), m)
+        u = np.linalg.qr(m)[0]
+        errors = _unitarity_errors(np.array([u, u.conj().T, u.conj().T.conj().T]))
+        assert errors.max() <= 1e-12
+        assert not is_unitary(m)
 
     def test_one_by_one_conjugates(self):
-        assert adjoint(np.array([[1j]]))[0, 0] == -1j
+        # i * conj(i) = 1, but i * i = -1: only a conjugating check passes a phase.
+        assert is_unitary(np.array([[1j]]))
+        assert _unitarity_errors(np.array([[[1j]]]))[0] == 0.0
 
     def test_inverts_unitary(self):
         u = np.kron(H2, H2)
-        assert np.allclose(adjoint(u) @ u, np.eye(4), atol=1e-12)
+        assert is_unitary(u, tol=1e-12)
+        assert not is_unitary(2 * u, tol=1e-12)
 
 
 class TestBlockDiag:
@@ -104,7 +131,7 @@ class TestPermutationMatrix:
 
     def test_routing_semantics(self):
         p = permutation_matrix([2, 0, 1])
-        out = apply([10.0, 20.0, 30.0], p)
+        out = np.array([10.0, 20.0, 30.0]) @ p
         assert np.allclose(out, [20.0, 30.0, 10.0])
 
     def test_inverse_composition(self):
@@ -132,4 +159,4 @@ def test_unitary_apply_preserves_norm(seed):
     q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
     state = rng.normal(size=8) + 1j * rng.normal(size=8)
     state /= np.linalg.norm(state)
-    assert abs(np.linalg.norm(apply(state, q)) - 1.0) <= 1e-9
+    assert abs(np.linalg.norm(_apply(state, q)) - 1.0) <= 1e-9

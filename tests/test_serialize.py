@@ -1,12 +1,17 @@
+import copy
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from qqasim import serialize, simulator
+from qqasim import linalg, serialize, simulator
+from qqasim.catalog import SET_NAMES
 from qqasim.constructors import or_construct
 from qqasim.serialize import from_document, load, save, to_document
-from qqasim.simulator import QueryGate, verify
+from qqasim.simulator import QueryGate, run_all, verify
 
 
 class TestRoundTrip:
@@ -126,14 +131,19 @@ class TestValidation:
 
     def test_each_gate_checked_once(self, eq3, monkeypatch):
         checked = []
-        original = simulator.is_unitary
+        batch, single = linalg._unitarity_errors, linalg.is_unitary
 
-        def counting(matrix, tol):
+        def counting_batch(stack):
+            checked.extend(stack)
+            return batch(stack)
+
+        def counting_single(matrix, tol=linalg.UNITARY_TOL):
             checked.append(matrix)
-            return original(matrix, tol)
+            return single(matrix, tol)
 
-        for module in (serialize, simulator):  # wherever a loader could look it up
-            monkeypatch.setattr(module, "is_unitary", counting, raising=False)
+        for module in (serialize, simulator):  # wherever a loader could look them up
+            monkeypatch.setattr(module, "_unitarity_errors", counting_batch, raising=False)
+            monkeypatch.setattr(module, "is_unitary", counting_single, raising=False)
         from_document(self._document(eq3))
         assert len(checked) == len(eq3.steps) - eq3.query_count
 
@@ -157,3 +167,168 @@ class TestAtomicWrite:
             doc = json.load(handle)
         assert doc["format_version"] == 1
         assert from_document(doc).arity == 3
+
+
+@pytest.fixture(scope="module")
+def round_trip_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("round_trip") / "a.json"
+
+
+class TestRoundTripProperty:
+    @given(st.sampled_from(SET_NAMES), st.integers(0, 255))
+    def test_fields_and_states_survive(self, full_catalog, round_trip_path, name, index):
+        entries = full_catalog[name].entries
+        entry = entries[index % len(entries)]  # a transform variant or a composite
+        a = entry.algorithm
+        save(a, round_trip_path, provenance=entry.provenance)
+        loaded = load(round_trip_path)
+        assert (loaded.arity, loaded.amplitudes) == (a.arity, a.amplitudes)
+        assert loaded.measurement == a.measurement
+        assert loaded.initial.tobytes() == a.initial.tobytes()
+        assert len(loaded.steps) == len(a.steps)
+        for mine, theirs in zip(loaded.steps, a.steps):
+            if isinstance(theirs, QueryGate):
+                assert mine.assignments == theirs.assignments
+            else:
+                assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+        # replace() keeps the fields and drops a composition record, so both
+        # sides run the dense kernel over the same steps.
+        states, expected = run_all(loaded), run_all(replace(a))
+        assert states.dtype == expected.dtype and states.tobytes() == expected.tobytes()
+
+
+FIELDS = ("format_version", "arity", "amplitudes", "initial", "steps", "measurement")
+_NOT_A_NUMBER_OR_LIST = st.one_of(
+    st.none(),
+    st.text(max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+_MALFORMED_ENTRY = st.one_of(
+    _NOT_A_NUMBER_OR_LIST, st.integers(), st.lists(st.floats(), max_size=1)
+)
+
+# Each corruption changes one field of a valid document so that it is no
+# longer valid; ``draw`` draws from a hypothesis strategy.
+
+
+def _pick(draw, items):
+    return items[draw(st.integers(0, len(items) - 1))]
+
+
+def _unitary(doc, draw):
+    return _pick(draw, [step["unitary"] for step in doc["steps"] if "unitary" in step])
+
+
+def _query(doc, draw):
+    return _pick(draw, [step["query"] for step in doc["steps"] if "query" in step])
+
+
+def _wrong_type(doc, draw):
+    field = draw(st.sampled_from(FIELDS))
+    if field in ("format_version", "arity", "amplitudes"):
+        wrong = st.one_of(_NOT_A_NUMBER_OR_LIST, st.floats(), st.lists(st.integers(), max_size=2))
+    else:
+        wrong = st.one_of(_NOT_A_NUMBER_OR_LIST, st.floats(), st.integers())
+    doc[field] = draw(wrong)
+
+
+def _missing_field(doc, draw):
+    del doc[draw(st.sampled_from(FIELDS))]
+
+
+def _non_finite(doc, draw):
+    pair = _pick(draw, [_pick(draw, doc["initial"]), _pick(draw, _pick(draw, _unitary(doc, draw)))])
+    pair[draw(st.integers(0, 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+def _boolean(doc, draw):
+    flag = draw(st.booleans())
+    where = draw(st.sampled_from(["header", "initial", "unitary", "measurement", "query"]))
+    if where == "header":
+        doc[draw(st.sampled_from(FIELDS[:3]))] = flag
+    elif where == "initial":
+        _pick(draw, doc["initial"])[draw(st.integers(0, 1))] = flag
+    elif where == "unitary":
+        _pick(draw, _pick(draw, _unitary(doc, draw)))[draw(st.integers(0, 1))] = flag
+    else:
+        values = doc["measurement"] if where == "measurement" else _query(doc, draw)
+        values[_pick(draw, [j for j, v in enumerate(values) if v is not None])] = flag
+
+
+def _ragged(doc, draw):
+    unitary = _unitary(doc, draw)
+    listed = [unitary, _pick(draw, unitary), doc["initial"], doc["measurement"], _query(doc, draw)]
+    target = _pick(draw, listed)
+    if draw(st.booleans()):
+        del target[draw(st.integers(0, len(target) - 1))]
+    else:
+        target.append(target[0])
+
+
+def _non_unitary(doc, draw):
+    unitary = _unitary(doc, draw)
+    if draw(st.booleans()):
+        _pick(draw, unitary)[draw(st.integers(0, len(unitary) - 1))] = [2.0, 0.0]  # row norm > 1
+    else:
+        factor = draw(st.floats(1.01, 100.0))
+        for row in unitary:
+            row[:] = [[re * factor, im * factor] for re, im in row]
+
+
+def _out_of_range(doc, draw):
+    query = _query(doc, draw)
+    query[draw(st.integers(0, len(query) - 1))] = draw(
+        st.one_of(st.integers(max_value=0), st.integers(min_value=doc["arity"] + 1), st.floats())
+    )
+
+
+def _bad_entry(doc, draw):
+    """A measurement value other than 0 or 1, or a malformed pair or step."""
+    where = draw(st.sampled_from(["measurement", "initial", "unitary", "step"]))
+    if where == "measurement":
+        not_a_bit = st.one_of(
+            st.integers(max_value=-1), st.integers(min_value=2), st.floats(), st.text(max_size=2)
+        )
+        doc["measurement"][draw(st.integers(0, len(doc["measurement"]) - 1))] = draw(not_a_bit)
+    elif where == "initial":
+        doc["initial"][draw(st.integers(0, len(doc["initial"]) - 1))] = draw(_MALFORMED_ENTRY)
+    elif where == "unitary":
+        row = _pick(draw, _unitary(doc, draw))
+        row[draw(st.integers(0, len(row) - 1))] = draw(_MALFORMED_ENTRY)
+    else:
+        both = st.fixed_dictionaries({"unitary": st.none(), "query": st.none()})
+        doc["steps"][draw(st.integers(0, len(doc["steps"]) - 1))] = draw(
+            st.one_of(_MALFORMED_ENTRY, both)
+        )
+
+
+CORRUPTIONS = {
+    "wrong type": _wrong_type,
+    "missing field": _missing_field,
+    "non-finite": _non_finite,
+    "boolean": _boolean,
+    "ragged": _ragged,
+    "non-unitary": _non_unitary,
+    "out-of-range variable": _out_of_range,
+    "bad entry": _bad_entry,
+}
+
+
+@pytest.fixture(scope="module")
+def valid_documents():
+    from qqasim.algorithms import equality3_algorithm, pair_equality4_algorithm
+    from qqasim.constructors import and_construct
+
+    eq3, pe4 = equality3_algorithm(), pair_equality4_algorithm()
+    algorithms = (eq3, pe4, and_construct(eq3, eq3).algorithm, or_construct(pe4, pe4).algorithm)
+    return [to_document(a) for a in algorithms]
+
+
+class TestCorruptedDocumentProperty:
+    @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+    @given(st.integers(0, 3), st.data())
+    def test_one_bad_field_raises_only_value_error(self, valid_documents, kind, which, data):
+        doc = copy.deepcopy(valid_documents[which])
+        CORRUPTIONS[kind](doc, data.draw)
+        with pytest.raises(ValueError), np.errstate(invalid="ignore", over="ignore"):
+            from_document(doc)

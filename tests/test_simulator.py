@@ -16,7 +16,6 @@ from qqasim.simulator import (
     check_property,
     computed_function,
     is_exact,
-    query_transform,
     run,
     run_all,
     trace,
@@ -47,22 +46,30 @@ def _zero_step(m=2, arity=1):
     return QQA(arity, m, initial, (), (1,) + (0,) * (m - 1))
 
 
+def _query_signs(gate, input_bits):
+    """The ±1 diagonal of a query gate on one input, read off a one-query algorithm."""
+    m = len(gate.assignments)
+    a = QQA(len(input_bits), m, np.full(m, m ** -0.5), (gate,), (1,) + (0,) * (m - 1))
+    final, _ = run(a, input_bits)
+    return final * m ** 0.5
+
+
 class TestQueryTransform:
     def test_sign_pattern(self):
         gate = QueryGate((0, 1, 0, 1))
-        assert np.allclose(query_transform(gate, "010"), np.diag([1, -1, 1, -1]))
+        assert np.allclose(_query_signs(gate, "010"), [1, -1, 1, -1])
 
     def test_all_none_is_identity(self):
         gate = QueryGate((None, None, None))
-        assert np.allclose(query_transform(gate, "101"), np.eye(3))
+        assert np.allclose(_query_signs(gate, "101"), np.ones(3))
 
     def test_zero_input_is_identity(self):
         gate = QueryGate((0, 1, 2, 0))
-        assert np.allclose(query_transform(gate, "000"), np.eye(4))
+        assert np.allclose(_query_signs(gate, "000"), np.ones(4))
 
     def test_out_of_range_variable(self):
         with pytest.raises(ValueError, match="out of range"):
-            query_transform(QueryGate((5,)), "01")
+            _query_signs(QueryGate((5,)), "01")
 
 
 class TestRun:
@@ -112,18 +119,23 @@ class TestTrace:
                     assert abs(np.linalg.norm(state) - 1.0) <= 1e-9
 
 
+def _entry_of_shape(catalog, shape):
+    """The first catalog algorithm with ``shape``, as ``m<amplitudes>n<arity>``."""
+    return next(
+        e.algorithm
+        for s in catalog.values()
+        for e in s.entries
+        if f"m{e.algorithm.amplitudes}n{e.algorithm.arity}" == shape
+    )
+
+
 class TestRunAll:
     @pytest.mark.parametrize("shape", [*CATALOG_SHAPES, "complex-phase"])
     def test_matches_single_runs(self, shape, full_catalog, eq3):
         if shape == "complex-phase":
             a = _with_phase_gate(eq3)
         else:
-            a = next(
-                e.algorithm
-                for s in full_catalog.values()
-                for e in s.entries
-                if f"m{e.algorithm.amplitudes}n{e.algorithm.arity}" == shape
-            )
+            a = _entry_of_shape(full_catalog, shape)
         table = run_all(a)
         assert table.dtype == (complex if shape == "complex-phase" else np.float64)
         singles = np.array([run(a, x)[0] for x in all_inputs(a.arity)])
@@ -259,6 +271,32 @@ class TestVerify:
         assert report.per_input["0000"] == pytest.approx(1.0, abs=1e-9)
 
 
+def _reference_answers(a, states, p_one):
+    """The answers of one simulation, each from its own direct formula."""
+    margins = np.abs(p_one - 0.5)
+    closest = int(margins.argmin())
+    bits = (p_one > 0.5).astype(np.uint8)
+    allowed = {
+        StructuralProperty.ACCEPT_PLUS_ONE: (0.0, 1.0),
+        StructuralProperty.ACCEPT_MINUS_ONE: (0.0, -1.0),
+        StructuralProperty.ACCEPT_SIGNED_UNIT: (0.0, 1.0, -1.0),
+    }
+    spread = {}
+    accepting = a.accepting_outputs()
+    if len(accepting) == 1:
+        column = states[:, accepting[0]]
+        for which, values in allowed.items():
+            spread[which] = float(np.min([np.abs(column - v) for v in values], axis=0).max())
+    return simulator._Answers(
+        bits=bits.tobytes(),
+        margin=float(margins[closest]),
+        closest=closest,
+        agreement=float(np.where(bits == 1, p_one, 1.0 - p_one).min()),
+        peak=float((np.abs(states) ** 2).max(axis=1).min()),
+        spread=spread,
+    )
+
+
 class TestOneSimulationPerAlgorithm:
     def test_questions_share_one_simulation(self, eq3, monkeypatch):
         simulated = []
@@ -292,6 +330,15 @@ class TestOneSimulationPerAlgorithm:
         assert check_property(a, StructuralProperty.CERTAIN_OUTCOME, tol=0.6)
         assert check_property(a, StructuralProperty.ACCEPT_PLUS_ONE, tol=0.3)
         assert not check_property(a, StructuralProperty.ACCEPT_PLUS_ONE, tol=0.2)
+
+    @pytest.mark.parametrize("shape", [*CATALOG_SHAPES, "complex-phase"])
+    def test_answers_equal_direct_formulas(self, shape, full_catalog, eq3):
+        if shape == "complex-phase":
+            a = _with_phase_gate(eq3)
+        else:
+            a = _entry_of_shape(full_catalog, shape)
+        states = run_all(a)
+        assert simulator._answers(a) == _reference_answers(a, states, simulator._p_one(a, states))
 
     def test_replaced_algorithm_does_not_inherit_answers(self, eq3, f_eq3):
         assert computed_function(eq3) == f_eq3
@@ -390,6 +437,38 @@ class TestValidation:
         with pytest.raises(ValueError, match="measurement"):
             QQA(1, 2, [1, 0], (), (1, 2))
 
+    @pytest.mark.parametrize(
+        "values", [(0.9, 1.2), (1.0, 0), (True, False), (1, np.False_), ("1", 0), (None, 1)]
+    )
+    def test_measurement_values_are_integers(self, values):
+        with pytest.raises(ValueError, match="measurement"):
+            QQA(1, 2, [1, 0], (), values)
+
+    def test_numpy_integers_accepted(self):
+        a = QQA(1, 2, [1, 0], (QueryGate((np.int64(0), None)),), (np.int64(1), np.uint8(0)))
+        assert a.measurement == (1, 0) and all(type(v) is int for v in a.measurement)
+        assert computed_function(a).bits == b"\x01\x01"
+
+    @pytest.mark.parametrize("flag", [True, False, np.True_])
+    def test_boolean_variable_index(self, flag):
+        with pytest.raises(ValueError, match="variable index"):
+            QueryGate((flag, None))
+
+    @pytest.mark.parametrize(
+        "steps, message",
+        [
+            ((np.eye(3), np.ones((2, 2))), r"step 0: expected a 2x2 matrix"),
+            ((np.ones((2, 2)), np.eye(3)), r"steps\[0\]\.unitary: matrix is not unitary"),
+            ((np.eye(2), 2 * np.eye(2), np.ones((2, 2))), r"steps\[1\]\.unitary"),
+            ((np.eye(2), QueryGate((0, 3)), np.ones((2, 2))), r"step 1: variable index 3"),
+            ((np.eye(2), np.ones((2, 2)), QueryGate((0,))), r"steps\[1\]\.unitary"),
+            ((np.eye(2), [[np.nan, 0], [0, 1]]), r"steps\[1\]\.unitary"),
+        ],
+    )
+    def test_first_failing_step_is_named(self, steps, message):
+        with pytest.raises(ValueError, match=message), np.errstate(invalid="ignore"):
+            QQA(1, 2, [1, 0], steps, (1, 0))
+
     def test_wrong_matrix_shape(self):
         with pytest.raises(ValueError, match="matrix"):
             QQA(1, 2, [1, 0], (np.eye(3),), (1, 0))
@@ -405,3 +484,9 @@ class TestValidation:
             eq3.steps[0][0, 0] = 9.0
         with pytest.raises(ValueError):
             eq3.initial[0] = 0.0
+
+    def test_gates_cannot_be_unfrozen(self, eq3):
+        for step in eq3.steps:
+            if not isinstance(step, QueryGate):
+                with pytest.raises(ValueError):
+                    step.setflags(write=True)
