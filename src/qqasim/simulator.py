@@ -26,10 +26,16 @@ from them: each part on its own 2^{n_i} inputs (sum over i of 2^{n_i} rows
 in place of 2^n rows times every step), then one sum of the k blocks onto
 the 2^n rows.  A part keeps its final states once simulated, since parts
 are small and one part object is shared by many composites (the catalog
-builds 256 majorities from 4 of them).  Every other algorithm, and any algorithm derived from a
-composite by ``dataclasses.replace`` or reloaded from a document, runs the
-dense kernel over its whole step list; the tests use it as the oracle for
-the composed path.
+builds 256 majorities from 4 of them).
+
+An algorithm with no such record (one derived from a composite by
+``dataclasses.replace`` or a transform, or reloaded from a document) runs
+the dense kernel, which finds the same structure in the gates themselves
+when the batch has more rows than a gate has entries: the first steps run
+once per independent block of amplitudes on that block's own inputs, and
+only the steps that mix the blocks run on all 2^n rows.  Its states are
+bit-identical to a plain pass of every step over all 2^n rows, which the
+tests keep as the oracle of both paths.
 """
 from __future__ import annotations
 
@@ -75,8 +81,9 @@ class QQA:
     execution order; ``measurement`` assigns an output value (0 or 1) to each
     basis state.  Construction validates unitarity of every gate at
     ``UNITARY_TOL``, all gates in one batch, unit norm of the initial state at
-    ``NORM_TOL``, an arity of at most ``MAX_ARITY``, and integer variable
-    indices and measurement values (never booleans).  The stored gates are
+    ``NORM_TOL``, an arity of at most ``MAX_ARITY``, and an integer arity,
+    amplitude count, variable indices and measurement values (never
+    booleans; numpy integers are stored as ``int``).  The stored gates are
     read-only views of one ``(gates, m, m)`` complex array.
     """
 
@@ -95,6 +102,11 @@ class QQA:
     _part_states: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        for name in ("arity", "amplitudes"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not 0 <= self.arity <= MAX_ARITY:
             raise ValueError(f"arity must be between 0 and {MAX_ARITY}, got {self.arity}")
         if self.amplitudes < 1:
@@ -305,7 +317,11 @@ def run_all(a: QQA) -> np.ndarray:
     An algorithm a combiner built is simulated from its parts instead: each
     part's final states on its own inputs go through its rows of the tail
     product, and the k blocks are summed onto the 2^n rows, the first
-    block's variables outermost.
+    block's variables outermost.  Any other algorithm whose gates keep
+    blocks of amplitudes on disjoint variables apart up to its last query
+    (a rebuilt, transformed or reloaded composite) runs those steps once
+    per block on the block's own inputs, when it has more inputs than a
+    gate has entries; the result is bit-identical to the whole batch.
     When the initial state and every gate have zero imaginary part, as in
     every built-in and constructed algorithm, the batch runs in float64 and
     the result is float64; otherwise the same code runs in complex.
@@ -317,26 +333,153 @@ def run_all(a: QQA) -> np.ndarray:
     return states
 
 
+#: Rows of the tiles that the steps after a block prefix run over: 64 KB at 16
+#: amplitudes in float64, small enough to stay off the allocator's mmap path.
+_TILE = 512
+
+
 def _final_states(a: QQA) -> np.ndarray:
-    """:func:`run_all` without its norm check, for an algorithm and for each of its parts."""
+    """:func:`run_all` without its norm check, for an algorithm and for each of its parts.
+
+    Only a batch with more rows than a gate has entries is searched for
+    independent blocks (:func:`_blocks`): below that, the search costs what
+    it could save.
+    """
     if a._composition is not None:
         return _composed_states(a, a._composition)
-    n = a.arity
+    n, m = a.arity, a.amplitudes
     gates = (step for step in a.steps if not isinstance(step, QueryGate))
     real = not (a.initial.imag.any() or any(g.imag.any() for g in gates))
-    signs = np.ones((2,) * n + (n + 1,))  # one axis per variable, first variable outermost
-    for k in range(n):
-        signs[(slice(None),) * k + (1, ..., k)] = -1.0  # where variable k is 1, column k is -1
-    signs = signs.reshape(1 << n, n + 1)
-    states = np.tile(a.initial.real if real else a.initial, (1 << n, 1))
+    initial = a.initial.real if real else a.initial
+    steps = [
+        step if isinstance(step, QueryGate) else np.ascontiguousarray(step.real) if real else step
+        for step in a.steps
+    ]
+    split = _blocks(a) if (1 << n) > m * m else None
+    if split is None:
+        return _evolve_rows(np.tile(initial, (1 << n, 1)), _sign_table(range(n), n), steps)
+    return _block_states(initial, steps, n, *split)
+
+
+def _block_states(initial: np.ndarray, steps: list, n: int, blocks: list, prefix: int):
+    """Final states on all ``2**n`` inputs, running ``steps[:prefix]`` once per block.
+
+    Each block runs on the values of its own variables only, in full-width
+    rows that are zero outside the block, so every dot product is the one
+    the whole batch would compute and the states are bit-identical to it.
+    """
+    m = len(initial)
+    stacked = _evolve_rows(
+        np.repeat(
+            np.array([np.where(amplitudes, initial, 0) for amplitudes, _ in blocks]),
+            [1 << len(variables) for _, variables in blocks],
+            axis=0,
+        ),
+        np.concatenate([_sign_table(variables, n) for _, variables in blocks]),
+        steps[:prefix],
+    )
+    # The batch grows by whole variables, the first outermost.  A block is
+    # added once all its variables are rows of the batch, and broadcasts
+    # along the axes of the other variables read so far.
+    states = np.zeros((1, m), dtype=stacked.dtype)
+    start = 0
+    for _, variables in blocks:
+        rows = stacked[start:start + (1 << len(variables))]
+        start += len(rows)
+        read = variables[-1] + 1 if variables else 0
+        if len(states) < 1 << read:
+            states = np.repeat(states, (1 << read) // len(states), axis=0)
+        grid = states.reshape((2,) * read + (m,))
+        grid += rows.reshape([2 if v in variables else 1 for v in range(read)] + [m])
+    if len(states) < 1 << n:
+        states = np.repeat(states, (1 << n) // len(states), axis=0)
+    # The steps that mix the blocks run in place, a tile at a time, so no
+    # second array of the batch's size is made.
+    tail = steps[prefix:]
+    if tail:
+        buffer = np.empty((min(_TILE, 1 << n), m), dtype=states.dtype)
+        for start in range(0, 1 << n, _TILE):
+            tile = states[start:start + _TILE]
+            for gate in tail:
+                np.matmul(tile, gate, out=buffer)
+                tile[...] = buffer
+    return states
+
+
+def _sign_table(variables, n: int) -> np.ndarray:
+    """±1 signs of the ``n`` variables on every value of ``variables``, plus a +1 column.
+
+    Row i holds the values ``bit_string(i, len(variables))`` of ``variables``
+    in their order, the first outermost; a variable not among them reads 0.
+    """
+    signs = np.ones((2,) * len(variables) + (n + 1,))
+    for k, v in enumerate(variables):
+        signs[(slice(None),) * k + (1, ..., v)] = -1.0  # where the k-th variable is 1
+    return signs.reshape(-1, n + 1)
+
+
+def _evolve_rows(states: np.ndarray, signs: np.ndarray, steps) -> np.ndarray:
+    """Run ``steps`` on every row of ``states``, whose query signs are the rows of ``signs``.
+
+    A query step is one gather-multiply by the sign table, whose last column
+    serves the unqueried amplitudes.
+    """
+    n = signs.shape[1] - 1
     spare = np.empty_like(states)  # unitary steps write here and swap: no fresh pages per step
-    for step in a.steps:
+    for step in steps:
         if isinstance(step, QueryGate):
             states *= signs[:, [n if v is None else v for v in step.assignments]]
         else:
-            np.matmul(states, np.ascontiguousarray(step.real) if real else step, out=spare)
+            np.matmul(states, step, out=spare)
             states, spare = spare, states
     return states
+
+
+def _blocks(a: QQA):
+    """The independent blocks of an algorithm's first steps, or ``None`` if there are none.
+
+    Blocks are the connected components of the exact nonzero pattern of the
+    gates before the last query that hold initial amplitude.  Returns the
+    blocks as (amplitude mask, the variables its queries read in ascending
+    order) pairs, ordered by their last variable with the blocks that read
+    none first, and the length of the longest prefix of steps whose gates
+    keep the components apart.  ``None`` unless there is a query, two or more
+    blocks, and no variable read in two of them.
+    """
+    last = max((k for k, step in enumerate(a.steps) if isinstance(step, QueryGate)), default=None)
+    if last is None:
+        return None
+    m = a.amplitudes
+    linked = np.eye(m, dtype=bool)
+    for step in a.steps[:last]:
+        if not isinstance(step, QueryGate):
+            linked |= step != 0
+    linked |= linked.T
+    labels = np.arange(m)
+    while True:  # each amplitude takes the smallest label among its neighbours
+        spread = np.where(linked, labels, m).min(axis=1)
+        if (spread == labels).all():
+            break
+        labels = spread
+    label = labels.tolist()
+    live = {label[j] for j in np.flatnonzero(a.initial).tolist()}
+    if len(live) < 2:
+        return None
+    reader = {}
+    for step in a.steps[:last + 1]:
+        if isinstance(step, QueryGate):
+            for v, at in zip(step.assignments, label):
+                if v is not None and at in live and reader.setdefault(v, at) != at:
+                    return None
+    apart = labels[:, np.newaxis] != labels
+    prefix = last + 1
+    while prefix < len(a.steps) and not (a.steps[prefix] != 0)[apart].any():
+        prefix += 1
+    blocks = [
+        (labels == at, sorted(v for v, read_by in reader.items() if read_by == at))
+        for at in live
+    ]
+    return sorted(blocks, key=lambda block: block[1][-1:]), prefix
 
 
 def _states_as_part(part: QQA) -> np.ndarray:

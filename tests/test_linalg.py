@@ -39,6 +39,23 @@ class TestIsUnitary:
         assert list(errors <= 1e-10) == verdicts == [True, True, False, False, False, True]
         assert np.isnan(errors[4])
 
+    def test_real_and_complex_stacks_give_the_same_verdicts(self):
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
+        gates = [np.eye(4), q, q + 1e-9, 2 * q, np.kron(H2, H2), np.full((4, 4), np.nan)]
+        for bad in (np.nan, np.inf, -np.inf):
+            gate = np.eye(4)
+            gate[1, 2] = bad
+            gates.append(gate)
+        phase = np.diag(np.exp(1j * np.array([0.0, 0.5, 1.0, 1.5])))
+        real = np.array(gates, dtype=complex)  # no imaginary part: checked in float64
+        mixed = np.array(gates + [phase])  # one complex gate: the whole stack in complex
+        with np.errstate(invalid="ignore"):
+            verdicts = list(~(_unitarity_errors(real) <= 1e-10))
+            assert list(~(_unitarity_errors(mixed) <= 1e-10)) == verdicts + [False]
+            direct = np.abs(real @ real.conj().swapaxes(-1, -2) - np.eye(4)).max(axis=(-2, -1))
+        assert verdicts == list(~(direct <= 1e-10))
+        assert verdicts == [False, False, True, True, False, True, True, True, True]
+
 
 def _apply(state, gate) -> np.ndarray:
     """The final state of a one-gate algorithm: gates act on row vectors, ``state @ gate``."""

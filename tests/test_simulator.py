@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from qqasim import simulator
 from qqasim.algorithms import constant_one_algorithm
 from qqasim.boolfun import MAX_ARITY, TruthTable, all_inputs
 from qqasim.catalog import SET_NAMES
-from qqasim.constructors import and_construct, majority_even4_construct
+from qqasim.constructors import and_construct, majority3_construct, majority_even4_construct
 from qqasim.serialize import load, save
 from qqasim.simulator import (
     QQA,
@@ -147,8 +148,31 @@ class TestRunAll:
 
 
 def _rebuilt(a):
-    """The same algorithm without a composition record, simulated by the dense kernel."""
+    """The same algorithm without a composition record."""
     return QQA(a.arity, a.amplitudes, a.initial, a.steps, a.measurement)
+
+
+def _dense_states(a):
+    """Final states on every input from one batch over all 2^n rows and every step.
+
+    The reference for both fast paths: a query step multiplies by a ±1 sign
+    table, a unitary step is one matmul of the whole batch, in float64 when
+    nothing is complex.
+    """
+    n = a.arity
+    gates = [step for step in a.steps if not isinstance(step, QueryGate)]
+    real = not (a.initial.imag.any() or any(g.imag.any() for g in gates))
+    signs = np.ones((2,) * n + (n + 1,))
+    for k in range(n):
+        signs[(slice(None),) * k + (1, ..., k)] = -1.0
+    signs = signs.reshape(1 << n, n + 1)
+    states = np.tile(a.initial.real if real else a.initial, (1 << n, 1))
+    for step in a.steps:
+        if isinstance(step, QueryGate):
+            states = states * signs[:, [n if v is None else v for v in step.assignments]]
+        else:
+            states = states @ (np.ascontiguousarray(step.real) if real else step)
+    return states
 
 
 class TestComposedPath:
@@ -167,7 +191,7 @@ class TestComposedPath:
 
     def test_matches_dense_kernel(self, composites):
         for a in composites:
-            composed, dense = run_all(a), run_all(_rebuilt(a))
+            composed, dense = run_all(a), _dense_states(a)
             assert composed.dtype == dense.dtype == np.float64
             assert composed.shape == dense.shape
             assert np.allclose(composed, dense, rtol=0, atol=1e-12)
@@ -176,7 +200,7 @@ class TestComposedPath:
         phase = np.diag(np.exp(1j * np.array([0.0, 0.4, 1.1, 2.0])))  # keeps output 0 real
         part = QQA(eq3.arity, 4, eq3.initial, eq3.steps + (phase,), eq3.measurement)
         result = and_construct(part, eq3)
-        composed, dense = run_all(result.algorithm), run_all(_rebuilt(result.algorithm))
+        composed, dense = run_all(result.algorithm), _dense_states(result.algorithm)
         assert composed.dtype == dense.dtype == complex
         assert np.allclose(composed, dense, rtol=0, atol=1e-12)
 
@@ -240,6 +264,130 @@ class TestComposedPath:
         monkeypatch.setattr(simulator, "run_all", lambda a: simulated.append(a) or batch(a))
         assert verify(result.algorithm, result.target).worst_case_p == pytest.approx(9 / 16)
         assert simulated == [result.algorithm]
+
+
+def _assert_bit_identical(a):
+    states, reference = run_all(a), _dense_states(a)
+    assert states.dtype == reference.dtype
+    assert np.array_equal(states, reference)
+
+
+class TestBlockPath:
+    """Algorithms with no composition record, simulated from the blocks in their gates."""
+
+    @pytest.fixture(scope="class")
+    def majority(self, full_catalog):
+        return full_catalog["maj_even4"].entries[-1].algorithm
+
+    def test_rebuilt_composite_splits_into_its_parts(self, majority):
+        a = _rebuilt(majority)
+        blocks, prefix = simulator._blocks(a)
+        assert [variables for _, variables in blocks] == [
+            [0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]
+        ]
+        assert [list(np.flatnonzero(amplitudes)) for amplitudes, _ in blocks] == [
+            [0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11], [12, 13, 14, 15]
+        ]
+        assert prefix == len(a.steps) - 2  # only the two mixing gates mix the blocks
+        _assert_bit_identical(a)
+
+    def test_derived_composites_decompose(self, majority, tmp_path):
+        save(majority, tmp_path / "a.json")
+        flipped = tuple(1 - v for v in majority.measurement)
+        sign = np.diag([-1.0] + [1.0] * (majority.amplitudes - 1))
+        sigma = [int(v) for v in np.random.default_rng(5).permutation(majority.arity)]
+        for derived in (
+            _rebuilt(majority),
+            load(tmp_path / "a.json"),
+            replace(majority),
+            replace(majority, measurement=flipped),
+            replace(majority, steps=majority.steps + (sign,)),
+            permute_variables(majority, list(reversed(range(majority.arity)))),
+            permute_variables(majority, sigma),
+        ):
+            assert derived._composition is None
+            assert simulator._blocks(derived) is not None
+            _assert_bit_identical(derived)
+
+    def test_composite_of_sign_normalised_parts(self, eq3):
+        moved = permute_outputs(eq3, [3, 1, 2, 0])  # accepting amplitude in {0, -1}
+        a = _rebuilt(majority_even4_construct(moved, moved, eq3, moved).algorithm)
+        blocks, prefix = simulator._blocks(a)
+        assert len(blocks) == 4 and prefix == len(a.steps) - 2  # sign gates stay in the prefix
+        _assert_bit_identical(a)
+
+    def test_filler_block_reads_no_variables(self, eq3):
+        a = _rebuilt(majority3_construct(eq3, eq3, eq3).algorithm)
+        blocks, _ = simulator._blocks(a)
+        assert [variables for _, variables in blocks] == [[], [0, 1, 2], [3, 4, 5], [6, 7, 8]]
+        _assert_bit_identical(a)
+
+    def test_complex_part_gives_complex_states(self, eq3):
+        phase = np.diag(np.exp(1j * np.array([0.0, 0.4, 1.1, 2.0])))  # keeps output 0 real
+        part = QQA(eq3.arity, 4, eq3.initial, eq3.steps + (phase,), eq3.measurement)
+        a = _rebuilt(majority_even4_construct(eq3, part, eq3, eq3).algorithm)
+        assert simulator._blocks(a) is not None
+        assert run_all(a).dtype == complex
+        _assert_bit_identical(a)
+
+    def test_shared_variable_falls_back(self, majority):
+        a = _rebuilt(majority)
+        first = next(k for k, step in enumerate(a.steps) if isinstance(step, QueryGate))
+        assignments = list(a.steps[first].assignments)
+        j = next(j for j in range(4, 8) if assignments[j] is not None)
+        assignments[j] = 0  # the second block now reads a variable of the first
+        steps = a.steps[:first] + (QueryGate(tuple(assignments)),) + a.steps[first + 1:]
+        shared = replace(a, steps=steps)
+        assert simulator._blocks(shared) is None
+        _assert_bit_identical(shared)
+
+    def test_tiny_coupling_falls_back(self, majority):
+        a = _rebuilt(majority)
+        first = next(k for k, step in enumerate(a.steps) if not isinstance(step, QueryGate))
+        gate = a.steps[first].copy()
+        for block in range(3):  # chains all four blocks into one
+            gate[4 * block, 4 * block + 4] = 1e-300
+        coupled = replace(a, steps=a.steps[:first] + (gate,) + a.steps[first + 1:])
+        assert simulator._blocks(coupled) is None
+        _assert_bit_identical(coupled)
+
+    def test_single_live_block_falls_back(self, majority):
+        initial = np.zeros(majority.amplitudes)
+        initial[0] = 1.0  # the other blocks hold no amplitude
+        single = replace(majority, initial=initial)
+        assert simulator._blocks(single) is None
+        _assert_bit_identical(single)
+
+    def test_small_batch_is_not_searched(self, full_catalog, monkeypatch):
+        searched = []
+        find = simulator._blocks
+        monkeypatch.setattr(simulator, "_blocks", lambda a: searched.append(a) or find(a))
+        small = _rebuilt(_entry_of_shape(full_catalog, "m16n8"))  # 256 rows, 256 gate entries
+        large = _rebuilt(_entry_of_shape(full_catalog, "m16n12"))
+        assert find(small) is not None
+        _assert_bit_identical(small)
+        _assert_bit_identical(large)
+        assert searched == [large]
+
+    def test_verify_equals_reference_on_a_stream(self, full_catalog):
+        # The shape mix of the benchmark's verify stream, drawn from the catalog.
+        mix = {"m8n6": 8, "m16n6": 8, "m16n7": 24, "m16n8": 40, "m13n9": 16, "m16n12": 240}
+        rng = random.Random(0)
+        entries = [e for name in SET_NAMES[2:] for e in full_catalog[name].entries]
+        stream = []
+        for shape, count in mix.items():
+            matching = [
+                e for e in entries if f"m{e.algorithm.amplitudes}n{e.algorithm.arity}" == shape
+            ]
+            stream += rng.sample(matching, count)
+        assert len(stream) == 336
+        for e in stream:
+            a = _rebuilt(e.algorithm)
+            states = _dense_states(a)
+            p_one = (np.abs(states[:, np.array(a.measurement) == 1]) ** 2).sum(axis=1)
+            target = np.frombuffer(e.function.bits, dtype=np.uint8)
+            expected = np.where(target == 1, p_one, 1.0 - p_one)
+            assert np.array_equal(verify(a, e.function).success, expected)
 
 
 class TestVerify:
@@ -424,6 +572,23 @@ class TestValidation:
         assert QQA(MAX_ARITY, 1, [1], (), (1,)).arity == MAX_ARITY
         with pytest.raises(ValueError, match="arity"):
             QQA(MAX_ARITY + 1, 1, [1], (), (1,))
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("arity", 3.0), ("arity", True), ("arity", "3"), ("amplitudes", 4.0),
+         ("amplitudes", np.True_), ("amplitudes", None)],
+    )
+    def test_sizes_are_integers(self, eq3, name, value):
+        fields = dict(arity=3, amplitudes=4, initial=eq3.initial, steps=eq3.steps,
+                      measurement=eq3.measurement)
+        fields[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            QQA(**fields)
+
+    def test_numpy_integer_sizes_are_stored_as_int(self, eq3, f_eq3):
+        a = QQA(np.int64(3), np.uint8(4), eq3.initial, eq3.steps, eq3.measurement)
+        assert type(a.arity) is int and type(a.amplitudes) is int
+        assert verify(a, f_eq3).exact
 
     def test_query_gate_length(self):
         with pytest.raises(ValueError, match="assignments"):
