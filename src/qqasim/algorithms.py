@@ -96,3 +96,13 @@ def constant_one_algorithm(num_amplitudes: int = 1, arity: int = 0, queries: int
     initial[0] = 1.0
     measurement = (1,) + (0,) * (num_amplitudes - 1)
     return QQA(arity, num_amplitudes, initial, tuple(steps), measurement)
+
+
+#: The built-in algorithms, by the name of the function of
+#: :func:`qqasim.boolfun.named_function` that each computes exactly.  One whose
+#: function takes an arity (see ``NAMED_FUNCTIONS``) takes it as its argument.
+BUILTINS = {
+    "equality3": equality3_algorithm,
+    "pair_equality4": pair_equality4_algorithm,
+    "constant1": lambda arity: constant_one_algorithm(num_amplitudes=1, arity=arity, queries=0),
+}

@@ -15,14 +15,15 @@ import numpy as np
 
 MAX_ARITY = 16
 
-NAMED_FUNCTIONS = (
-    "equality3",
-    "pair_equality4",
-    "constant0",
-    "constant1",
-    "majority",
-    "majority_even",
-)
+#: The built-in functions of :func:`named_function`, each with whether it takes an arity.
+NAMED_FUNCTIONS = {
+    "equality3": False,
+    "pair_equality4": False,
+    "constant0": True,
+    "constant1": True,
+    "majority": True,
+    "majority_even": True,
+}
 
 
 #: Table entries as the ASCII digits ``0`` and ``1``, for :meth:`TruthTable.as_hex`.
@@ -105,25 +106,26 @@ def named_function(name: str, n: int | None = None) -> TruthTable:
     ``majority`` (odd ``n``) and ``majority_even`` (even ``n``, ties rejected)
     accept inputs with strictly more ones than zeros.
     """
+    if name not in NAMED_FUNCTIONS:
+        expected = tuple(NAMED_FUNCTIONS)
+        raise ValueError(f"unknown function name {name!r} (expected one of {expected})")
     if name == "equality3":
         return from_accepting(3, ["000", "111"])
     if name == "pair_equality4":
         return from_accepting(4, ["0000", "0011", "1100", "1111"])
-    if name in ("constant0", "constant1", "majority", "majority_even"):
-        if n is None:
-            raise ValueError(f"{name} needs an arity parameter")
-        if not 1 <= n <= MAX_ARITY:
-            raise ValueError(f"arity must be between 1 and {MAX_ARITY}, got {n}")
-        if name == "majority" and n % 2 == 0:
-            raise ValueError("majority needs an odd number of arguments")
-        if name == "majority_even" and n % 2 == 1:
-            raise ValueError("majority_even needs an even number of arguments")
-        if name.startswith("constant"):
-            value = int(name[-1])
-            return TruthTable(n, bytes([value]) * (1 << n))
-        bits = bytes(1 if bin(i).count("1") > n // 2 else 0 for i in range(1 << n))
-        return TruthTable(n, bits)
-    raise ValueError(f"unknown function name {name!r} (expected one of {NAMED_FUNCTIONS})")
+    if n is None:
+        raise ValueError(f"{name} needs an arity parameter")
+    if not 1 <= n <= MAX_ARITY:
+        raise ValueError(f"arity must be between 1 and {MAX_ARITY}, got {n}")
+    if name == "majority" and n % 2 == 0:
+        raise ValueError("majority needs an odd number of arguments")
+    if name == "majority_even" and n % 2 == 1:
+        raise ValueError("majority_even needs an even number of arguments")
+    if name.startswith("constant"):
+        value = int(name[-1])
+        return TruthTable(n, bytes([value]) * (1 << n))
+    bits = bytes(1 if bin(i).count("1") > n // 2 else 0 for i in range(1 << n))
+    return TruthTable(n, bits)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,15 @@ import click
 
 from . import catalog as catalog_module
 from . import constructors
-from .algorithms import constant_one_algorithm, equality3_algorithm, pair_equality4_algorithm
-from .boolfun import TruthTable, all_inputs, named_function, sensitivity, table_from_csv
+from .algorithms import BUILTINS
+from .boolfun import (
+    NAMED_FUNCTIONS,
+    TruthTable,
+    all_inputs,
+    named_function,
+    sensitivity,
+    table_from_csv,
+)
 from .serialize import load, save
 from .simulator import QQA, QueryGate, SimulationTrace, run, trace as run_trace, verify
 from .transforms import invert_outputs, permute_outputs, permute_variables
@@ -84,19 +91,17 @@ def render_trace(t: SimulationTrace, measurement, tol: float = 1e-9) -> str:
 def _load_algorithm(spec: str) -> QQA:
     if spec.startswith("builtin:"):
         name, _, param = spec[len("builtin:"):].partition(":")
-        if name == "equality3":
-            return equality3_algorithm()
-        if name == "pair_equality4":
-            return pair_equality4_algorithm()
-        if name == "constant1":
-            try:
-                arity = int(param) if param else 1
-                return constant_one_algorithm(num_amplitudes=1, arity=arity, queries=0)
-            except ValueError as error:
-                raise click.ClickException(f"{spec}: {error}")
-        raise click.ClickException(
-            f"unknown builtin {name!r} (use equality3, pair_equality4 or constant1[:n])"
-        )
+        if name not in BUILTINS:
+            known = [f"{b}[:n]" if NAMED_FUNCTIONS[b] else b for b in BUILTINS]
+            raise click.ClickException(
+                f"unknown builtin {name!r} (use {', '.join(known[:-1])} or {known[-1]})"
+            )
+        if not NAMED_FUNCTIONS[name]:
+            return BUILTINS[name]()
+        try:
+            return BUILTINS[name](int(param) if param else 1)
+        except ValueError as error:
+            raise click.ClickException(f"{spec}: {error}")
     try:
         return load(spec)
     except FileNotFoundError:
@@ -107,13 +112,11 @@ def _load_algorithm(spec: str) -> QQA:
 
 def _load_function(spec: str) -> TruthTable:
     name, _, param = spec.partition(":")
-    if name in ("equality3", "pair_equality4"):
-        return named_function(name)
-    if name in ("constant0", "constant1", "majority", "majority_even"):
-        if not param:
+    if name in NAMED_FUNCTIONS:
+        if NAMED_FUNCTIONS[name] and not param:
             raise click.ClickException(f"{name} needs an arity, e.g. {name}:3")
         try:
-            return named_function(name, int(param))
+            return named_function(name, int(param) if NAMED_FUNCTIONS[name] else None)
         except ValueError as error:
             raise click.ClickException(f"{spec}: {error}")
     try:

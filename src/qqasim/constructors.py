@@ -15,10 +15,9 @@ identity gates, so a combination always costs max(queries) queries.  The
 parallel gates are written into one identity-initialised stack that spans
 every amplitude, auxiliary ones included, so no gate is padded twice.
 
-Each combined algorithm records its parts (as they enter the blocks, after
-padding and sign normalisation), the scale of its initial state and the
-length of its mixing tail, so that :func:`qqasim.simulator.run_all`
-simulates it from the parts on their own inputs.
+A combined algorithm carries nothing but its fields:
+:func:`qqasim.simulator.run_all` finds the parts' blocks in its gates, as it
+does in a copy reloaded from a document.
 """
 from __future__ import annotations
 
@@ -36,7 +35,6 @@ from .simulator import (
     QQA,
     QueryGate,
     StructuralProperty,
-    _composed,
     check_property,
     computed_function,
 )
@@ -179,7 +177,6 @@ def and_construct(a1: QQA, a2: QQA) -> ConstructionResult:
         steps=steps + (mix,),
         measurement=measurement,
     )
-    _composed(algorithm, (p1, p2), _S, tail=1)
     target = combine_disjoint(f1, f2, "and")
     return ConstructionResult(algorithm, target, guaranteed_p=3 / 4, queries=algorithm.query_count)
 
@@ -243,7 +240,6 @@ def or_construct(a1: QQA, a2: QQA) -> ConstructionResult:
         steps=steps + (swap, mix),
         measurement=measurement,
     )
-    _composed(algorithm, (a1, a2), _S, tail=2)
     target = combine_disjoint(f1, f2, "or")
     return ConstructionResult(algorithm, target, guaranteed_p=5 / 8, queries=algorithm.query_count)
 
@@ -264,14 +260,13 @@ def _majority_pipeline(algs: Sequence[QQA]) -> QQA:
     second_mix = _hadamard_pairs(total, [(acc[0], acc[2])])
     initial = np.concatenate([a.initial for a in algs]) / 2.0
     measurement = tuple(1 if i == acc[0] else 0 for i in range(total))
-    algorithm = QQA(
+    return QQA(
         arity=sum(a.arity for a in algs),
         amplitudes=total,
         initial=initial,
         steps=steps + (first_mix, second_mix),
         measurement=measurement,
     )
-    return _composed(algorithm, algs, 0.5, tail=2)
 
 
 def majority_even4_construct(a1: QQA, a2: QQA, a3: QQA, a4: QQA) -> ConstructionResult:

@@ -13,35 +13,26 @@ for unitarity in one batch.  :func:`computed_function`, :func:`is_exact`
 and :func:`check_property` share one :func:`run_all` simulation per
 algorithm object: the first of them to be called keeps the answers (never
 the per-input states) on the object, taken in one pass over the states'
-magnitudes, and :func:`verify` leaves them there too.
+magnitudes.  :func:`verify` simulates on every call and keeps nothing.
 Everything here is safe to call from concurrent workers: the answers never
 differ between calls, so two racing first calls at worst both simulate.
 
-The combiners in :mod:`qqasim.constructors` run k parts side by side on
-disjoint variable blocks and end with a short input-independent tail, so
-the final state on X = (X1..Xk) is the sum over the blocks of each part's
-final state on its own Xi, scaled and pushed through the tail.  Such an
-algorithm carries a record of its parts, and :func:`run_all` simulates it
-from them: each part on its own 2^{n_i} inputs (sum over i of 2^{n_i} rows
-in place of 2^n rows times every step), then one sum of the k blocks onto
-the 2^n rows.  A part keeps its final states once simulated, since parts
-are small and one part object is shared by many composites (the catalog
-builds 256 majorities from 4 of them).
-
-An algorithm with no such record (one derived from a composite by
-``dataclasses.replace`` or a transform, or reloaded from a document) runs
-the dense kernel, which finds the same structure in the gates themselves
-when the batch has more rows than a gate has entries: the first steps run
-once per independent block of amplitudes on that block's own inputs, and
-only the steps that mix the blocks run on all 2^n rows.  Its states are
+An algorithm is simulated from its fields alone, so two algorithms with
+equal fields have bit-identical states, however each was made (by a
+combiner, a transform, ``dataclasses.replace`` or a document).  The
+combiners in :mod:`qqasim.constructors` run k parts side by side on
+disjoint variable blocks and then mix them.  A large batch is searched for
+that structure in the gates themselves: the first steps run once per
+independent block of amplitudes on that block's own inputs, and only the
+steps that mix the blocks run on all 2^n rows.  The states are
 bit-identical to a plain pass of every step over all 2^n rows, which the
-tests keep as the oracle of both paths.
+tests keep as the oracle.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -94,12 +85,8 @@ class QQA:
     measurement: tuple
     #: The answers of the first simulation; never copied by ``dataclasses.replace``.
     _memo: _Answers | None = field(default=None, init=False, repr=False)
-    #: The parts a combiner built this algorithm from, set by :func:`_composed`;
-    #: never copied by ``dataclasses.replace``.
-    _composition: _Composition | None = field(default=None, init=False, repr=False)
-    #: Final states on every input, kept only once this algorithm has been
-    #: simulated as a part of a composite; never copied by ``dataclasses.replace``.
-    _part_states: np.ndarray | None = field(default=None, init=False, repr=False)
+    #: The ``(gates, m, m)`` array whose read-only views the unitary steps are.
+    _gates: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("arity", "amplitudes"):
@@ -152,6 +139,7 @@ class QQA:
             raise ValueError(malformed)
         for k, gate in zip(gates, _freeze(stack)):
             steps[k] = gate
+        object.__setattr__(self, "_gates", stack)
         object.__setattr__(self, "steps", tuple(steps))
 
         measurement = tuple(self.measurement)
@@ -170,45 +158,6 @@ class QQA:
     def accepting_outputs(self) -> tuple:
         """Indices of basis states assigned value 1."""
         return tuple(i for i, v in enumerate(self.measurement) if v == 1)
-
-
-@dataclass(frozen=True, eq=False)
-class _Composition:
-    """How a combiner built an algorithm from parts on disjoint variable blocks.
-
-    Before its last ``tail`` steps the algorithm holds ``scale`` times the
-    parts' states side by side, in block order, followed by zeros.
-    """
-
-    parts: tuple
-    scale: float
-    tail: int
-
-
-def _composed(a: QQA, parts, scale: float, tail: int) -> QQA:
-    """Record on ``a`` that its first steps run ``parts`` in parallel; returns ``a``.
-
-    Only the facts that are cheap to check are checked: the arities add up,
-    the parts fit in the amplitudes, the initial state is the scaled, zero-padded
-    concatenation of the parts' initial states, and the last ``tail`` steps
-    are unitary gates.
-    """
-    parts = tuple(parts)
-    if sum(p.arity for p in parts) != a.arity:
-        raise ValueError(f"the parts' arities do not add up to {a.arity}")
-    width = sum(p.amplitudes for p in parts)
-    if not 1 <= width <= a.amplitudes:
-        raise ValueError(f"the parts' {width} amplitudes do not fit in {a.amplitudes}")
-    expected = np.zeros(a.amplitudes, dtype=complex)
-    expected[:width] = np.concatenate([p.initial for p in parts]) * scale
-    if not float(np.abs(a.initial - expected).max()) <= NORM_TOL:
-        raise ValueError("the initial state is not the scaled concatenation of the parts'")
-    if not 0 <= tail <= len(a.steps) or any(
-        isinstance(step, QueryGate) for step in a.steps[len(a.steps) - tail:]
-    ):
-        raise ValueError(f"the last {tail} steps are not all unitary gates")
-    object.__setattr__(a, "_composition", _Composition(parts, scale, tail))
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,14 +263,10 @@ def run_all(a: QQA) -> np.ndarray:
     All inputs run as one batch: a unitary step is one matmul, and a query
     step one gather-multiply by a ``(2**arity, arity + 1)`` table of ±1
     signs whose last column, always +1, serves the unqueried amplitudes.
-    An algorithm a combiner built is simulated from its parts instead: each
-    part's final states on its own inputs go through its rows of the tail
-    product, and the k blocks are summed onto the 2^n rows, the first
-    block's variables outermost.  Any other algorithm whose gates keep
-    blocks of amplitudes on disjoint variables apart up to its last query
-    (a rebuilt, transformed or reloaded composite) runs those steps once
-    per block on the block's own inputs, when it has more inputs than a
-    gate has entries; the result is bit-identical to the whole batch.
+    An algorithm whose gates keep blocks of amplitudes on disjoint variables
+    apart up to its last query, as every combiner's do, runs those steps
+    once per block on the block's own inputs when it has at least
+    ``_BLOCK_ROWS`` inputs; the result is bit-identical to the whole batch.
     When the initial state and every gate have zero imaginary part, as in
     every built-in and constructed algorithm, the batch runs in float64 and
     the result is float64; otherwise the same code runs in complex.
@@ -337,31 +282,31 @@ def run_all(a: QQA) -> np.ndarray:
 #: amplitudes in float64, small enough to stay off the allocator's mmap path.
 _TILE = 512
 
+#: Fewest rows of a batch that is searched for independent blocks.  Measured on
+#: 13-amplitude composites: at 1024 rows the plain pass is still faster, at 2048
+#: the block path takes about half its time.
+_BLOCK_ROWS = 2048
+
 
 def _final_states(a: QQA) -> np.ndarray:
-    """:func:`run_all` without its norm check, for an algorithm and for each of its parts.
+    """:func:`run_all` without its norm check.
 
-    Only a batch with more rows than a gate has entries is searched for
-    independent blocks (:func:`_blocks`): below that, the search costs what
-    it could save.
+    Only a batch of at least ``_BLOCK_ROWS`` rows is searched for independent
+    blocks (:func:`_blocks`): below that, the search and the block path's
+    fixed costs are more than they save.
     """
-    if a._composition is not None:
-        return _composed_states(a, a._composition)
-    n, m = a.arity, a.amplitudes
-    gates = (step for step in a.steps if not isinstance(step, QueryGate))
-    real = not (a.initial.imag.any() or any(g.imag.any() for g in gates))
+    n = a.arity
+    real = not (a.initial.imag.any() or a._gates.imag.any())
+    gates = iter(np.ascontiguousarray(a._gates.real) if real else a._gates)
+    steps = [step if isinstance(step, QueryGate) else next(gates) for step in a.steps]
     initial = a.initial.real if real else a.initial
-    steps = [
-        step if isinstance(step, QueryGate) else np.ascontiguousarray(step.real) if real else step
-        for step in a.steps
-    ]
-    split = _blocks(a) if (1 << n) > m * m else None
+    split = _blocks(a) if 1 << n >= _BLOCK_ROWS else None
     if split is None:
-        return _evolve_rows(np.tile(initial, (1 << n, 1)), _sign_table(range(n), n), steps)
+        return _evolve_rows(np.tile(initial, (1 << n, 1)), _sign_table(tuple(range(n)), n), steps)
     return _block_states(initial, steps, n, *split)
 
 
-def _block_states(initial: np.ndarray, steps: list, n: int, blocks: list, prefix: int):
+def _block_states(initial: np.ndarray, steps: list, n: int, masks, reads, prefix: int):
     """Final states on all ``2**n`` inputs, running ``steps[:prefix]`` once per block.
 
     Each block runs on the values of its own variables only, in full-width
@@ -370,20 +315,17 @@ def _block_states(initial: np.ndarray, steps: list, n: int, blocks: list, prefix
     """
     m = len(initial)
     stacked = _evolve_rows(
-        np.repeat(
-            np.array([np.where(amplitudes, initial, 0) for amplitudes, _ in blocks]),
-            [1 << len(variables) for _, variables in blocks],
-            axis=0,
-        ),
-        np.concatenate([_sign_table(variables, n) for _, variables in blocks]),
+        np.repeat(np.where(masks, initial, 0), [1 << len(v) for v in reads], axis=0),
+        np.concatenate([_sign_table(variables, n) for variables in reads]),
         steps[:prefix],
     )
     # The batch grows by whole variables, the first outermost.  A block is
     # added once all its variables are rows of the batch, and broadcasts
-    # along the axes of the other variables read so far.
+    # along the axes of the other variables read so far.  Each amplitude is
+    # nonzero in one block at most, so the order of the sums does not matter.
     states = np.zeros((1, m), dtype=stacked.dtype)
     start = 0
-    for _, variables in blocks:
+    for variables in reads:
         rows = stacked[start:start + (1 << len(variables))]
         start += len(rows)
         read = variables[-1] + 1 if variables else 0
@@ -393,29 +335,36 @@ def _block_states(initial: np.ndarray, steps: list, n: int, blocks: list, prefix
         grid += rows.reshape([2 if v in variables else 1 for v in range(read)] + [m])
     if len(states) < 1 << n:
         states = np.repeat(states, (1 << n) // len(states), axis=0)
-    # The steps that mix the blocks run in place, a tile at a time, so no
-    # second array of the batch's size is made.
+    # The steps that mix the blocks run a tile at a time, back and forth
+    # between the tile and one small buffer, so no second array of the
+    # batch's size is made.
     tail = steps[prefix:]
     if tail:
         buffer = np.empty((min(_TILE, 1 << n), m), dtype=states.dtype)
         for start in range(0, 1 << n, _TILE):
             tile = states[start:start + _TILE]
+            source, target = tile, buffer
             for gate in tail:
-                np.matmul(tile, gate, out=buffer)
+                np.matmul(source, gate, out=target)
+                source, target = target, source
+            if source is buffer:
                 tile[...] = buffer
     return states
 
 
-def _sign_table(variables, n: int) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _sign_table(variables: tuple, n: int) -> np.ndarray:
     """±1 signs of the ``n`` variables on every value of ``variables``, plus a +1 column.
 
     Row i holds the values ``bit_string(i, len(variables))`` of ``variables``
     in their order, the first outermost; a variable not among them reads 0.
+    The last 64 tables asked for are kept, read-only: a block's has a few
+    rows, and the dense pass asks for one per arity.
     """
     signs = np.ones((2,) * len(variables) + (n + 1,))
     for k, v in enumerate(variables):
         signs[(slice(None),) * k + (1, ..., v)] = -1.0  # where the k-th variable is 1
-    return signs.reshape(-1, n + 1)
+    return _freeze(signs.reshape(-1, n + 1))
 
 
 def _evolve_rows(states: np.ndarray, signs: np.ndarray, steps) -> np.ndarray:
@@ -439,78 +388,46 @@ def _blocks(a: QQA):
     """The independent blocks of an algorithm's first steps, or ``None`` if there are none.
 
     Blocks are the connected components of the exact nonzero pattern of the
-    gates before the last query that hold initial amplitude.  Returns the
-    blocks as (amplitude mask, the variables its queries read in ascending
-    order) pairs, ordered by their last variable with the blocks that read
-    none first, and the length of the longest prefix of steps whose gates
-    keep the components apart.  ``None`` unless there is a query, two or more
-    blocks, and no variable read in two of them.
+    gates before the last query that hold initial amplitude.  Returns a
+    ``(blocks, m)`` mask of each block's amplitudes, the variables each
+    block's queries read in ascending order, and the length of the longest
+    prefix of steps whose gates keep the components apart.  The blocks are
+    ordered by their last variable, those that read none first.  ``None``
+    unless there is a query, two or more blocks, and no variable read in two
+    of them.
     """
-    last = max((k for k, step in enumerate(a.steps) if isinstance(step, QueryGate)), default=None)
-    if last is None:
+    queried = [isinstance(step, QueryGate) for step in a.steps]
+    if True not in queried:
         return None
-    m = a.amplitudes
-    linked = np.eye(m, dtype=bool)
-    for step in a.steps[:last]:
-        if not isinstance(step, QueryGate):
-            linked |= step != 0
-    linked |= linked.T
-    labels = np.arange(m)
-    while True:  # each amplitude takes the smallest label among its neighbours
-        spread = np.where(linked, labels, m).min(axis=1)
-        if (spread == labels).all():
+    last = len(queried) - 1 - queried[::-1].index(True)
+    before = last - sum(queried[:last])  # the gates before the last query
+    gates = a._gates
+    reach = gates[:before].any(axis=0)  # nonzero anywhere, exactly
+    reach |= reach.T
+    np.fill_diagonal(reach, True)
+    while True:  # each squaring doubles the length of the paths it follows
+        wider = reach @ reach
+        if (wider == reach).all():
             break
-        labels = spread
+        reach = wider
+    labels = reach.argmax(axis=1)  # the first amplitude of each one's component
     label = labels.tolist()
-    live = {label[j] for j in np.flatnonzero(a.initial).tolist()}
+    live = set(label[j] for j in np.flatnonzero(a.initial).tolist())
     if len(live) < 2:
         return None
-    reader = {}
+    reader = {}  # a dict beats a (queries x m) table here: these are a few dozen entries
     for step in a.steps[:last + 1]:
         if isinstance(step, QueryGate):
             for v, at in zip(step.assignments, label):
                 if v is not None and at in live and reader.setdefault(v, at) != at:
                     return None
-    apart = labels[:, np.newaxis] != labels
-    prefix = last + 1
-    while prefix < len(a.steps) and not (a.steps[prefix] != 0)[apart].any():
-        prefix += 1
-    blocks = [
-        (labels == at, sorted(v for v, read_by in reader.items() if read_by == at))
-        for at in live
-    ]
-    return sorted(blocks, key=lambda block: block[1][-1:]), prefix
-
-
-def _states_as_part(part: QQA) -> np.ndarray:
-    """A part's final states, simulated on the first call only."""
-    if part._part_states is None:
-        object.__setattr__(part, "_part_states", _freeze(_final_states(part)))
-    return part._part_states
-
-
-def _composed_states(a: QQA, composition: _Composition) -> np.ndarray:
-    """Final states of a composite, from its parts' final states on their own blocks."""
-    blocks = [_states_as_part(part) for part in composition.parts]
-    tail = a.steps[len(a.steps) - composition.tail:]
-    real = all(b.dtype == np.float64 for b in blocks) and not any(g.imag.any() for g in tail)
-    product = np.eye(a.amplitudes)
-    for gate in tail:
-        product = product @ (gate.real if real else gate)
-    m = a.amplitudes
-    states = np.zeros((1, m), dtype=np.float64 if real else complex)
-    offset = 0
-    for part, block in zip(composition.parts, blocks):
-        # Scaling before the tail, as the dense kernel does, keeps the two
-        # paths' worst cases equal to the last digit on the whole catalog.
-        rows = (block * composition.scale) @ product[offset:offset + part.amplitudes]
-        offset += part.amplitudes
-        # The next block's variables are less significant: each row so far
-        # becomes len(rows) consecutive rows, one per input of this block.
-        states = np.repeat(states, len(rows), axis=0)
-        grouped = states.reshape(-1, len(rows) * m)  # a view, one line per earlier row
-        grouped += rows.reshape(1, -1)
-    return states
+    reads = {at: () for at in live}
+    for v in sorted(reader):
+        reads[reader[v]] += (v,)
+    order = sorted(live, key=lambda at: reads[at][-1:])
+    mixing = np.logical_and(gates[before:], labels[:, np.newaxis] != labels).any(axis=(1, 2))
+    prefix = last + 1 + (int(mixing.argmax()) if mixing.any() else len(mixing))
+    return labels == np.array(order)[:, np.newaxis], [reads[at] for at in order], prefix
 
 
 def _p_one(a: QQA, states: np.ndarray) -> np.ndarray:
@@ -542,17 +459,21 @@ class _Answers:
     spread: dict
 
 
-def _remember(a: QQA, states: np.ndarray, p_one: np.ndarray) -> None:
-    """Keep the answers of one simulation (``states``, ``p_one``) on the algorithm.
+def _answers(a: QQA) -> _Answers:
+    """The algorithm's answers, simulating it on the first call only.
 
     Squaring is monotone, so the peak probability is the square of the peak
     magnitude, and the accepting amplitude's distances from 0, +1 and -1 are
     ``|c|``, ``|c - 1|`` and ``|c + 1|``.  The peak magnitude of each row is
     taken one column at a time: a maximum along each short row is several
-    times slower, and a ``(2^n, m)`` temporary beside ``states`` is enough
+    times slower, and a ``(2^n, m)`` temporary beside the states is enough
     to make the allocator hand the heap back and fault it in again for the
     next algorithm.
     """
+    if a._memo is not None:
+        return a._memo
+    states = run_all(a)
+    p_one = _p_one(a, states)
     margins = np.abs(p_one - 0.5)
     closest = int(margins.argmin())
     bits = (p_one > 0.5).astype(np.uint8)
@@ -581,28 +502,18 @@ def _remember(a: QQA, states: np.ndarray, p_one: np.ndarray) -> None:
         spread=spread,
     )
     object.__setattr__(a, "_memo", answers)
-
-
-def _answers(a: QQA) -> _Answers:
-    """The algorithm's answers, simulating it on the first call only."""
-    if a._memo is None:
-        states = run_all(a)
-        _remember(a, states, _p_one(a, states))
-    return a._memo
+    return answers
 
 
 def verify(a: QQA, f: TruthTable, tol: float = NORM_TOL) -> VerificationReport:
     """Exhaustively compare an algorithm against a target truth table.
 
     ``exact`` means the worst-case success probability is within ``tol`` of 1.
-    Each call simulates the algorithm once.
+    Each call simulates the algorithm once and keeps nothing on it.
     """
     if a.arity != f.arity:
         raise ValueError(f"arity mismatch: algorithm has {a.arity}, function has {f.arity}")
-    states = run_all(a)
-    p_one = _p_one(a, states)
-    if a._memo is None:
-        _remember(a, states, p_one)
+    p_one = _p_one(a, run_all(a))
     target = np.frombuffer(f.bits, dtype=np.uint8)
     success = _freeze(np.where(target == 1, p_one, 1.0 - p_one))
     worst_at = int(success.argmin())

@@ -3,13 +3,15 @@ import numpy as np
 import pytest
 
 from conftest import EQUALITY3_TABLE, PAIR_EQUALITY4_TABLE
-from qqasim.algorithms import constant_one_algorithm
-from qqasim.boolfun import named_function
+from qqasim.algorithms import BUILTINS, constant_one_algorithm
+from qqasim.boolfun import NAMED_FUNCTIONS, named_function
 from qqasim.linalg import is_unitary
 from qqasim.simulator import (
     QueryGate,
     StructuralProperty,
     check_property,
+    computed_function,
+    is_exact,
     run,
     trace,
     verify,
@@ -85,3 +87,15 @@ class TestConstantOne:
             constant_one_algorithm(num_amplitudes=0)
         with pytest.raises(ValueError):
             constant_one_algorithm(queries=-1)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_builtin_computes_the_function_of_its_name(name):
+    build = BUILTINS[name]
+    if NAMED_FUNCTIONS[name]:
+        for arity in (1, 3):
+            a = build(arity)
+            assert computed_function(a) == named_function(name, arity) and is_exact(a)
+    else:
+        a = build()
+        assert computed_function(a) == named_function(name) and is_exact(a)

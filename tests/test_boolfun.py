@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qqasim.boolfun import (
+    NAMED_FUNCTIONS,
     TruthTable,
     all_inputs,
     combine_disjoint,
@@ -57,6 +58,15 @@ class TestNamedFunctions:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown function"):
             named_function("parity")
+
+    @pytest.mark.parametrize("name", sorted(NAMED_FUNCTIONS))
+    def test_arity_parameter_as_the_table_says(self, name):
+        if NAMED_FUNCTIONS[name]:
+            with pytest.raises(ValueError, match="needs an arity parameter"):
+                named_function(name)
+            assert named_function(name, 2 if name == "majority_even" else 3).arity > 1
+        else:
+            assert named_function(name) == named_function(name, 5)  # the arity is fixed
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):

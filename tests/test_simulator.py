@@ -1,14 +1,20 @@
 import random
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qqasim import simulator
-from qqasim.algorithms import constant_one_algorithm
 from qqasim.boolfun import MAX_ARITY, TruthTable, all_inputs
 from qqasim.catalog import SET_NAMES
-from qqasim.constructors import and_construct, majority3_construct, majority_even4_construct
+from qqasim.constructors import (
+    and_construct,
+    majority3_construct,
+    majority_even4_construct,
+    or_construct,
+)
 from qqasim.serialize import load, save
 from qqasim.simulator import (
     QQA,
@@ -148,14 +154,14 @@ class TestRunAll:
 
 
 def _rebuilt(a):
-    """The same algorithm without a composition record."""
+    """The same algorithm, built again from its fields."""
     return QQA(a.arity, a.amplitudes, a.initial, a.steps, a.measurement)
 
 
 def _dense_states(a):
     """Final states on every input from one batch over all 2^n rows and every step.
 
-    The reference for both fast paths: a query step multiplies by a ±1 sign
+    The reference of the block path: a query step multiplies by a ±1 sign
     table, a unitary step is one matmul of the whole batch, in float64 when
     nothing is complex.
     """
@@ -175,34 +181,44 @@ def _dense_states(a):
     return states
 
 
+def _assert_bit_identical(a):
+    states, reference = run_all(a), _dense_states(a)
+    assert states.dtype == reference.dtype
+    assert np.array_equal(states, reference)
+
+
+def _block_variables(a):
+    """The variables each independent block of ``a`` reads, in block order."""
+    _, reads, _ = simulator._blocks(a)
+    return [list(variables) for variables in reads]
+
+
 class TestComposedPath:
+    """Combiner-built algorithms, simulated from their fields like any other."""
+
     @pytest.fixture(scope="class")
     def composites(self, full_catalog):
-        return [
-            e.algorithm
-            for s in full_catalog.values()
-            for e in s.entries
-            if e.algorithm._composition is not None
-        ]
+        return [e.algorithm for name in SET_NAMES[2:] for e in full_catalog[name].entries]
 
-    def test_every_constructed_entry_is_composed(self, full_catalog, composites):
-        constructed = sum(len(full_catalog[name].entries) for name in SET_NAMES[2:])
-        assert len(composites) == constructed == 592
+    def test_every_constructed_entry_is_composed(self, composites):
+        # The parts' blocks are visible in the gates of every composite.
+        assert len(composites) == 592
+        assert all(simulator._blocks(a) is not None for a in composites)
 
     def test_matches_dense_kernel(self, composites):
         for a in composites:
-            composed, dense = run_all(a), _dense_states(a)
-            assert composed.dtype == dense.dtype == np.float64
-            assert composed.shape == dense.shape
-            assert np.allclose(composed, dense, rtol=0, atol=1e-12)
+            states, dense = run_all(a), _dense_states(a)
+            assert states.dtype == dense.dtype == np.float64
+            assert states.shape == dense.shape
+            assert np.array_equal(states, dense)
 
     def test_complex_part_gives_complex_states(self, eq3):
         phase = np.diag(np.exp(1j * np.array([0.0, 0.4, 1.1, 2.0])))  # keeps output 0 real
         part = QQA(eq3.arity, 4, eq3.initial, eq3.steps + (phase,), eq3.measurement)
         result = and_construct(part, eq3)
-        composed, dense = run_all(result.algorithm), _dense_states(result.algorithm)
-        assert composed.dtype == dense.dtype == complex
-        assert np.allclose(composed, dense, rtol=0, atol=1e-12)
+        states, dense = run_all(result.algorithm), _dense_states(result.algorithm)
+        assert states.dtype == dense.dtype == complex
+        assert np.array_equal(states, dense)
 
     def test_derived_algorithms_drop_the_composition(self, full_catalog, tmp_path):
         a = full_catalog["maj_even4"].entries[-1].algorithm
@@ -218,35 +234,14 @@ class TestComposedPath:
             (load(tmp_path / "a.json"), states),
             (permuted, states[rows]),
         ):
-            assert derived._composition is None
-            assert np.allclose(run_all(derived), expected, rtol=0, atol=1e-12)
+            assert np.array_equal(run_all(derived), expected)
 
     def test_sign_normalised_composite_drops_the_composition(self, eq3):
         moved = permute_outputs(eq3, [3, 1, 2, 0])  # accepting amplitude in {0, -1}
-        a = simulator._composed(_rebuilt(moved), (moved,), 1.0, tail=0)
-        normalised = normalize_accepting_sign(a)
-        assert normalised._composition is None
-        expected = run_all(a).copy()
+        normalised = normalize_accepting_sign(moved)
+        expected = run_all(moved).copy()
         expected[:, 3] *= -1
-        assert np.allclose(run_all(normalised), expected, rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize(
-        "parts, scale, tail, message",
-        [
-            ("eq3", 2**-0.5, 1, "arities"),
-            ("eq3 eq3 one", 2**-0.5, 1, "amplitudes"),
-            ("eq3 eq3", 0.5, 1, "initial state"),
-            ("eq3 eq3", 2**-0.5, 99, "steps"),
-            ("eq3 eq3", 2**-0.5, 3, "steps"),  # the third step from the end is a query
-        ],
-    )
-    def test_inconsistent_composition_rejected(self, eq3, parts, scale, tail, message):
-        named = {"eq3": eq3, "one": constant_one_algorithm(num_amplitudes=1, arity=0, queries=0)}
-        a = _rebuilt(and_construct(eq3, eq3).algorithm)
-        assert simulator._composed(_rebuilt(a), (eq3, eq3), 2**-0.5, 1)._composition is not None
-        with pytest.raises(ValueError, match=message):
-            simulator._composed(a, [named[p] for p in parts.split()], scale, tail)
-        assert a._composition is None
+        assert np.array_equal(run_all(normalised), expected)
 
     def test_shared_part_is_simulated_once(self, eq3, monkeypatch):
         composites = [and_construct(eq3, eq3), majority_even4_construct(eq3, eq3, eq3, eq3)]
@@ -255,7 +250,8 @@ class TestComposedPath:
         monkeypatch.setattr(simulator, "_final_states", lambda a: simulated.append(a) or kernel(a))
         for result in composites:
             run_all(result.algorithm)
-        assert simulated == [composites[0].algorithm, eq3, composites[1].algorithm]
+        # One simulation per composite, none per part.
+        assert simulated == [composites[0].algorithm, composites[1].algorithm]
 
     def test_one_public_run_all_per_verify(self, eq3, monkeypatch):
         result = majority_even4_construct(eq3, eq3, eq3, eq3)
@@ -266,14 +262,8 @@ class TestComposedPath:
         assert simulated == [result.algorithm]
 
 
-def _assert_bit_identical(a):
-    states, reference = run_all(a), _dense_states(a)
-    assert states.dtype == reference.dtype
-    assert np.array_equal(states, reference)
-
-
 class TestBlockPath:
-    """Algorithms with no composition record, simulated from the blocks in their gates."""
+    """Algorithms simulated from the independent blocks in their gates."""
 
     @pytest.fixture(scope="class")
     def majority(self, full_catalog):
@@ -281,11 +271,9 @@ class TestBlockPath:
 
     def test_rebuilt_composite_splits_into_its_parts(self, majority):
         a = _rebuilt(majority)
-        blocks, prefix = simulator._blocks(a)
-        assert [variables for _, variables in blocks] == [
-            [0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]
-        ]
-        assert [list(np.flatnonzero(amplitudes)) for amplitudes, _ in blocks] == [
+        masks, reads, prefix = simulator._blocks(a)
+        assert _block_variables(a) == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]
+        assert [list(np.flatnonzero(amplitudes)) for amplitudes in masks] == [
             [0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11], [12, 13, 14, 15]
         ]
         assert prefix == len(a.steps) - 2  # only the two mixing gates mix the blocks
@@ -297,6 +285,7 @@ class TestBlockPath:
         sign = np.diag([-1.0] + [1.0] * (majority.amplitudes - 1))
         sigma = [int(v) for v in np.random.default_rng(5).permutation(majority.arity)]
         for derived in (
+            majority,
             _rebuilt(majority),
             load(tmp_path / "a.json"),
             replace(majority),
@@ -305,49 +294,45 @@ class TestBlockPath:
             permute_variables(majority, list(reversed(range(majority.arity)))),
             permute_variables(majority, sigma),
         ):
-            assert derived._composition is None
             assert simulator._blocks(derived) is not None
             _assert_bit_identical(derived)
 
     def test_composite_of_sign_normalised_parts(self, eq3):
         moved = permute_outputs(eq3, [3, 1, 2, 0])  # accepting amplitude in {0, -1}
-        a = _rebuilt(majority_even4_construct(moved, moved, eq3, moved).algorithm)
-        blocks, prefix = simulator._blocks(a)
-        assert len(blocks) == 4 and prefix == len(a.steps) - 2  # sign gates stay in the prefix
+        a = majority_even4_construct(moved, moved, eq3, moved).algorithm
+        masks, _, prefix = simulator._blocks(a)
+        assert len(masks) == 4 and prefix == len(a.steps) - 2  # sign gates stay in the prefix
         _assert_bit_identical(a)
 
     def test_filler_block_reads_no_variables(self, eq3):
-        a = _rebuilt(majority3_construct(eq3, eq3, eq3).algorithm)
-        blocks, _ = simulator._blocks(a)
-        assert [variables for _, variables in blocks] == [[], [0, 1, 2], [3, 4, 5], [6, 7, 8]]
+        a = majority3_construct(eq3, eq3, eq3).algorithm
+        assert _block_variables(a) == [[], [0, 1, 2], [3, 4, 5], [6, 7, 8]]
         _assert_bit_identical(a)
 
     def test_complex_part_gives_complex_states(self, eq3):
         phase = np.diag(np.exp(1j * np.array([0.0, 0.4, 1.1, 2.0])))  # keeps output 0 real
         part = QQA(eq3.arity, 4, eq3.initial, eq3.steps + (phase,), eq3.measurement)
-        a = _rebuilt(majority_even4_construct(eq3, part, eq3, eq3).algorithm)
+        a = majority_even4_construct(eq3, part, eq3, eq3).algorithm
         assert simulator._blocks(a) is not None
         assert run_all(a).dtype == complex
         _assert_bit_identical(a)
 
     def test_shared_variable_falls_back(self, majority):
-        a = _rebuilt(majority)
-        first = next(k for k, step in enumerate(a.steps) if isinstance(step, QueryGate))
-        assignments = list(a.steps[first].assignments)
+        first = next(k for k, step in enumerate(majority.steps) if isinstance(step, QueryGate))
+        assignments = list(majority.steps[first].assignments)
         j = next(j for j in range(4, 8) if assignments[j] is not None)
         assignments[j] = 0  # the second block now reads a variable of the first
-        steps = a.steps[:first] + (QueryGate(tuple(assignments)),) + a.steps[first + 1:]
-        shared = replace(a, steps=steps)
+        steps = majority.steps[:first] + (QueryGate(tuple(assignments)),) + majority.steps[first + 1:]
+        shared = replace(majority, steps=steps)
         assert simulator._blocks(shared) is None
         _assert_bit_identical(shared)
 
     def test_tiny_coupling_falls_back(self, majority):
-        a = _rebuilt(majority)
-        first = next(k for k, step in enumerate(a.steps) if not isinstance(step, QueryGate))
-        gate = a.steps[first].copy()
+        first = next(k for k, step in enumerate(majority.steps) if not isinstance(step, QueryGate))
+        gate = majority.steps[first].copy()
         for block in range(3):  # chains all four blocks into one
             gate[4 * block, 4 * block + 4] = 1e-300
-        coupled = replace(a, steps=a.steps[:first] + (gate,) + a.steps[first + 1:])
+        coupled = replace(majority, steps=majority.steps[:first] + (gate,) + majority.steps[first + 1:])
         assert simulator._blocks(coupled) is None
         _assert_bit_identical(coupled)
 
@@ -362,10 +347,14 @@ class TestBlockPath:
         searched = []
         find = simulator._blocks
         monkeypatch.setattr(simulator, "_blocks", lambda a: searched.append(a) or find(a))
-        small = _rebuilt(_entry_of_shape(full_catalog, "m16n8"))  # 256 rows, 256 gate entries
-        large = _rebuilt(_entry_of_shape(full_catalog, "m16n12"))
-        assert find(small) is not None
-        _assert_bit_identical(small)
+        small = [
+            _entry_of_shape(full_catalog, "m16n8"),  # 256 rows, 256 gate entries
+            _entry_of_shape(full_catalog, "m13n9"),  # 512 rows, cheaper in one pass
+        ]
+        large = _entry_of_shape(full_catalog, "m16n12")
+        for a in small:
+            assert find(a) is not None
+            _assert_bit_identical(a)
         _assert_bit_identical(large)
         assert searched == [large]
 
@@ -388,6 +377,53 @@ class TestBlockPath:
             target = np.frombuffer(e.function.bits, dtype=np.uint8)
             expected = np.where(target == 1, p_one, 1.0 - p_one)
             assert np.array_equal(verify(a, e.function).success, expected)
+
+
+#: Each combiner, the number of parts it takes and the pool it draws them from.
+_COMBINERS = {
+    "and": (and_construct, 2, "mixing"),
+    "or": (or_construct, 2, "routing"),
+    "maj_even4": (majority_even4_construct, 4, "mixing"),
+    "majority3": (majority3_construct, 3, "mixing"),
+}
+
+
+@pytest.fixture(scope="module")
+def pools(full_catalog):
+    """The exact catalog algorithms each combiner accepts, as the catalog chooses them."""
+    exact = [e.algorithm for name in ("qfunc3", "qfunc4") for e in full_catalog[name].entries]
+    signed = (StructuralProperty.ACCEPT_PLUS_ONE, StructuralProperty.ACCEPT_MINUS_ONE)
+    return {
+        "mixing": [a for a in exact if any(check_property(a, which) for which in signed)],
+        "routing": [
+            a for a in exact if check_property(a, StructuralProperty.ACCEPT_SIGNED_UNIT)
+        ],
+    }
+
+
+@pytest.fixture(scope="module")
+def document_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("composites") / "a.json"
+
+
+class TestBlockPathProperty:
+    """Composites of random parts, changed at random, against the plain dense pass."""
+
+    @pytest.mark.parametrize("rows", [simulator._BLOCK_ROWS, 1], ids=["default", "every-batch"])
+    @given(data=st.data())
+    def test_states_equal_the_dense_pass(self, pools, document_path, rows, data):
+        combine, count, pool = _COMBINERS[data.draw(st.sampled_from(sorted(_COMBINERS)))]
+        a = combine(*(data.draw(st.sampled_from(pools[pool])) for _ in range(count))).algorithm
+        change = data.draw(st.sampled_from(["none", "permute", "invert", "reload"]))
+        if change == "permute":
+            a = permute_variables(a, data.draw(st.permutations(range(a.arity))))
+        elif change == "invert":  # what invert_outputs does, which takes exact algorithms only
+            a = replace(a, measurement=tuple(1 - v for v in a.measurement))
+        elif change == "reload":
+            save(a, document_path)
+            a = load(document_path)
+        with mock.patch.object(simulator, "_BLOCK_ROWS", rows):
+            _assert_bit_identical(a)
 
 
 class TestVerify:
@@ -461,9 +497,16 @@ class TestOneSimulationPerAlgorithm:
         batch = simulator.run_all
         monkeypatch.setattr(simulator, "run_all", lambda a: simulated.append(a) or batch(a))
         verify(eq3, f_eq3)
-        assert computed_function(eq3) == f_eq3
         verify(eq3, f_eq3)
+        assert eq3._memo is None  # verify keeps no answers
         assert simulated == [eq3, eq3]
+        assert computed_function(eq3) == f_eq3
+        assert simulated == [eq3, eq3, eq3]
+        for which in StructuralProperty:
+            check_property(eq3, which)
+        assert is_exact(eq3)
+        verify(eq3, f_eq3)
+        assert simulated == [eq3, eq3, eq3, eq3]
 
     def test_answers_hold_for_any_tolerance(self):
         # P(1) = 0.5 + 1e-6 on both inputs, and the single accepting amplitude is sqrt of it.
