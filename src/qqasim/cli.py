@@ -20,13 +20,14 @@ from .algorithms import BUILTINS
 from .boolfun import (
     NAMED_FUNCTIONS,
     TruthTable,
+    _check_input,
     all_inputs,
     named_function,
     sensitivity,
     table_from_csv,
 )
 from .serialize import load, save
-from .simulator import QQA, QueryGate, SimulationTrace, run, trace as run_trace, verify
+from .simulator import QQA, QueryGate, SimulationTrace, _outcome, trace as run_trace, verify
 from .transforms import invert_outputs, permute_outputs, permute_variables
 
 _SQRT2 = math.sqrt(2.0)
@@ -145,7 +146,7 @@ def _parse_sigma(text: str, size: int, what: str) -> list:
 @click.pass_context
 def main(ctx, tolerance, fmt):
     """Simulate, verify, transform, and compose quantum query algorithms."""
-    if tolerance <= 0:
+    if not tolerance > 0:
         raise click.ClickException("--tolerance must be positive")
     ctx.obj = {"tol": tolerance, "fmt": fmt}
 
@@ -174,7 +175,7 @@ def verify_command(obj, algorithm_spec, function_spec, expect_p, expect_exact):
         failures.append(f"worst-case success probability {worst} is not above 1/2")
     if expect_exact and not report.exact:
         failures.append(f"expected exact, got worst-case p = {worst}")
-    if expect_p is not None and abs(report.worst_case_p - expect_p) > obj["tol"]:
+    if expect_p is not None and not abs(report.worst_case_p - expect_p) <= obj["tol"]:
         failures.append(f"expected p = {expect_p:.6f}, got {worst}")
 
     if obj["fmt"] == "json":
@@ -205,6 +206,10 @@ def trace_command(obj, algorithm_spec, input_bits, every_input):
     if every_input:
         inputs = list(all_inputs(a.arity))
     elif input_bits is not None:
+        try:
+            _check_input(input_bits, a.arity)
+        except ValueError as error:
+            raise click.ClickException(str(error))
         inputs = [input_bits]
     else:
         raise click.ClickException("give --input BITS or --all-inputs")
@@ -212,26 +217,18 @@ def trace_command(obj, algorithm_spec, input_bits, every_input):
     if obj["fmt"] == "json":
         rows = []
         for bits in inputs:
-            t = _traced(a, bits)
-            _, probs = run(a, bits)
+            t = run_trace(a, bits)
             rows.append({
                 "input": bits,
                 "states": [[[z.real, z.imag] for z in state] for state in t.states],
-                "probabilities": {str(k): v for k, v in probs.items()},
+                "probabilities": {str(k): v for k, v in _outcome(a, t.states[-1]).items()},
             })
         click.echo(json.dumps(rows, indent=1))
         return
     header = " | ".join(["input", *_step_labels(a), "result"])
     click.echo(header)
     for bits in inputs:
-        click.echo(render_trace(_traced(a, bits), a.measurement, obj["tol"]))
-
-
-def _traced(a: QQA, bits: str) -> SimulationTrace:
-    try:
-        return run_trace(a, bits)
-    except ValueError as error:
-        raise click.ClickException(str(error))
+        click.echo(render_trace(run_trace(a, bits), a.measurement, obj["tol"]))
 
 
 @main.command("transform")

@@ -71,17 +71,6 @@ def _accepting_index(a: QQA) -> int:
     return accepting[0]
 
 
-def _pad_amplitudes(a: QQA, m: int) -> QQA:
-    """Extend to ``m`` amplitudes with auxiliary space the algorithm never touches."""
-    extra = m - a.amplitudes
-    if extra == 0:
-        return a
-    if extra < 0:
-        raise ValueError("cannot shrink an algorithm")
-    initial = np.concatenate([a.initial, np.zeros(extra)])
-    return QQA(a.arity, m, initial, _parallel_steps([a], m), a.measurement + (0,) * extra)
-
-
 def _segments(a: QQA):
     """Split steps into runs of unitaries separated by the query gates."""
     segments: list[list] = [[]]
@@ -95,11 +84,12 @@ def _segments(a: QQA):
     return segments, queries
 
 
-def _parallel_steps(algs: Sequence[QQA], amplitudes: int) -> tuple:
+def _parallel_steps(algs: Sequence[QQA], widths: Sequence[int], amplitudes: int) -> tuple:
     """Steps running all ``algs`` side by side on disjoint variables, over ``amplitudes`` states.
 
-    Algorithm i acts on its own block of amplitudes, in order; amplitudes
-    past the last block are auxiliary, and every step leaves them alone.
+    Algorithm i acts on the first amplitudes of its own block of
+    ``widths[i]``, in order; the rest of a block, and the amplitudes past
+    the last block, are auxiliary, and every step leaves them alone.
     Short query schedules gain no-op queries just before their final unitary
     run, and unitary runs are identity-padded to a common length per slot, so
     the steps share one step-kind pattern; padding never changes what an
@@ -118,25 +108,23 @@ def _parallel_steps(algs: Sequence[QQA], amplitudes: int) -> tuple:
     starts = list(itertools.accumulate(run_lengths, initial=0))
     stack = np.empty((starts[-1], amplitudes, amplitudes), dtype=complex)
     stack[...] = np.eye(amplitudes)
-    offset = 0
-    for a, (segments, _) in zip(algs, split):
+    offsets = list(itertools.accumulate(widths, initial=0))
+    for a, offset, (segments, _) in zip(algs, offsets, split):
         block = slice(offset, offset + a.amplitudes)
         for start, segment in zip(starts, segments):
             for slot, gate in enumerate(segment, start):
                 stack[slot, block, block] = gate
-        offset += a.amplitudes
     shifts = list(itertools.accumulate((a.arity for a in algs), initial=0))
-    auxiliary = (None,) * (amplitudes - offset)
     steps: list = []
     for i in range(t_max + 1):
         steps.extend(stack[starts[i]:starts[i + 1]])
         if i < t_max:
-            assignments = tuple(
-                None if v is None else v + shift
-                for shift, (_, queries) in zip(shifts, split)
-                for v in queries[i].assignments
-            )
-            steps.append(QueryGate(assignments + auxiliary))
+            assignments = [None] * amplitudes
+            for a, offset, shift, (_, queries) in zip(algs, offsets, shifts, split):
+                assignments[offset:offset + a.amplitudes] = (
+                    None if v is None else v + shift for v in queries[i].assignments
+                )
+            steps.append(QueryGate(assignments))
     return tuple(steps)
 
 
@@ -163,12 +151,14 @@ def and_construct(a1: QQA, a2: QQA) -> ConstructionResult:
     a2 = _as_accept_plus(a2, "second input")
     f1, f2 = computed_function(a1), computed_function(a2)
     m = max(a1.amplitudes, a2.amplitudes)
-    p1, p2 = _pad_amplitudes(a1, m), _pad_amplitudes(a2, m)
-    steps = _parallel_steps([p1, p2], 2 * m)
-    acc1 = _accepting_index(p1)
-    acc2 = m + _accepting_index(p2)
+    steps = _parallel_steps([a1, a2], [m, m], 2 * m)
+    acc1 = _accepting_index(a1)
+    acc2 = m + _accepting_index(a2)
     mix = _hadamard_pairs(2 * m, [(acc1, acc2)])
-    initial = np.concatenate([p1.initial, p2.initial]) / math.sqrt(2.0)
+    initial = np.zeros(2 * m, dtype=complex)
+    initial[:a1.amplitudes] = a1.initial
+    initial[m:m + a2.amplitudes] = a2.initial
+    initial /= math.sqrt(2.0)
     measurement = tuple(1 if i == acc1 else 0 for i in range(2 * m))
     algorithm = QQA(
         arity=a1.arity + a2.arity,
@@ -225,7 +215,7 @@ def or_construct(a1: QQA, a2: QQA) -> ConstructionResult:
                 f"{label}: needs a certain outcome with one accepting amplitude in {{-1, 0, +1}}"
             )
     f1, f2 = computed_function(a1), computed_function(a2)
-    steps = _parallel_steps([a1, a2], 16)
+    steps = _parallel_steps([a1, a2], [4, 4], 16)
     swap = permutation_matrix(_or_routing(_accepting_index(a1), 4 + _accepting_index(a2)))
     h2 = np.array([[_S, _S], [_S, -_S]])
     h4 = np.kron(h2, h2)
@@ -254,7 +244,7 @@ def _majority_pipeline(algs: Sequence[QQA]) -> QQA:
     algs = [_as_accept_plus(a, f"input {i + 1}") for i, a in enumerate(algs)]
     offsets = np.cumsum([0] + [a.amplitudes for a in algs])
     total = int(offsets[-1])
-    steps = _parallel_steps(algs, total)
+    steps = _parallel_steps(algs, [a.amplitudes for a in algs], total)
     acc = [int(off) + _accepting_index(a) for off, a in zip(offsets, algs)]
     first_mix = _hadamard_pairs(total, [(acc[0], acc[1]), (acc[2], acc[3])])
     second_mix = _hadamard_pairs(total, [(acc[0], acc[2])])

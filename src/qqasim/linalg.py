@@ -18,7 +18,7 @@ NORM_TOL = 1e-9
 
 def is_unitary(matrix, tol: float = UNITARY_TOL) -> bool:
     """True iff ``matrix @ matrix†`` matches the identity entrywise within ``tol``."""
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

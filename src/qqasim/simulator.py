@@ -26,7 +26,8 @@ that structure in the gates themselves: the first steps run once per
 independent block of amplitudes on that block's own inputs, and only the
 steps that mix the blocks run on all 2^n rows.  The states are
 bit-identical to a plain pass of every step over all 2^n rows, which the
-tests keep as the oracle.
+tests keep as the oracle.  Every path, :func:`run` and :func:`trace`
+included, applies the steps through one tiled kernel, :func:`_evolve_rows`.
 """
 from __future__ import annotations
 
@@ -211,75 +212,71 @@ _ACCEPTING = (
 )
 
 
-def _signs(gate: QueryGate, input_bits: str, arity: int) -> np.ndarray:
-    _check_input(input_bits, arity)
-    out = np.ones(len(gate.assignments))
-    for j, v in enumerate(gate.assignments):
-        if v is not None:
-            if v >= arity:
-                raise ValueError(f"variable index {v} out of range for arity {arity}")
-            if input_bits[v] == "1":
-                out[j] = -1.0
-    return out
+def _input_signs(a: QQA, input_bits: str) -> np.ndarray:
+    """One input's sign table, once the input is checked: one complex row, like the states."""
+    _check_input(input_bits, a.arity)
+    return np.array([[-1.0 if bit == "1" else 1.0 for bit in input_bits] + [1.0]], dtype=complex)
 
 
-def _evolve(a: QQA, input_bits: str, keep_intermediate: bool = False):
-    state = a.initial
-    states = [state]
-    for step in a.steps:
-        if isinstance(step, QueryGate):
-            state = state * _signs(step, input_bits, a.arity)
-        else:
-            state = state @ step
-        if keep_intermediate:
-            states.append(state)
-    norm = float(np.sum(np.abs(state) ** 2))
-    if not abs(norm - 1.0) <= NORM_TOL:
-        raise RuntimeError(f"state norm drifted to {norm} on input {input_bits!r}")
-    return states if keep_intermediate else state
+def _outcome(a: QQA, final: np.ndarray) -> dict:
+    """Outcome probabilities ``{0: p0, 1: p1}`` of a final state."""
+    probs = np.abs(final) ** 2
+    values = np.array(a.measurement)
+    return {0: float(probs[values == 0].sum()), 1: float(probs[values == 1].sum())}
 
 
 def run(a: QQA, input_bits: str):
     """Final state and outcome probabilities ``{0: p0, 1: p1}`` for one input."""
-    final = _evolve(a, input_bits)
-    probs = np.abs(final) ** 2
-    values = np.array(a.measurement)
-    outcome = {0: float(probs[values == 0].sum()), 1: float(probs[values == 1].sum())}
-    if not abs(outcome[0] + outcome[1] - 1.0) <= NORM_TOL:
-        raise RuntimeError("outcome probabilities do not sum to 1")
-    return final, outcome
+    final = _evolve_rows(a.initial[np.newaxis].copy(), _input_signs(a, input_bits), a.steps)
+    _unit_norm(final, lambda _: input_bits)
+    return final[0], _outcome(a, final[0])
 
 
 def trace(a: QQA, input_bits: str) -> SimulationTrace:
-    """All intermediate states (initial first, final last) for one input."""
-    states = _evolve(a, input_bits, keep_intermediate=True)
-    return SimulationTrace(input_bits, tuple(_freeze(s.copy()) for s in states))
+    """All intermediate states (initial first, final last) for one input.
+
+    The steps run one at a time through :func:`run`'s kernel, so the last state is :func:`run`'s.
+    """
+    signs = _input_signs(a, input_bits)
+    states = [a.initial[np.newaxis]]
+    for step in a.steps:
+        states.append(_evolve_rows(states[-1].copy(), signs, (step,)))
+    _unit_norm(states[-1], lambda _: input_bits)
+    return SimulationTrace(input_bits, tuple(_freeze(s[0]) for s in states))
 
 
 def run_all(a: QQA) -> np.ndarray:
     """Final states for every input, as a ``(2**arity, amplitudes)`` array.
 
     Row i is the pre-measurement state on input ``bit_string(i, arity)``.
-    All inputs run as one batch: a unitary step is one matmul, and a query
-    step one gather-multiply by a ``(2**arity, arity + 1)`` table of ±1
-    signs whose last column, always +1, serves the unqueried amplitudes.
-    An algorithm whose gates keep blocks of amplitudes on disjoint variables
-    apart up to its last query, as every combiner's do, runs those steps
-    once per block on the block's own inputs when it has at least
-    ``_BLOCK_ROWS`` inputs; the result is bit-identical to the whole batch.
-    When the initial state and every gate have zero imaginary part, as in
-    every built-in and constructed algorithm, the batch runs in float64 and
-    the result is float64; otherwise the same code runs in complex.
+    All inputs run as one batch through :func:`_evolve_rows`: a unitary step
+    is a matmul, and a query step a gather-multiply by a
+    ``(2**arity, arity + 1)`` table of ±1 signs whose last column, always
+    +1, serves the unqueried amplitudes.  An algorithm whose gates keep
+    blocks of amplitudes on disjoint variables apart up to its last query,
+    as every combiner's do, runs those steps once per block on the block's
+    own inputs when it has at least ``_BLOCK_ROWS`` inputs; the result is
+    bit-identical to the whole batch.  When the initial state and every
+    gate have zero imaginary part, as in every built-in and constructed
+    algorithm, the batch runs in float64 and the result is float64;
+    otherwise the same code runs in complex.  A row whose norm drifts from 1
+    by more than ``NORM_TOL`` is an error that names the first such input.
     """
-    states = _final_states(a)
+    return _unit_norm(_final_states(a), lambda row: bit_string(row, a.arity))
+
+
+def _unit_norm(states: np.ndarray, input_of) -> np.ndarray:
+    """``states``, once every row is unit-norm within ``NORM_TOL``; row i ran on ``input_of(i)``."""
     norms = np.einsum("ij,ij->i", states, states.conj()).real
-    if not float(np.abs(norms - 1.0).max()) <= NORM_TOL:
-        raise RuntimeError("state norm drifted during batch simulation")
+    drift = np.abs(norms - 1.0)
+    if not float(drift.max()) <= NORM_TOL:
+        row = int(np.flatnonzero(~(drift <= NORM_TOL))[0])
+        raise RuntimeError(f"state norm drifted to {norms[row]} on input {input_of(row)!r}")
     return states
 
 
-#: Rows of the tiles that the steps after a block prefix run over: 64 KB at 16
-#: amplitudes in float64, small enough to stay off the allocator's mmap path.
+#: Rows of the tiles that every step runs over: 64 KB at 16 amplitudes in
+#: float64, small enough to stay off the allocator's mmap path.
 _TILE = 512
 
 #: Fewest rows of a batch that is searched for independent blocks.  Measured on
@@ -335,21 +332,8 @@ def _block_states(initial: np.ndarray, steps: list, n: int, masks, reads, prefix
         grid += rows.reshape([2 if v in variables else 1 for v in range(read)] + [m])
     if len(states) < 1 << n:
         states = np.repeat(states, (1 << n) // len(states), axis=0)
-    # The steps that mix the blocks run a tile at a time, back and forth
-    # between the tile and one small buffer, so no second array of the
-    # batch's size is made.
-    tail = steps[prefix:]
-    if tail:
-        buffer = np.empty((min(_TILE, 1 << n), m), dtype=states.dtype)
-        for start in range(0, 1 << n, _TILE):
-            tile = states[start:start + _TILE]
-            source, target = tile, buffer
-            for gate in tail:
-                np.matmul(source, gate, out=target)
-                source, target = target, source
-            if source is buffer:
-                tile[...] = buffer
-    return states
+    # The steps after the prefix hold no query, so they need no sign table of 2^n rows.
+    return _evolve_rows(states, _sign_table((), n), steps[prefix:])
 
 
 @lru_cache(maxsize=64)
@@ -368,19 +352,27 @@ def _sign_table(variables: tuple, n: int) -> np.ndarray:
 
 
 def _evolve_rows(states: np.ndarray, signs: np.ndarray, steps) -> np.ndarray:
-    """Run ``steps`` on every row of ``states``, whose query signs are the rows of ``signs``.
+    """Run ``steps`` in place on every row of ``states``; row i's query signs are ``signs[i]``.
 
-    A query step is one gather-multiply by the sign table, whose last column
-    serves the unqueried amplitudes.
+    The one loop over an algorithm's steps (:func:`trace` runs it a step at
+    a time).  A query step is a gather-multiply by the sign table, whose
+    last column serves the unqueried amplitudes, and a unitary step a
+    matmul.  Rows run ``_TILE`` at a time, back and forth between the tile
+    and one buffer of at most ``_TILE`` rows, so each row's arithmetic is
+    the whole batch's and no second array of its size is made.
     """
-    n = signs.shape[1] - 1
-    spare = np.empty_like(states)  # unitary steps write here and swap: no fresh pages per step
-    for step in steps:
-        if isinstance(step, QueryGate):
-            states *= signs[:, [n if v is None else v for v in step.assignments]]
-        else:
-            np.matmul(states, step, out=spare)
-            states, spare = spare, states
+    buffer = np.empty((min(_TILE, len(states)), states.shape[1]), dtype=states.dtype)
+    for start in range(0, len(states), _TILE):
+        tile, rows = states[start:start + _TILE], signs[start:start + _TILE]
+        source, target = tile, buffer[:len(tile)]
+        for step in steps:
+            if isinstance(step, QueryGate):
+                source *= rows.take([-1 if v is None else v for v in step.assignments], axis=1)
+            else:
+                np.matmul(source, step, out=target)
+                source, target = target, source
+        if source is not tile:
+            tile[...] = source
     return states
 
 

@@ -1,8 +1,11 @@
+import hashlib
 import json
 
+import pytest
 from click.testing import CliRunner
 
-from qqasim.boolfun import TruthTable, named_function, table_to_csv
+from qqasim import simulator
+from qqasim.boolfun import TruthTable, combine_disjoint, named_function, table_to_csv
 from qqasim.cli import format_amplitude, format_state, main
 from qqasim.serialize import load
 from qqasim.simulator import computed_function
@@ -41,6 +44,14 @@ class TestVerifyCommand:
         )
         assert result.exit_code == 1
         assert "expected p = 0.750000, got 1.000000 on input " in result.output
+
+    def test_nan_expect_p_fails(self):
+        result = invoke(
+            "verify", "--algorithm", "builtin:equality3",
+            "--function", "equality3", "--expect-p", "nan",
+        )
+        assert result.exit_code == 1
+        assert "FAIL: expected p = nan, got 1.000000 on input " in result.output
 
     def test_arity_mismatch_is_diagnosed(self):
         result = invoke("verify", "--algorithm", "builtin:equality3", "--function", "constant1:4")
@@ -105,6 +116,25 @@ class TestTraceCommand:
     def test_bad_input_string(self):
         result = invoke("trace", "--algorithm", "builtin:equality3", "--input", "10")
         assert result.exit_code != 0
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("spec", ["builtin:equality3", "builtin:constant1:2"])
+    def test_bad_input_fails_before_any_output(self, fmt, spec):
+        # constant1:2 has no query step, so only the input check can catch the input.
+        result = invoke("--format", fmt, "trace", "--algorithm", spec, "--input", "0x1")
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert "input of 0s and 1s, got '0x1'" in result.stderr
+
+    def test_json_simulates_each_input_once(self, monkeypatch):
+        built = []
+        signs = simulator._input_signs
+        monkeypatch.setattr(simulator, "_input_signs", lambda a, x: built.append(x) or signs(a, x))
+        result = invoke(
+            "--format", "json", "trace", "--algorithm", "builtin:equality3", "--all-inputs"
+        )
+        assert result.exit_code == 0
+        assert built == [row["input"] for row in json.loads(result.output)]
 
     def test_constant_trace_is_trivial(self):
         result = invoke("trace", "--algorithm", "builtin:constant1", "--input", "0")
@@ -267,6 +297,44 @@ class TestErrorPaths:
     def test_negative_tolerance(self):
         result = invoke("--tolerance", "-1", "sensitivity", "--function", "equality3")
         assert result.exit_code != 0
+
+    def test_nan_tolerance(self):
+        result = invoke(
+            "--tolerance", "nan", "verify", "--algorithm", "builtin:equality3",
+            "--function", "equality3", "--expect-p", "0.3",
+        )
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert "--tolerance must be positive" in result.stderr
+
+
+#: sha256 of standard output, recorded before ``run``, ``trace`` and the batch
+#: pass shared one kernel; any change to a number or its layout shows here.
+_GOLDEN_STDOUT = {
+    "trace-builtin": "3f1be507a1fe5bc2414e84f7f5e55354bd0b296c4b5ca03dffd1d07da7c8fd46",
+    "trace-or": "66721568103e6ca90ee2163da6f70f9a1089ff04a1fd8f8376265c901708cb90",
+    "verify-or": "989ee61043cfa62a8aea24eb9f7f5c12713691353df4bb0a5ce291d4ed9b48cc",
+}
+
+
+def test_json_output_is_pinned(tmp_path):
+    document, csv_path = str(tmp_path / "or.json"), str(tmp_path / "or.csv")
+    build = invoke(
+        "construct", "--method", "or",
+        "--inputs", "builtin:equality3,builtin:pair_equality4", "--out", document,
+    )
+    assert build.exit_code == 0
+    target = combine_disjoint(named_function("equality3"), named_function("pair_equality4"), "or")
+    table_to_csv(target, csv_path)
+    commands = {
+        "trace-builtin": ("trace", "--algorithm", "builtin:pair_equality4", "--all-inputs"),
+        "trace-or": ("trace", "--algorithm", document, "--all-inputs"),
+        "verify-or": ("verify", "--algorithm", document, "--function", csv_path),
+    }
+    for name, command in commands.items():
+        result = invoke("--format", "json", *command)
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == _GOLDEN_STDOUT[name], name
 
 
 class TestFormatting:

@@ -31,6 +31,10 @@ class TestIsUnitary:
         with pytest.raises(ValueError):
             is_unitary(np.eye(2), tol=0.0)
 
+    def test_nan_tol_is_rejected(self):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            is_unitary(np.eye(2), tol=math.nan)
+
     def test_batch_gives_each_gate_its_own_verdict(self):
         gates = [np.eye(2), H2, 2 * H2, [[S, S], [S, S]], [[np.nan, 0], [0, 1]], H2]
         with np.errstate(invalid="ignore"):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qqasim import simulator
-from qqasim.boolfun import MAX_ARITY, TruthTable, all_inputs
+from qqasim.algorithms import constant_one_algorithm
+from qqasim.boolfun import MAX_ARITY, TruthTable, all_inputs, bit_string
 from qqasim.catalog import SET_NAMES
 from qqasim.constructors import (
     and_construct,
@@ -15,6 +16,7 @@ from qqasim.constructors import (
     majority_even4_construct,
     or_construct,
 )
+from qqasim.linalg import block_diag
 from qqasim.serialize import load, save
 from qqasim.simulator import (
     QQA,
@@ -102,6 +104,13 @@ class TestRun:
         with pytest.raises(ValueError):
             run(eq3, "01x")
 
+    @pytest.mark.parametrize("bits", ["zz9", "0", "012", ""])
+    def test_input_checked_without_a_query_step(self, bits):
+        a = constant_one_algorithm(arity=2)
+        for simulate in (run, trace):
+            with pytest.raises(ValueError, match="expected a 2-bit input"):
+                simulate(a, bits)
+
 
 class TestTrace:
     def test_state_count(self, eq3):
@@ -136,6 +145,57 @@ def _entry_of_shape(catalog, shape):
     )
 
 
+def _single_states(a, input_bits):
+    """The state after every step on one input, one step at a time.
+
+    The reference of :func:`run` and :func:`trace`: a query multiplies the
+    complex state by a ±1 vector built for that step, and a unitary step is
+    a vector-matrix product.
+    """
+    states = [a.initial]
+    for step in a.steps:
+        if isinstance(step, QueryGate):
+            signs = np.ones(a.amplitudes)
+            for j, v in enumerate(step.assignments):
+                if v is not None and input_bits[v] == "1":
+                    signs[j] = -1.0
+            states.append(states[-1] * signs)
+        else:
+            states.append(states[-1] @ step)
+    return states
+
+
+class TestSingleInput:
+    @pytest.mark.parametrize("shape", [*CATALOG_SHAPES, "complex-phase"])
+    def test_run_and_trace_equal_the_per_input_loop(self, shape, full_catalog, eq3):
+        if shape == "complex-phase":
+            a = _with_phase_gate(eq3)
+        else:
+            a = _entry_of_shape(full_catalog, shape)
+        rng = random.Random(0)
+        inputs = (
+            list(all_inputs(a.arity)) if a.arity <= 6
+            else [bit_string(rng.randrange(1 << a.arity), a.arity) for _ in range(20)]
+        )
+        for x in inputs:
+            reference = _single_states(a, x)
+            final, _ = run(a, x)
+            traced = trace(a, x).states
+            assert len(traced) == len(reference)
+            for state, expected in zip((final, *traced), (reference[-1], *reference)):
+                assert state.dtype == expected.dtype == complex
+                assert state.tobytes() == expected.tobytes()  # signed zeros count
+
+    @given(data=st.data())
+    def test_run_equals_its_run_all_row(self, full_catalog, data):
+        algorithms = [e.algorithm for s in full_catalog.values() for e in s.entries]
+        a = data.draw(st.sampled_from(algorithms))
+        row = data.draw(st.integers(0, (1 << a.arity) - 1))
+        final, probs = run(a, bit_string(row, a.arity))
+        assert np.allclose(final, run_all(a)[row], rtol=0, atol=1e-12)
+        assert probs[0] + probs[1] == pytest.approx(1.0, abs=1e-9)
+
+
 class TestRunAll:
     @pytest.mark.parametrize("shape", [*CATALOG_SHAPES, "complex-phase"])
     def test_matches_single_runs(self, shape, full_catalog, eq3):
@@ -151,6 +211,15 @@ class TestRunAll:
     def test_probabilities_sum_to_one(self, eq3):
         states = run_all(eq3)
         assert np.allclose(np.sum(np.abs(states) ** 2, axis=1), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("scale", [1.5, np.nan])
+    def test_norm_guard_names_the_first_drifting_input(self, pe4, monkeypatch, scale):
+        states = run_all(pe4)
+        states[5] *= scale
+        states[9] *= 2.0  # drifts further, but on a later input
+        monkeypatch.setattr(simulator, "_final_states", lambda a: states)
+        with pytest.raises(RuntimeError, match="state norm drifted to .* on input '0101'"):
+            run_all(pe4)
 
 
 def _rebuilt(a):
@@ -260,6 +329,44 @@ class TestComposedPath:
         monkeypatch.setattr(simulator, "run_all", lambda a: simulated.append(a) or batch(a))
         assert verify(result.algorithm, result.target).worst_case_p == pytest.approx(9 / 16)
         assert simulated == [result.algorithm]
+
+
+def _rotation(theta):
+    return np.array([[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]])
+
+
+class TestTiles:
+    """Batches whose rows run in more than one tile of ``simulator._TILE``."""
+
+    def test_short_last_tile_of_the_block_prefix(self):
+        # Amplitudes 0-1 read variables 0-9 and amplitudes 2-3 read 10-12: the
+        # stacked prefix has 1024 + 8 rows, so its last tile holds 8.
+        queries = [
+            (0, 1, 10, 11), (2, 3, 12, None), (4, 5, None, 10), (6, 7, 11, 12), (8, 9, None, None)
+        ]
+        steps = []
+        for k, assignments in enumerate(queries):
+            steps += [block_diag([_rotation(0.3 + k), _rotation(1.1 - k)]), QueryGate(assignments)]
+        steps.append(np.kron(_rotation(0.7), _rotation(0.2)))  # mixes the blocks
+        a = QQA(13, 4, [0.6, 0, 0.8, 0], steps, (1, 0, 0, 0))
+        assert _block_variables(a) == [list(range(10)), [10, 11, 12]]
+        assert simulator._blocks(a)[2] == len(steps) - 1  # only the last gate mixes the blocks
+        assert (1024 + 8) % simulator._TILE == 8
+        _assert_bit_identical(a)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_dense_batch_of_several_tiles(self, kind):
+        rng = np.random.default_rng(3)
+        steps = []
+        for k in range(5):
+            steps.append(np.linalg.qr(rng.standard_normal((8, 8)))[0])
+            steps.append(QueryGate(tuple((2 * k + j) % 10 if j < 7 else None for j in range(8))))
+        steps.append(np.linalg.qr(rng.standard_normal((8, 8)))[0])
+        a = QQA(10, 8, np.full(8, 8 ** -0.5), steps, (1, 1, 0, 0, 0, 0, 0, 0))
+        if kind == "complex":
+            a = _with_phase_gate(a)
+        assert 1 << a.arity == 2 * simulator._TILE < simulator._BLOCK_ROWS
+        _assert_bit_identical(a)
 
 
 class TestBlockPath:
