@@ -85,8 +85,8 @@ def constant_one_algorithm(num_amplitudes: int = 1, arity: int = 0, queries: int
     """
     if num_amplitudes < 1:
         raise ValueError("need at least one amplitude")
-    if arity < 0 or queries < 0:
-        raise ValueError("arity and queries must be non-negative")
+    if queries < 0:
+        raise ValueError(f"queries must be non-negative, got {queries}")
     eye = np.eye(num_amplitudes)
     none_gate = QueryGate((None,) * num_amplitudes)
     steps = [eye]

@@ -8,6 +8,7 @@ check passed.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import sys
@@ -72,11 +73,9 @@ def _step_labels(a: QQA) -> list:
     return labels
 
 
-def render_trace(t: SimulationTrace, measurement, tol: float = 1e-9) -> str:
+def render_trace(a: QQA, t: SimulationTrace, tol: float = 1e-9) -> str:
     """One table row: input, state after each step, and the outcome."""
-    probs = {0: 0.0, 1: 0.0}
-    for amplitude, value in zip(t.states[-1], measurement):
-        probs[value] += abs(amplitude) ** 2
+    probs = _outcome(a, t.states[-1])
     if probs[1] >= 1.0 - tol:
         outcome = "1"
     elif probs[0] >= 1.0 - tol:
@@ -89,43 +88,58 @@ def render_trace(t: SimulationTrace, measurement, tol: float = 1e-9) -> str:
     return " | ".join(cells)
 
 
+def _read(reader, spec: str, missing: str):
+    """``reader(spec)``, any failure a one-line error that names the user's file."""
+    try:
+        return reader(spec)
+    except FileNotFoundError:
+        raise click.ClickException(f"{missing}: {spec}")
+    except OSError as error:
+        raise click.ClickException(f"cannot read {spec}: {error.strerror or error}")
+    except ValueError as error:  # a JSON decoding error too
+        raise click.ClickException(f"{spec}: {error}")
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """Report a failed write as a one-line error that names the user's ``path``."""
+    try:
+        yield
+    except OSError as error:
+        raise click.ClickException(f"cannot write {path}: {error.strerror or error}")
+
+
 def _load_algorithm(spec: str) -> QQA:
     if spec.startswith("builtin:"):
-        name, _, param = spec[len("builtin:"):].partition(":")
+        name, separator, param = spec[len("builtin:"):].partition(":")
         if name not in BUILTINS:
             known = [f"{b}[:n]" if NAMED_FUNCTIONS[b] else b for b in BUILTINS]
             raise click.ClickException(
                 f"unknown builtin {name!r} (use {', '.join(known[:-1])} or {known[-1]})"
             )
         if not NAMED_FUNCTIONS[name]:
+            if separator:
+                raise click.ClickException(f"{spec}: {name} takes no parameter")
             return BUILTINS[name]()
         try:
             return BUILTINS[name](int(param) if param else 1)
         except ValueError as error:
             raise click.ClickException(f"{spec}: {error}")
-    try:
-        return load(spec)
-    except FileNotFoundError:
-        raise click.ClickException(f"no such algorithm file: {spec}")
-    except (ValueError, json.JSONDecodeError) as error:
-        raise click.ClickException(f"{spec}: {error}")
+    return _read(load, spec, "no such algorithm file")
 
 
 def _load_function(spec: str) -> TruthTable:
-    name, _, param = spec.partition(":")
+    name, separator, param = spec.partition(":")
     if name in NAMED_FUNCTIONS:
+        if not NAMED_FUNCTIONS[name] and separator:
+            raise click.ClickException(f"{spec}: {name} takes no parameter")
         if NAMED_FUNCTIONS[name] and not param:
             raise click.ClickException(f"{name} needs an arity, e.g. {name}:3")
         try:
             return named_function(name, int(param) if NAMED_FUNCTIONS[name] else None)
         except ValueError as error:
             raise click.ClickException(f"{spec}: {error}")
-    try:
-        return table_from_csv(spec)
-    except FileNotFoundError:
-        raise click.ClickException(f"no such function (not a known name or CSV file): {spec}")
-    except ValueError as error:
-        raise click.ClickException(f"{spec}: {error}")
+    return _read(table_from_csv, spec, "no such function (not a known name or CSV file)")
 
 
 def _parse_sigma(text: str, size: int, what: str) -> list:
@@ -164,11 +178,10 @@ def verify_command(obj, algorithm_spec, function_spec, expect_p, expect_exact):
     """Exhaustively verify an algorithm against a Boolean function."""
     a = _load_algorithm(algorithm_spec)
     f = _load_function(function_spec)
-    if a.arity != f.arity:
-        raise click.ClickException(
-            f"arity mismatch: algorithm reads {a.arity} variables, function has {f.arity}"
-        )
-    report = verify(a, f, tol=obj["tol"])
+    try:
+        report = verify(a, f, tol=obj["tol"])
+    except ValueError as error:
+        raise click.ClickException(str(error))
     worst = f"{report.worst_case_p:.6f} on input {report.witness}"
     failures = []
     if report.worst_case_p <= 0.5 + obj["tol"]:
@@ -228,7 +241,7 @@ def trace_command(obj, algorithm_spec, input_bits, every_input):
     header = " | ".join(["input", *_step_labels(a), "result"])
     click.echo(header)
     for bits in inputs:
-        click.echo(render_trace(run_trace(a, bits), a.measurement, obj["tol"]))
+        click.echo(render_trace(a, run_trace(a, bits), obj["tol"]))
 
 
 @main.command("transform")
@@ -254,7 +267,8 @@ def transform_command(obj, algorithm_spec, method, sigma, out_path):
             result = permute_variables(a, _parse_sigma(sigma, a.arity, "variables"))
     except ValueError as error:
         raise click.ClickException(str(error))
-    save(result, out_path, provenance=f"{method}({algorithm_spec})")
+    with _writing(out_path):
+        save(result, out_path, provenance=f"{method}({algorithm_spec})")
     if obj["fmt"] == "json":
         click.echo(json.dumps({"method": method, "out": out_path}))
     else:
@@ -287,7 +301,8 @@ def construct_command(obj, method, inputs_spec, out_path):
     except ValueError as error:
         raise click.ClickException(str(error))
     report = verify(result.algorithm, result.target, tol=obj["tol"])
-    save(result.algorithm, out_path, provenance=f"{method}({inputs_spec})")
+    with _writing(out_path):
+        save(result.algorithm, out_path, provenance=f"{method}({inputs_spec})")
     ok = report.worst_case_p >= result.guaranteed_p - obj["tol"]
     if obj["fmt"] == "json":
         click.echo(json.dumps({
@@ -323,7 +338,8 @@ def catalog_command(obj, set_name, export_path):
         sets = {set_name: catalog_module.generate_set(set_name)}
     summary = catalog_module.catalog_summary(sets)
     if export_path is not None:
-        catalog_module.export_csv(sets, export_path)
+        with _writing(export_path):
+            catalog_module.export_csv(sets, export_path)
     if obj["fmt"] == "json":
         click.echo(json.dumps({
             "sets": [{

@@ -197,6 +197,13 @@ def _or_routing(acc1: int, acc2: int) -> list:
     return sigma
 
 
+_H2 = np.array([[_S, _S], [_S, -_S]])
+#: The last gate of every ``or`` construction, read-only: a Hadamard block on
+#: the accepting pair (slots 0-1) and a 4x4 one on each side's group (2-5, 6-9).
+_OR_MIX = block_diag([_H2, np.kron(_H2, _H2), np.kron(_H2, _H2), np.eye(6)])
+_OR_MIX.setflags(write=False)
+
+
 def or_construct(a1: QQA, a2: QQA) -> ConstructionResult:
     """Bounded-error algorithm for f1(X1) OR f2(X2), success at least 5/8.
 
@@ -217,9 +224,6 @@ def or_construct(a1: QQA, a2: QQA) -> ConstructionResult:
     f1, f2 = computed_function(a1), computed_function(a2)
     steps = _parallel_steps([a1, a2], [4, 4], 16)
     swap = permutation_matrix(_or_routing(_accepting_index(a1), 4 + _accepting_index(a2)))
-    h2 = np.array([[_S, _S], [_S, -_S]])
-    h4 = np.kron(h2, h2)
-    mix = block_diag([h2, h4, h4, np.eye(6)])
     initial = np.concatenate([a1.initial, a2.initial]) / math.sqrt(2.0)
     initial = np.concatenate([initial, np.zeros(8)])
     measurement = tuple(1 if i in (0, 1, 2, 6) else 0 for i in range(16))
@@ -227,7 +231,7 @@ def or_construct(a1: QQA, a2: QQA) -> ConstructionResult:
         arity=a1.arity + a2.arity,
         amplitudes=16,
         initial=initial,
-        steps=steps + (swap, mix),
+        steps=steps + (swap, _OR_MIX),
         measurement=measurement,
     )
     target = combine_disjoint(f1, f2, "or")
@@ -267,8 +271,6 @@ def majority_even4_construct(a1: QQA, a2: QQA, a3: QQA, a4: QQA) -> Construction
     true sub-functions, so the worst case over inputs is 9/16.
     """
     algs = (a1, a2, a3, a4)
-    if any(a.arity < 1 for a in algs):
-        raise ValueError("every sub-algorithm must read at least one variable")
     algorithm = _majority_pipeline(algs)
     target = majority_compose([computed_function(a) for a in algs], even=True)
     return ConstructionResult(algorithm, target, guaranteed_p=9 / 16, queries=algorithm.query_count)
@@ -282,8 +284,6 @@ def majority3_construct(a1: QQA, a2: QQA, a3: QQA) -> ConstructionResult:
     majority into the odd three-way one at the same 9/16 floor.
     """
     algs = (a1, a2, a3)
-    if any(a.arity < 1 for a in algs):
-        raise ValueError("every sub-algorithm must read at least one variable")
     filler = constant_one_algorithm(num_amplitudes=1, arity=0, queries=0)
     algorithm = _majority_pipeline((*algs, filler))
     target = majority_compose([computed_function(a) for a in algs], even=False)

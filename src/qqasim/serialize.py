@@ -2,12 +2,13 @@
 
 Documents are plain JSON: complex numbers as ``[re, im]`` pairs, matrices
 row-major, query gates as 1-based variable indices with ``null`` marking
-untouched amplitudes.  Loading validates shapes and value ranges (a JSON
-boolean is never taken for a number) and names the offending field on
-failure; the unit norm of the initial state and the unitarity of each gate
-are checked once, by :class:`qqasim.simulator.QQA`, whose messages use the
-document's field names.  Files are written atomically
-(temp file in the same directory, then rename).
+untouched amplitudes.  Loading only decodes: it checks that every field is
+there, the format version, each list it walks and each ``[re, im]`` pair (a
+JSON boolean is never taken for a number), and makes the variables 0-based.
+Everything else goes to :class:`qqasim.simulator.QQA` as it is; that is the
+one place an algorithm is checked, and its messages name the document's
+fields.  Files are written atomically (temp file in the same directory,
+then rename).
 """
 from __future__ import annotations
 
@@ -15,11 +16,11 @@ import json
 import os
 import tempfile
 
-import numpy as np
-
 from .simulator import QQA, QueryGate
 
 FORMAT_VERSION = 1
+#: The fields every document has, in the order they are written.
+FIELDS = ("format_version", "arity", "amplitudes", "initial", "steps", "measurement")
 
 
 def to_document(a: QQA, name: str | None = None, provenance: str | None = None) -> dict:
@@ -57,77 +58,44 @@ def _complex_pair(value, field: str) -> complex:
     return complex(value[0], value[1])
 
 
-def _require(doc: dict, field: str, kind) -> object:
-    if field not in doc:
-        raise ValueError(f"missing field {field!r}")
-    value = doc[field]
-    if kind is int and isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"{field}: expected {kind.__name__}, got {type(value).__name__}")
+def _list(value, field: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{field}: expected list, got {type(value).__name__}")
     return value
 
 
 def from_document(doc: dict) -> QQA:
-    """Rebuild an algorithm, validating every field of the document."""
+    """Rebuild an algorithm: decode the JSON, then let :class:`QQA` check every field."""
     if not isinstance(doc, dict):
         raise ValueError("document must be a JSON object")
-    version = _require(doc, "format_version", int)
-    if version != FORMAT_VERSION:
-        raise ValueError(f"format_version: unsupported version {version}")
-    arity = _require(doc, "arity", int)
-    amplitudes = _require(doc, "amplitudes", int)
-    if arity < 0:
-        raise ValueError(f"arity: must be non-negative, got {arity}")
-    if amplitudes < 1:
-        raise ValueError(f"amplitudes: must be positive, got {amplitudes}")
-
-    raw_initial = _require(doc, "initial", list)
-    if len(raw_initial) != amplitudes:
-        raise ValueError(f"initial: expected {amplitudes} entries, got {len(raw_initial)}")
-    initial = np.array(
-        [_complex_pair(v, f"initial[{i}]") for i, v in enumerate(raw_initial)]
-    )
-
+    for field in FIELDS:
+        if field not in doc:
+            raise ValueError(f"missing field {field!r}")
+    version, arity, amplitudes, raw_initial, raw_steps, measurement = (doc[f] for f in FIELDS)
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ValueError(f"format_version: unsupported version {version!r}")
+    initial = [
+        _complex_pair(v, f"initial[{i}]") for i, v in enumerate(_list(raw_initial, "initial"))
+    ]
     steps = []
-    for k, raw in enumerate(_require(doc, "steps", list)):
+    for k, raw in enumerate(_list(raw_steps, "steps")):
         where = f"steps[{k}]"
         if not isinstance(raw, dict) or len(raw) != 1:
             raise ValueError(f"{where}: expected exactly one of 'unitary' or 'query'")
         if "query" in raw:
-            vars_1based = raw["query"]
-            if not isinstance(vars_1based, list) or len(vars_1based) != amplitudes:
-                raise ValueError(f"{where}.query: expected {amplitudes} entries")
-            assignments = []
-            for j, v in enumerate(vars_1based):
-                if v is None:
-                    assignments.append(None)
-                elif isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= arity:
-                    assignments.append(v - 1)
-                else:
-                    raise ValueError(
-                        f"{where}.query[{j}]: expected null or a variable in 1..{arity}, got {v!r}"
-                    )
-            steps.append(QueryGate(tuple(assignments)))
+            # 1-based in the document, 0-based in the model; QQA checks the range.
+            steps.append(QueryGate(
+                v - 1 if type(v) is int else v for v in _list(raw["query"], f"{where}.query")
+            ))
         elif "unitary" in raw:
-            rows = raw["unitary"]
-            if not isinstance(rows, list) or len(rows) != amplitudes:
-                raise ValueError(f"{where}.unitary: expected {amplitudes} rows")
-            matrix = np.zeros((amplitudes, amplitudes), dtype=complex)
-            for i, row in enumerate(rows):
-                if not isinstance(row, list) or len(row) != amplitudes:
-                    raise ValueError(f"{where}.unitary[{i}]: expected {amplitudes} entries")
-                for j, entry in enumerate(row):
-                    matrix[i, j] = _complex_pair(entry, f"{where}.unitary[{i}][{j}]")
-            steps.append(matrix)
+            steps.append([
+                [_complex_pair(entry, f"{where}.unitary[{i}][{j}]")
+                 for j, entry in enumerate(_list(row, f"{where}.unitary[{i}]"))]
+                for i, row in enumerate(_list(raw["unitary"], f"{where}.unitary"))
+            ])
         else:
             raise ValueError(f"{where}: expected exactly one of 'unitary' or 'query'")
-
-    raw_measurement = _require(doc, "measurement", list)
-    if len(raw_measurement) != amplitudes or any(
-        type(v) is not int or v not in (0, 1) for v in raw_measurement
-    ):
-        raise ValueError(f"measurement: expected {amplitudes} values of 0 or 1")
-
-    return QQA(arity, amplitudes, initial, tuple(steps), tuple(raw_measurement))
+    return QQA(arity, amplitudes, initial, tuple(steps), measurement)
 
 
 def save(a: QQA, destination, name: str | None = None, provenance: str | None = None) -> dict:

@@ -47,17 +47,28 @@ class QueryGate:
 
     On input X the gate is the diagonal matrix whose j-th entry is -1 when
     the variable assigned to amplitude j has value 1, and +1 otherwise.
+    The assignments are stored as a tuple; :class:`QQA` checks them against
+    its arity and amplitude count.
     """
 
     assignments: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "assignments", tuple(self.assignments))
-        for v in self.assignments:
-            if v is not None and (
-                isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0
-            ):
-                raise ValueError(f"variable index must be None or a non-negative int, got {v!r}")
+
+
+def _query_error(assignments: tuple, m: int, arity: int) -> str | None:
+    """What is wrong with a query gate's assignments, after ``steps[k].``; None if nothing."""
+    if len(assignments) != m:
+        return f"query: query gate needs {m} assignments"
+    for j, v in enumerate(assignments):
+        if v is None:
+            continue
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            return f"query[{j}]: expected None or a variable index, got {v!r}"
+        if not 0 <= v < arity:
+            return f"query[{j}]: variable out of range for arity {arity}"
+    return None
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
@@ -71,12 +82,14 @@ class QQA:
 
     ``steps`` holds unitary matrices and :class:`QueryGate` objects in
     execution order; ``measurement`` assigns an output value (0 or 1) to each
-    basis state.  Construction validates unitarity of every gate at
-    ``UNITARY_TOL``, all gates in one batch, unit norm of the initial state at
-    ``NORM_TOL``, an arity of at most ``MAX_ARITY``, and an integer arity,
-    amplitude count, variable indices and measurement values (never
-    booleans; numpy integers are stored as ``int``).  The stored gates are
-    read-only views of one ``(gates, m, m)`` complex array.
+    basis state.  Construction is the one place an algorithm is checked,
+    loaded or built: unitarity of every gate at ``UNITARY_TOL``, all gates in
+    one batch, unit norm of the initial state at ``NORM_TOL``, every shape,
+    an arity of at most ``MAX_ARITY``, and integer sizes, variables (in
+    ``0..arity-1``) and measurement values (never booleans; numpy integers
+    are stored as ``int``).  Errors name the field as a document does, such
+    as ``steps[k].query[j]``, and the first failing step.  The stored gates
+    are read-only views of one ``(gates, m, m)`` complex array.
     """
 
     arity: int
@@ -98,7 +111,7 @@ class QQA:
         if not 0 <= self.arity <= MAX_ARITY:
             raise ValueError(f"arity must be between 0 and {MAX_ARITY}, got {self.arity}")
         if self.amplitudes < 1:
-            raise ValueError(f"need at least one amplitude, got {self.amplitudes}")
+            raise ValueError(f"amplitudes must be positive, got {self.amplitudes}")
         m = self.amplitudes
 
         initial = np.array(self.initial, dtype=complex)
@@ -111,18 +124,17 @@ class QQA:
         steps, malformed = [], None
         for k, step in enumerate(self.steps):
             if isinstance(step, QueryGate):
-                unknown = [v for v in step.assignments if v is not None and v >= self.arity]
-                if len(step.assignments) != m:
-                    malformed = f"step {k}: query gate needs {m} assignments"
-                elif unknown:
-                    malformed = (
-                        f"step {k}: variable index {unknown[0]} out of range for arity {self.arity}"
-                    )
+                malformed = _query_error(step.assignments, m, self.arity)
             else:
-                step = np.asarray(step, dtype=complex)
-                if step.shape != (m, m):
-                    malformed = f"step {k}: expected a {m}x{m} matrix, got {step.shape}"
+                try:
+                    step = np.asarray(step, dtype=complex)
+                    shape = step.shape
+                except (TypeError, ValueError):  # ragged, or not numbers
+                    shape = "a ragged or non-numeric array"
+                if shape != (m, m):
+                    malformed = f"unitary: expected a {m}x{m} matrix, got {shape}"
             if malformed:
+                malformed = f"steps[{k}].{malformed}"
                 break
             steps.append(step)
         # The gates before the first malformed step are checked in one batch;
@@ -143,7 +155,7 @@ class QQA:
         object.__setattr__(self, "_gates", stack)
         object.__setattr__(self, "steps", tuple(steps))
 
-        measurement = tuple(self.measurement)
+        measurement = tuple(self.measurement) if np.iterable(self.measurement) else ()
         if len(measurement) != m or any(
             isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v not in (0, 1)
             for v in measurement
@@ -504,7 +516,9 @@ def verify(a: QQA, f: TruthTable, tol: float = NORM_TOL) -> VerificationReport:
     Each call simulates the algorithm once and keeps nothing on it.
     """
     if a.arity != f.arity:
-        raise ValueError(f"arity mismatch: algorithm has {a.arity}, function has {f.arity}")
+        raise ValueError(
+            f"arity mismatch: algorithm reads {a.arity} variables, function has {f.arity}"
+        )
     p_one = _p_one(a, run_all(a))
     target = np.frombuffer(f.bits, dtype=np.uint8)
     success = _freeze(np.where(target == 1, p_one, 1.0 - p_one))

@@ -307,6 +307,51 @@ class TestErrorPaths:
         assert result.stdout == ""
         assert "--tolerance must be positive" in result.stderr
 
+    @pytest.mark.parametrize(
+        "option, spec",
+        [
+            ("--algorithm", "builtin:equality3:7"),
+            ("--algorithm", "builtin:pair_equality4:x"),
+            ("--algorithm", "builtin:equality3:"),
+            ("--function", "equality3:5"),
+            ("--function", "pair_equality4:"),
+        ],
+    )
+    def test_stray_builtin_parameter(self, option, spec):
+        args = {"--algorithm": "builtin:equality3", "--function": "equality3", option: spec}
+        result = invoke("verify", *[part for pair in args.items() for part in pair])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == f"Error: {spec}: {spec.split(':')[-2]} takes no parameter\n"
+
+    @pytest.mark.parametrize("option", ["--algorithm", "--function"])
+    def test_directory_as_input(self, tmp_path, option):
+        args = {"--algorithm": "builtin:equality3", "--function": "equality3", option: str(tmp_path)}
+        result = invoke("verify", *[part for pair in args.items() for part in pair])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith(f"Error: cannot read {tmp_path}: ")
+        assert result.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("construct", "--method", "and",
+             "--inputs", "builtin:equality3,builtin:equality3", "--out", "{}/a.json"),
+            ("transform", "--algorithm", "builtin:equality3", "--method", "invert",
+             "--out", "{}/a.json"),
+            ("catalog", "--set", "qfunc3", "--export", "{}/a.csv"),
+        ],
+    )
+    def test_write_into_a_missing_directory(self, tmp_path, command):
+        missing = tmp_path / "no" / "such" / "dir"
+        args = [part.format(missing) for part in command]
+        result = invoke(*args)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == f"Error: cannot write {args[-1]}: No such file or directory\n"
+        assert not (tmp_path / "no").exists()
+
 
 #: sha256 of standard output, recorded before ``run``, ``trace`` and the batch
 #: pass shared one kernel; any change to a number or its layout shows here.
@@ -315,15 +360,28 @@ _GOLDEN_STDOUT = {
     "trace-or": "66721568103e6ca90ee2163da6f70f9a1089ff04a1fd8f8376265c901708cb90",
     "verify-or": "989ee61043cfa62a8aea24eb9f7f5c12713691353df4bb0a5ce291d4ed9b48cc",
 }
+#: sha256 of the text traces and of the saved ``or`` document, recorded while
+#: the loader still repeated the algorithm's checks and the text trace summed
+#: each row's probabilities in a loop of its own.
+_GOLDEN_TEXT = {
+    "trace-builtin": "f37fe2476d1f15d5f5cb9ca705a80fe56b2ea731ab0d26c7d9ddd3caf23c172e",
+    "trace-or": "3787bf64acacaa78940e3ea59483bf0989628125432263b6214ea2467460b024",
+    "document": "6154b5c7a9be979603bb12d50b02f822a30cc87f646c1387898ab6799def8211",
+}
 
 
-def test_json_output_is_pinned(tmp_path):
-    document, csv_path = str(tmp_path / "or.json"), str(tmp_path / "or.csv")
+def _pinned_or_document(tmp_path) -> str:
+    document = str(tmp_path / "or.json")
     build = invoke(
         "construct", "--method", "or",
         "--inputs", "builtin:equality3,builtin:pair_equality4", "--out", document,
     )
     assert build.exit_code == 0
+    return document
+
+
+def test_json_output_is_pinned(tmp_path):
+    document, csv_path = _pinned_or_document(tmp_path), str(tmp_path / "or.csv")
     target = combine_disjoint(named_function("equality3"), named_function("pair_equality4"), "or")
     table_to_csv(target, csv_path)
     commands = {
@@ -335,6 +393,16 @@ def test_json_output_is_pinned(tmp_path):
         result = invoke("--format", "json", *command)
         assert result.exit_code == 0
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == _GOLDEN_STDOUT[name], name
+
+
+def test_text_trace_and_saved_document_are_pinned(tmp_path):
+    document = _pinned_or_document(tmp_path)
+    with open(document, "rb") as handle:
+        assert hashlib.sha256(handle.read()).hexdigest() == _GOLDEN_TEXT["document"]
+    for name, spec in (("trace-builtin", "builtin:pair_equality4"), ("trace-or", document)):
+        result = invoke("trace", "--algorithm", spec, "--all-inputs")
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == _GOLDEN_TEXT[name], name
 
 
 class TestFormatting:

@@ -223,7 +223,8 @@ _MALFORMED_ENTRY = st.one_of(
 )
 
 # Each corruption changes one field of a valid document so that it is no
-# longer valid; ``draw`` draws from a hypothesis strategy.
+# longer valid, and returns the name of the top-level field it broke;
+# ``draw`` draws from a hypothesis strategy.
 
 
 def _pick(draw, items):
@@ -245,39 +246,57 @@ def _wrong_type(doc, draw):
     else:
         wrong = st.one_of(_NOT_A_NUMBER_OR_LIST, st.floats(), st.integers())
     doc[field] = draw(wrong)
+    return field
 
 
 def _missing_field(doc, draw):
-    del doc[draw(st.sampled_from(FIELDS))]
+    field = draw(st.sampled_from(FIELDS))
+    del doc[field]
+    return field
 
 
 def _non_finite(doc, draw):
-    pair = _pick(draw, [_pick(draw, doc["initial"]), _pick(draw, _pick(draw, _unitary(doc, draw)))])
+    field = draw(st.sampled_from(["initial", "steps"]))
+    if field == "initial":
+        pair = _pick(draw, doc["initial"])
+    else:
+        pair = _pick(draw, _pick(draw, _unitary(doc, draw)))
     pair[draw(st.integers(0, 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return field
 
 
 def _boolean(doc, draw):
     flag = draw(st.booleans())
     where = draw(st.sampled_from(["header", "initial", "unitary", "measurement", "query"]))
     if where == "header":
-        doc[draw(st.sampled_from(FIELDS[:3]))] = flag
-    elif where == "initial":
+        field = draw(st.sampled_from(FIELDS[:3]))
+        doc[field] = flag
+        return field
+    if where == "initial":
         _pick(draw, doc["initial"])[draw(st.integers(0, 1))] = flag
     elif where == "unitary":
         _pick(draw, _pick(draw, _unitary(doc, draw)))[draw(st.integers(0, 1))] = flag
     else:
         values = doc["measurement"] if where == "measurement" else _query(doc, draw)
         values[_pick(draw, [j for j, v in enumerate(values) if v is not None])] = flag
+    return where if where in FIELDS else "steps"
 
 
 def _ragged(doc, draw):
     unitary = _unitary(doc, draw)
-    listed = [unitary, _pick(draw, unitary), doc["initial"], doc["measurement"], _query(doc, draw)]
-    target = _pick(draw, listed)
+    listed = [
+        ("steps", unitary),
+        ("steps", _pick(draw, unitary)),
+        ("initial", doc["initial"]),
+        ("measurement", doc["measurement"]),
+        ("steps", _query(doc, draw)),
+    ]
+    field, target = _pick(draw, listed)
     if draw(st.booleans()):
         del target[draw(st.integers(0, len(target) - 1))]
     else:
         target.append(target[0])
+    return field
 
 
 def _non_unitary(doc, draw):
@@ -288,6 +307,7 @@ def _non_unitary(doc, draw):
         factor = draw(st.floats(1.01, 100.0))
         for row in unitary:
             row[:] = [[re * factor, im * factor] for re, im in row]
+    return "steps"
 
 
 def _out_of_range(doc, draw):
@@ -295,6 +315,7 @@ def _out_of_range(doc, draw):
     query[draw(st.integers(0, len(query) - 1))] = draw(
         st.one_of(st.integers(max_value=0), st.integers(min_value=doc["arity"] + 1), st.floats())
     )
+    return "steps"
 
 
 def _bad_entry(doc, draw):
@@ -315,6 +336,7 @@ def _bad_entry(doc, draw):
         doc["steps"][draw(st.integers(0, len(doc["steps"]) - 1))] = draw(
             st.one_of(_MALFORMED_ENTRY, both)
         )
+    return where if where in FIELDS else "steps"
 
 
 CORRUPTIONS = {
@@ -344,6 +366,8 @@ class TestCorruptedDocumentProperty:
     @given(st.integers(0, 3), st.data())
     def test_one_bad_field_raises_only_value_error(self, valid_documents, kind, which, data):
         doc = copy.deepcopy(valid_documents[which])
-        CORRUPTIONS[kind](doc, data.draw)
-        with pytest.raises(ValueError), np.errstate(invalid="ignore", over="ignore"):
+        field = CORRUPTIONS[kind](doc, data.draw)
+        assert field in FIELDS
+        with pytest.raises(ValueError) as caught, np.errstate(invalid="ignore", over="ignore"):
             from_document(doc)
+        assert field in str(caught.value)

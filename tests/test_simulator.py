@@ -753,11 +753,16 @@ class TestValidation:
             QQA(1, 2, [1, 0], (), (1, 2))
 
     @pytest.mark.parametrize(
-        "values", [(0.9, 1.2), (1.0, 0), (True, False), (1, np.False_), ("1", 0), (None, 1)]
+        "values",
+        [(0.9, 1.2), (1.0, 0), (True, False), (1, np.False_), ("1", 0), (None, 1), 5, None, 1.0],
     )
     def test_measurement_values_are_integers(self, values):
         with pytest.raises(ValueError, match="measurement"):
             QQA(1, 2, [1, 0], (), values)
+
+    def test_amplitude_count_named(self):
+        with pytest.raises(ValueError, match="^amplitudes must be positive, got 0$"):
+            QQA(0, 0, [], (), ())
 
     def test_numpy_integers_accepted(self):
         a = QQA(1, 2, [1, 0], (QueryGate((np.int64(0), None)),), (np.int64(1), np.uint8(0)))
@@ -766,18 +771,30 @@ class TestValidation:
 
     @pytest.mark.parametrize("flag", [True, False, np.True_])
     def test_boolean_variable_index(self, flag):
-        with pytest.raises(ValueError, match="variable index"):
-            QueryGate((flag, None))
+        with pytest.raises(ValueError, match=r"^steps\[0\]\.query\[0\]: .*variable index"):
+            QQA(1, 2, [1, 0], (QueryGate((flag, None)),), (1, 0))
+
+    @pytest.mark.parametrize("bad", [-1, 2, 0.0, "0", [0]])
+    def test_query_assignment_checked_by_the_algorithm(self, bad):
+        gate = QueryGate([None, bad])  # a gate only stores its assignments
+        assert gate.assignments == (None, bad)
+        with pytest.raises(ValueError, match=r"^steps\[1\]\.query\[1\]: "):
+            QQA(2, 2, [1, 0], (np.eye(2), gate), (1, 0))
 
     @pytest.mark.parametrize(
         "steps, message",
         [
-            ((np.eye(3), np.ones((2, 2))), r"step 0: expected a 2x2 matrix"),
+            ((np.eye(3), np.ones((2, 2))), r"steps\[0\]\.unitary: expected a 2x2 matrix"),
             ((np.ones((2, 2)), np.eye(3)), r"steps\[0\]\.unitary: matrix is not unitary"),
             ((np.eye(2), 2 * np.eye(2), np.ones((2, 2))), r"steps\[1\]\.unitary"),
-            ((np.eye(2), QueryGate((0, 3)), np.ones((2, 2))), r"step 1: variable index 3"),
+            ((np.eye(2), QueryGate((0, 3)), np.ones((2, 2))),
+             r"steps\[1\]\.query\[1\]: variable out of range for arity 1$"),
             ((np.eye(2), np.ones((2, 2)), QueryGate((0,))), r"steps\[1\]\.unitary"),
             ((np.eye(2), [[np.nan, 0], [0, 1]]), r"steps\[1\]\.unitary"),
+            ((np.eye(2), [[1, 0], [0]]), r"^steps\[1\]\.unitary: expected a 2x2 matrix"),
+            ((np.eye(2), [["1", "x"], [0, 1]]), r"^steps\[1\]\.unitary: expected a 2x2"),
+            ((np.eye(2), [[{}, 0], [0, 1]]), r"^steps\[1\]\.unitary: expected a 2x2"),
+            ((QueryGate((0,)), np.ones((2, 2))), r"^steps\[0\]\.query: query gate needs 2"),
         ],
     )
     def test_first_failing_step_is_named(self, steps, message):
