@@ -228,6 +228,24 @@ def _read_csv(handle) -> TruthTable:
         raise ValueError(
             f"expected {1 << arity} rows of {arity}-bit inputs, got {len(body)} rows"
         )
+    # The whole table is checked at once; only a bad one is walked row by
+    # row, for the message that names its first bad row.
+    if set(map(len, body)) == {2}:
+        inputs, values = zip(*body)
+        digits = np.frombuffer("".join(inputs).encode(), dtype=np.uint8) - ord("0")
+        if (
+            set(map(len, inputs)) == {arity}
+            and digits.size == len(body) * arity  # no character beyond ASCII
+            and digits.max() <= 1  # uint8: a character below "0" wraps around
+            and set(values) <= {"0", "1"}
+        ):
+            indices = np.zeros(len(body), dtype=np.int64)
+            for column in digits.reshape(-1, arity).T:  # the first variable is the high bit
+                indices = 2 * indices + column
+            bits = np.full(len(body), 2, dtype=np.uint8)
+            bits[indices] = np.frombuffer("".join(values).encode(), dtype=np.uint8) - ord("0")
+            if bits.max() <= 1:  # every input is there, so none is there twice
+                return TruthTable(arity, bits.tobytes())
     seen: dict[int, int] = {}
     for row in body:
         if len(row) != 2:

@@ -14,6 +14,7 @@ import math
 import sys
 
 import click
+import numpy as np
 
 from . import catalog as catalog_module
 from . import constructors
@@ -27,7 +28,7 @@ from .boolfun import (
     sensitivity,
     table_from_csv,
 )
-from .serialize import load, save
+from .serialize import _json_text, load, save
 from .simulator import QQA, QueryGate, SimulationTrace, _outcome, trace as run_trace, verify
 from .transforms import invert_outputs, permute_outputs, permute_variables
 
@@ -192,13 +193,13 @@ def verify_command(obj, algorithm_spec, function_spec, expect_p, expect_exact):
         failures.append(f"expected p = {expect_p:.6f}, got {worst}")
 
     if obj["fmt"] == "json":
-        click.echo(json.dumps({
+        click.echo(_json_text({
             "exact": report.exact,
             "worst_case_p": report.worst_case_p,
             "queries": report.queries,
             "per_input": report.per_input,
             "failures": failures,
-        }, indent=1))
+        }))
     else:
         kind = "exact" if report.exact else "bounded-error"
         click.echo(f"{kind}, p = {report.worst_case_p:.6f}, queries = {report.queries}")
@@ -233,10 +234,10 @@ def trace_command(obj, algorithm_spec, input_bits, every_input):
             t = run_trace(a, bits)
             rows.append({
                 "input": bits,
-                "states": [[[z.real, z.imag] for z in state] for state in t.states],
+                "states": np.array(t.states),
                 "probabilities": {str(k): v for k, v in _outcome(a, t.states[-1]).items()},
             })
-        click.echo(json.dumps(rows, indent=1))
+        click.echo(_json_text(rows))
         return
     header = " | ".join(["input", *_step_labels(a), "result"])
     click.echo(header)

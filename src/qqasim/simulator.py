@@ -57,18 +57,25 @@ class QueryGate:
         object.__setattr__(self, "assignments", tuple(self.assignments))
 
 
-def _query_error(assignments: tuple, m: int, arity: int) -> str | None:
-    """What is wrong with a query gate's assignments, after ``steps[k].``; None if nothing."""
+def _query_gate(gate: QueryGate, m: int, arity: int) -> tuple:
+    """``(gate, None)`` with every variable an ``int``, or ``(gate, what is wrong)``
+    after ``steps[k].``; the gate is copied only if a variable is not an ``int`` yet."""
+    assignments = gate.assignments
     if len(assignments) != m:
-        return f"query: query gate needs {m} assignments"
+        return gate, f"query: query gate needs {m} assignments"
+    convert = False
     for j, v in enumerate(assignments):
         if v is None:
             continue
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            return f"query[{j}]: expected None or a variable index, got {v!r}"
+        if type(v) is not int:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                return gate, f"query[{j}]: expected None or a variable index, got {v!r}"
+            convert = True
         if not 0 <= v < arity:
-            return f"query[{j}]: variable out of range for arity {arity}"
-    return None
+            return gate, f"query[{j}]: variable out of range for arity {arity}"
+    if convert:
+        gate = QueryGate(None if v is None else int(v) for v in assignments)
+    return gate, None
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
@@ -87,9 +94,10 @@ class QQA:
     one batch, unit norm of the initial state at ``NORM_TOL``, every shape,
     an arity of at most ``MAX_ARITY``, and integer sizes, variables (in
     ``0..arity-1``) and measurement values (never booleans; numpy integers
-    are stored as ``int``).  Errors name the field as a document does, such
-    as ``steps[k].query[j]``, and the first failing step.  The stored gates
-    are read-only views of one ``(gates, m, m)`` complex array.
+    are stored as ``int``, in query gates too).  Errors name the field as a
+    document does, such as ``steps[k].query[j]``, and the first failing
+    step.  The stored gates are read-only views of one ``(gates, m, m)``
+    complex array.
     """
 
     arity: int
@@ -124,7 +132,7 @@ class QQA:
         steps, malformed = [], None
         for k, step in enumerate(self.steps):
             if isinstance(step, QueryGate):
-                malformed = _query_error(step.assignments, m, self.arity)
+                step, malformed = _query_gate(step, m, self.arity)
             else:
                 try:
                     step = np.asarray(step, dtype=complex)

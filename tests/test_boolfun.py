@@ -1,16 +1,22 @@
+import csv
 import io
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from qqasim.boolfun import (
+    CSV_HEADER,
+    MAX_ARITY,
     NAMED_FUNCTIONS,
     TruthTable,
+    _check_input,
     all_inputs,
     combine_disjoint,
     from_accepting,
     majority_compose,
+    input_index,
     named_function,
     sensitivity,
     table_from_csv,
@@ -239,6 +245,92 @@ class TestCsv:
         text = "input,value\n0,1\n0,0\n"
         with pytest.raises(ValueError, match="duplicate"):
             table_from_csv(io.StringIO(text))
+
+
+def _row_by_row(handle) -> TruthTable:
+    """The reference of ``table_from_csv``: every row checked in a loop of its own."""
+    rows = list(csv.reader(handle))
+    if not rows or rows[0] != CSV_HEADER:
+        raise ValueError(f"expected header {','.join(CSV_HEADER)!r}")
+    body = [r for r in rows[1:] if r]
+    if not body:
+        raise ValueError("no data rows")
+    arity = len(body[0][0])
+    if not 1 <= arity <= MAX_ARITY or len(body) != 1 << arity:
+        raise ValueError(
+            f"expected {1 << arity} rows of {arity}-bit inputs, got {len(body)} rows"
+        )
+    seen = {}
+    for row in body:
+        if len(row) != 2:
+            raise ValueError(f"malformed row {row!r}")
+        input_bits, value = row
+        _check_input(input_bits, arity)
+        if value not in ("0", "1"):
+            raise ValueError(f"value must be 0 or 1 in row {row!r}")
+        idx = input_index(input_bits)
+        if idx in seen:
+            raise ValueError(f"duplicate input {input_bits!r}")
+        seen[idx] = int(value)
+    return TruthTable(arity, bytes(seen[i] for i in range(1 << arity)))
+
+
+def _outcome(read, text):
+    try:
+        return read(io.StringIO(text, newline=""))
+    except ValueError as error:
+        return type(error), str(error)
+
+
+def _csv_rows(f: TruthTable) -> list:
+    buffer = io.StringIO()
+    table_to_csv(f, buffer)
+    return buffer.getvalue().splitlines()
+
+
+def _table_cases():
+    """Valid and broken tables; the second half of a broken one is fine, so
+    the first bad row, not only the first bad table, has to be named."""
+    f = named_function("majority_even", 8)
+    rows = _csv_rows(f)
+    body = rows[1:]
+    shuffled = body[:]
+    random.Random(0).shuffle(shuffled)
+
+    def edited(k, row):
+        return [rows[0], *body[:k], row, *body[k + 1:]]
+
+    return {
+        "in order": rows,
+        "shuffled": [rows[0], *shuffled],
+        "blank lines": [rows[0], "", *body[:9], "", *body[9:]],
+        "quoted": [rows[0], *(f'"{line.split(",")[0]}",{line.split(",")[1]}' for line in body)],
+        "arity 1": _csv_rows(named_function("constant1", 1)),
+        "arity 12": _csv_rows(named_function("majority_even", 12)),
+        "duplicate input": edited(200, body[17]),
+        "shuffled duplicate": [rows[0], *shuffled[:90], shuffled[3], *shuffled[91:]],
+        "bad value": edited(100, body[100][:-1] + "2"),
+        "empty value": edited(100, body[100][:-1]),
+        "value with a space": edited(100, body[100][:-1] + " 1"),
+        "short row": edited(60, body[60].split(",")[0]),
+        "long row": edited(60, body[60] + ",1"),
+        "short input": edited(30, body[30][1:]),
+        "long input": edited(30, "0" + body[30]),
+        "bad character": edited(40, "0120" + body[40][4:]),
+        "non-ASCII digit": edited(40, "\u0661" + body[40][1:]),
+        "character below 0": edited(40, "/" + body[40][1:]),
+        "two bad rows": edited(5, "0000000x,1")[:150] + ["00000011,7"] + body[150:],
+    }
+
+
+class TestCsvAgainstTheRowLoop:
+    @pytest.mark.parametrize("case", sorted(_table_cases()))
+    def test_same_table_or_message(self, case):
+        text = "\n".join(_table_cases()[case]) + "\n"
+        expected = _outcome(_row_by_row, text)
+        assert _outcome(table_from_csv, text) == expected
+        valid = ("in order", "shuffled", "blank lines", "quoted", "arity 1", "arity 12")
+        assert isinstance(expected, TruthTable) == (case in valid)
 
 
 class TestHex:

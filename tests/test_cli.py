@@ -1,13 +1,15 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from qqasim import simulator
-from qqasim.boolfun import TruthTable, combine_disjoint, named_function, table_to_csv
+from qqasim.algorithms import BUILTINS
+from qqasim.boolfun import TruthTable, all_inputs, combine_disjoint, named_function, table_to_csv
 from qqasim.cli import format_amplitude, format_state, main
-from qqasim.serialize import load
+from qqasim.serialize import load, save
 from qqasim.simulator import computed_function
 
 
@@ -324,6 +326,20 @@ class TestErrorPaths:
         assert result.stdout == ""
         assert result.stderr == f"Error: {spec}: {spec.split(':')[-2]} takes no parameter\n"
 
+    def test_integer_too_large_for_a_float(self, tmp_path):
+        document = tmp_path / "huge.json"
+        invoke("transform", "--algorithm", "builtin:equality3", "--method", "invert",
+               "--out", str(document))
+        doc = json.loads(document.read_text())
+        doc["initial"][0] = [10**400, 0]
+        document.write_text(json.dumps(doc))
+        result = invoke("verify", "--algorithm", str(document), "--function", "equality3")
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"Error: {document}: initial[0]: int too large to convert to float\n"
+        )
+
     @pytest.mark.parametrize("option", ["--algorithm", "--function"])
     def test_directory_as_input(self, tmp_path, option):
         args = {"--algorithm": "builtin:equality3", "--function": "equality3", option: str(tmp_path)}
@@ -393,6 +409,64 @@ def test_json_output_is_pinned(tmp_path):
         result = invoke("--format", "json", *command)
         assert result.exit_code == 0
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == _GOLDEN_STDOUT[name], name
+
+
+def _json_rows(a, inputs) -> str:
+    """``trace --format json`` as ``json.dumps`` of rows built entry by entry."""
+    rows = []
+    for bits in inputs:
+        t = simulator.trace(a, bits)
+        rows.append({
+            "input": bits,
+            "states": [[[z.real, z.imag] for z in state] for state in t.states],
+            "probabilities": {str(k): v for k, v in simulator._outcome(a, t.states[-1]).items()},
+        })
+    return json.dumps(rows, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("which", ["or", "complex", "no steps"])
+def test_json_trace_is_json_dumps(tmp_path, which):
+    """Every input of a saved composite, a complex algorithm, and one with no step."""
+    if which == "or":
+        document = _pinned_or_document(tmp_path)
+    else:
+        document = str(tmp_path / "a.json")
+        eq3 = BUILTINS["equality3"]()
+        if which == "complex":
+            phase = np.diag(np.exp(1j * np.linspace(0.3, 2.1, 4)))
+            a = simulator.QQA(3, 4, eq3.initial * 1j, eq3.steps[:2] + (phase,) + eq3.steps[2:],
+                              eq3.measurement)
+        else:
+            a = simulator.QQA(0, 2, [complex(-0.0, 1.0), 0], (), (1, 0))
+        save(a, document)
+    a = load(document)
+    result = invoke("--format", "json", "trace", "--algorithm", document, "--all-inputs")
+    assert result.exit_code == 0
+    assert result.stdout == _json_rows(a, all_inputs(a.arity))
+    one = invoke("--format", "json", "trace", "--algorithm", document, "--input", "1" * a.arity)
+    assert one.stdout == _json_rows(a, ["1" * a.arity])
+
+
+@pytest.mark.parametrize("flags", [(), ("--expect-exact", "--expect-p", "0.9")])
+def test_json_verify_is_json_dumps(tmp_path, flags):
+    """A passing and a failing verify of a saved composite, every input listed."""
+    document, csv_path = _pinned_or_document(tmp_path), str(tmp_path / "or.csv")
+    target = combine_disjoint(named_function("equality3"), named_function("pair_equality4"), "or")
+    table_to_csv(target, csv_path)
+    result = invoke("--format", "json", "verify", "--algorithm", document,
+                    "--function", csv_path, *flags)
+    report = simulator.verify(load(document), target)
+    worst = f"{report.worst_case_p:.6f} on input {report.witness}"
+    failures = [f"expected exact, got worst-case p = {worst}",
+                f"expected p = 0.900000, got {worst}"] if flags else []
+    assert result.exit_code == (1 if flags else 0)
+    assert result.stdout == json.dumps({
+        "exact": report.exact,
+        "worst_case_p": report.worst_case_p,
+        "queries": report.queries,
+        "per_input": report.per_input,
+        "failures": failures,
+    }, indent=1) + "\n"
 
 
 def test_text_trace_and_saved_document_are_pinned(tmp_path):

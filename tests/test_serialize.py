@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -184,6 +185,255 @@ class TestAtomicWrite:
             doc = json.load(handle)
         assert doc["format_version"] == 1
         assert from_document(doc).arity == 3
+
+
+# References that work one entry at a time: a saved document must be
+# json.dumps of _entry_document, and from_document must decode as
+# _pair_loop_from_document does, errors included.
+
+
+def _entry_document(a, name=None, provenance=None):
+    """``to_document`` built entry by entry: every pair from ``z.real`` and ``z.imag``."""
+    steps = []
+    for step in a.steps:
+        if isinstance(step, QueryGate):
+            steps.append({"query": [None if v is None else v + 1 for v in step.assignments]})
+        else:
+            steps.append({"unitary": [[[z.real, z.imag] for z in row] for row in step]})
+    doc = {
+        "format_version": 1,
+        "arity": a.arity,
+        "amplitudes": a.amplitudes,
+        "initial": [[z.real, z.imag] for z in a.initial],
+        "steps": steps,
+        "measurement": list(a.measurement),
+    }
+    if name is not None:
+        doc["name"] = name
+    if provenance is not None:
+        doc["provenance"] = provenance
+    return doc
+
+
+def _json_dump_bytes(a, name=None, provenance=None) -> bytes:
+    """What ``json.dump(..., indent=1)`` writes for the document, with the final newline."""
+    return (json.dumps(_entry_document(a, name, provenance), indent=1) + "\n").encode()
+
+
+def _pair_by_pair(value, field):
+    if (
+        not isinstance(value, (list, tuple))
+        or len(value) != 2
+        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
+    ):
+        raise ValueError(f"{field}: expected a [re, im] pair, got {value!r}")
+    try:
+        return complex(value[0], value[1])
+    except OverflowError as error:
+        raise ValueError(f"{field}: {error}") from None
+
+
+def _listed(value, field):
+    if not isinstance(value, list):
+        raise ValueError(f"{field}: expected list, got {type(value).__name__}")
+    return value
+
+
+def _pair_loop_from_document(doc):
+    """``from_document`` decoding one ``[re, im]`` pair at a time."""
+    if not isinstance(doc, dict):
+        raise ValueError("document must be a JSON object")
+    for field in FIELDS:
+        if field not in doc:
+            raise ValueError(f"missing field {field!r}")
+    version, arity, amplitudes, raw_initial, raw_steps, measurement = (doc[f] for f in FIELDS)
+    if type(version) is not int or version != 1:
+        raise ValueError(f"format_version: unsupported version {version!r}")
+    initial = [
+        _pair_by_pair(v, f"initial[{i}]") for i, v in enumerate(_listed(raw_initial, "initial"))
+    ]
+    steps = []
+    for k, raw in enumerate(_listed(raw_steps, "steps")):
+        where = f"steps[{k}]"
+        if not isinstance(raw, dict) or len(raw) != 1:
+            raise ValueError(f"{where}: expected exactly one of 'unitary' or 'query'")
+        if "query" in raw:
+            steps.append(QueryGate(
+                v - 1 if type(v) is int else v for v in _listed(raw["query"], f"{where}.query")
+            ))
+        elif "unitary" in raw:
+            steps.append([
+                [_pair_by_pair(entry, f"{where}.unitary[{i}][{j}]")
+                 for j, entry in enumerate(_listed(row, f"{where}.unitary[{i}]"))]
+                for i, row in enumerate(_listed(raw["unitary"], f"{where}.unitary"))
+            ])
+        else:
+            raise ValueError(f"{where}: expected exactly one of 'unitary' or 'query'")
+    return QQA(arity, amplitudes, initial, tuple(steps), measurement)
+
+
+def _decoded(decode, doc):
+    """Every field of the decoded algorithm, as bytes and types; or the error raised."""
+    try:
+        a = decode(doc)
+    except Exception as error:  # the type is part of what must agree
+        return type(error), str(error)
+    steps = [
+        (type(s).__name__, tuple((type(v), v) for v in s.assignments)) if isinstance(s, QueryGate)
+        else (s.dtype, s.shape, s.tobytes())
+        for s in a.steps
+    ]
+    return (a.arity, a.amplitudes, a.initial.dtype, a.initial.tobytes(), steps,
+            tuple((type(v), v) for v in a.measurement))
+
+
+def _as_integers(text: str):
+    """The document in JSON ``text``, every integer-valued float written as an integer."""
+    return json.loads(re.sub(r"(-?\d+)\.0(?=\D)", r"\1", text))
+
+
+def _signed_zeros():
+    """An algorithm whose initial state and gates hold -0.0 parts."""
+    initial = [complex(-0.0, -0.0), complex(1.0, -0.0)]
+    swap = np.array([[complex(-0.0, 0.0), 1.0], [complex(1.0, -0.0), -0.0]])
+    return QQA(1, 2, initial, (swap, QueryGate((0, None)), swap), (1, 0))
+
+
+def _phase(eq3):
+    phase = np.diag(np.exp(1j * np.linspace(0.3, 2.1, 4)))
+    return QQA(3, 4, eq3.initial * 1j, eq3.steps[:2] + (phase,) + eq3.steps[2:], eq3.measurement)
+
+
+#: Documents made by hand, each one edit of the equality3 document.
+_HAND_MADE = {
+    "integer entries": lambda doc: doc.update(_as_integers(json.dumps(doc))),
+    "float-sized huge integer": lambda doc: doc["initial"].__setitem__(0, [10**20, 0]),
+    "2**64 + 1": lambda doc: doc["steps"][0]["unitary"][1].__setitem__(2, [0, 2**64 + 1]),
+    "huge integer in initial": lambda doc: doc["initial"].__setitem__(0, [10**400, 0]),
+    "huge integer in a gate": lambda doc: doc["steps"][2]["unitary"][3].__setitem__(
+        1, [0.5, -10**400]),
+    "boolean": lambda doc: doc["initial"].__setitem__(1, [0.5, False]),
+    "string number": lambda doc: doc["initial"].__setitem__(1, ["0.5", 0.0]),
+    "pair of three": lambda doc: doc["steps"][0]["unitary"][0].__setitem__(0, [0.5, 0, 0]),
+    "pair of one": lambda doc: doc["initial"].__setitem__(3, [0.5]),
+    "null pair": lambda doc: doc["steps"][0]["unitary"][2].__setitem__(1, None),
+    "pair as object": lambda doc: doc["initial"].__setitem__(2, {"re": 0.5, "im": 0}),
+    "nested pair": lambda doc: doc["initial"].__setitem__(2, [[0.5, 0.0]]),
+    "every pair of three": lambda doc: doc.__setitem__(
+        "initial", [pair + [0.0] for pair in doc["initial"]]),
+    "every pair of one": lambda doc: doc["steps"][0].__setitem__(
+        "unitary", [[pair[:1] for pair in row] for row in doc["steps"][0]["unitary"]]),
+    "every pair of four": lambda doc: doc["steps"][0].__setitem__(
+        "unitary", [[pair * 2 for pair in row] for row in doc["steps"][0]["unitary"]]),
+    "tuple row": lambda doc: doc["steps"][2]["unitary"].__setitem__(
+        0, tuple(doc["steps"][2]["unitary"][0])),
+    "tuple pairs": lambda doc: doc.__setitem__("initial", [tuple(p) for p in doc["initial"]]),
+    "ragged rows": lambda doc: doc["steps"][0]["unitary"][1].pop(),
+    "row not a list": lambda doc: doc["steps"][0]["unitary"].__setitem__(1, 7),
+    "empty gate": lambda doc: doc["steps"][0].__setitem__("unitary", []),
+    "empty rows": lambda doc: doc["steps"][0].__setitem__("unitary", [[], [], [], []]),
+    "three rows": lambda doc: doc["steps"][0]["unitary"].pop(),
+    "empty initial": lambda doc: doc.__setitem__("initial", []),
+    "initial not a list": lambda doc: doc.__setitem__("initial", "0.5"),
+    "non-finite": lambda doc: doc["steps"][2]["unitary"][0].__setitem__(0, [math.nan, 0]),
+    "non-unitary": lambda doc: doc["steps"][2]["unitary"][0].__setitem__(0, [5.0, 0.0]),
+    "late bad pair before an early bad gate": lambda doc: (
+        doc["steps"][0]["unitary"][0].__setitem__(0, [5.0, 0.0]),
+        doc["steps"][4]["unitary"][0].__setitem__(0, [True, 0.0]),
+    ),
+}
+
+
+class TestWriterAgainstJson:
+    def test_every_catalog_document(self, full_catalog, tmp_path):
+        path = tmp_path / "a.json"
+        entries = [e for s in full_catalog.values() for e in s.entries]
+        assert len(entries) == 624
+        for entry in entries:
+            a = entry.algorithm
+            assert to_document(a, provenance=entry.provenance) == _entry_document(
+                a, provenance=entry.provenance
+            )
+            save(a, path, provenance=entry.provenance)
+            assert path.read_bytes() == _json_dump_bytes(a, provenance=entry.provenance), entry.provenance
+
+    @pytest.mark.parametrize("which", ["no steps", "signed zeros", "complex", "numpy variables"])
+    @pytest.mark.parametrize("name, provenance", [
+        (None, None),
+        ('say "hi"', 'back\\slash, tab\t, newline\n'),
+        ("\u00e9t\u00e9 \u2713 \U0001d49c", "\x00\x1f\x7f \u2028"),
+        ("", "plain"),
+    ])
+    def test_edge_documents(self, tmp_path, eq3, which, name, provenance):
+        a = {
+            "no steps": lambda: QQA(0, 2, [1, 0], (), (1, 0)),
+            "signed zeros": _signed_zeros,
+            "complex": lambda: _phase(eq3),
+            "numpy variables": lambda: QQA(
+                2, 2, [1, 0], (QueryGate((np.int64(1), np.uint8(0))),), (np.int64(1), 0)
+            ),
+        }[which]()
+        path = tmp_path / "a.json"
+        written = save(a, path, name=name, provenance=provenance)
+        assert path.read_bytes() == _json_dump_bytes(a, name, provenance)
+        assert json.loads(json.dumps(written, default=serialize._pair_lists)) == to_document(
+            a, name, provenance
+        )
+        doc = json.loads(path.read_text())
+        assert _decoded(from_document, doc) == _decoded(_pair_loop_from_document, doc)
+
+
+@pytest.mark.parametrize("value", [
+    {"exact": True, "worst_case_p": 0.75, "queries": 3, "per_input": {"01": 1.0, "10": 0.5},
+     "failures": ['expected "exact"', "café ✓"]},
+    [{"input": "1", "states": [], "probabilities": {}}, None, False, -0.0, 10**30, [[], [[]]]],
+    {"nan": math.nan, "inf": [math.inf, -math.inf], "nested": {"a": {"b": [1, 2.5]}},
+     'say "hi"\n': "\u00e9t\u00e9 \U0001d49c", "\u2713": "\x00\x7f"},
+    (1, (2, "three")),
+    "plain",
+    {},
+])
+def test_json_text_is_json_dumps(value):
+    assert serialize._json_text(value) == json.dumps(value, indent=1)
+
+
+def test_json_text_writes_complex_arrays_as_pairs():
+    states = np.array([[complex(-0.0, 1.0), 0.5], [1e-300, complex(2.0, -3.25)]])
+    value = {"rows": [{"states": states, "initial": states[0]}]}
+    nested = {"rows": [{"states": serialize._pair_lists(states),
+                        "initial": serialize._pair_lists(states[0])}]}
+    assert serialize._json_text(value) == json.dumps(nested, indent=1)
+
+
+class TestDecoderAgainstThePairLoop:
+    def test_every_catalog_document(self, full_catalog):
+        entries = [e for s in full_catalog.values() for e in s.entries]
+        assert len(entries) == 624
+        for k, entry in enumerate(entries):
+            text = json.dumps(to_document(entry.algorithm))
+            # Every fourth, every shape among them, also with integer entries.
+            versions = (json.loads(text), _as_integers(text)) if k % 4 == 0 else (json.loads(text),)
+            for doc in versions:
+                assert _decoded(from_document, doc) == _decoded(_pair_loop_from_document, doc)
+
+    @pytest.mark.parametrize("case", sorted(_HAND_MADE))
+    def test_hand_made_documents(self, eq3, case):
+        doc = json.loads(json.dumps(to_document(eq3)))
+        _HAND_MADE[case](doc)
+        assert _decoded(from_document, doc) == _decoded(_pair_loop_from_document, doc)
+
+    @pytest.mark.parametrize("field, where", [
+        ("initial[0]", lambda doc: doc["initial"][0]),
+        ("steps[2].unitary[3][1]", lambda doc: doc["steps"][2]["unitary"][3][1]),
+    ])
+    def test_integer_too_large_for_a_float_names_its_field(self, tmp_path, eq3, field, where):
+        doc = to_document(eq3)
+        where(doc)[1] = -10**400
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as caught:
+            load(path)
+        assert str(caught.value) == f"{field}: int too large to convert to float"
 
 
 @pytest.fixture(scope="module")
@@ -371,3 +621,11 @@ class TestCorruptedDocumentProperty:
         with pytest.raises(ValueError) as caught, np.errstate(invalid="ignore", over="ignore"):
             from_document(doc)
         assert field in str(caught.value)
+
+    @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+    @given(st.integers(0, 3), st.data())
+    def test_same_error_as_the_pair_loop(self, valid_documents, kind, which, data):
+        doc = copy.deepcopy(valid_documents[which])
+        CORRUPTIONS[kind](doc, data.draw)
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert _decoded(from_document, doc) == _decoded(_pair_loop_from_document, doc)

@@ -764,10 +764,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="^amplitudes must be positive, got 0$"):
             QQA(0, 0, [], (), ())
 
-    def test_numpy_integers_accepted(self):
+    def test_numpy_integers_accepted(self, tmp_path):
         a = QQA(1, 2, [1, 0], (QueryGate((np.int64(0), None)),), (np.int64(1), np.uint8(0)))
         assert a.measurement == (1, 0) and all(type(v) is int for v in a.measurement)
+        assert a.steps[0].assignments == (0, None) and type(a.steps[0].assignments[0]) is int
         assert computed_function(a).bits == b"\x01\x01"
+        save(a, tmp_path / "a.json")
+        loaded = load(tmp_path / "a.json")
+        assert loaded.steps[0].assignments == (0, None) and loaded.measurement == (1, 0)
+        assert computed_function(loaded).bits == b"\x01\x01"
+
+    def test_integer_query_gate_kept_as_it_is(self):
+        gate = QueryGate((0, None))
+        assert QQA(1, 2, [1, 0], (gate,), (1, 0)).steps[0] is gate
 
     @pytest.mark.parametrize("flag", [True, False, np.True_])
     def test_boolean_variable_index(self, flag):
