@@ -55,8 +55,37 @@ def format_amplitude(value: complex, tol: float = 1e-9) -> str:
     return f"{x:.6f}"
 
 
+#: The real values :func:`format_amplitude` names, with their labels, in the order it tries them.
+_NAMED_VALUES = tuple(
+    (sign * magnitude, ("-" if sign < 0 else "") + label)
+    for magnitude, label in _NAMED_AMPLITUDES
+    for sign in ((1.0, -1.0) if magnitude else (1.0,))
+)
+
+
+def _amplitude_labels(values, tol: float) -> list:
+    """:func:`format_amplitude` of every value of an array, in order, flattened.
+
+    Each rule of :func:`format_amplitude` runs as one pass over the whole
+    array, the imaginary check first and then the named values in its order;
+    a value that no rule names is formatted by :func:`format_amplitude`
+    itself, one at a time.
+    """
+    z = np.asarray(values, dtype=complex).ravel()
+    labels = np.empty(len(z), dtype=object)
+    imaginary = np.abs(z.imag) > tol
+    left = ~imaginary
+    for value, label in _NAMED_VALUES:
+        hit = left & (np.abs(z.real - value) <= tol)
+        labels[hit] = label
+        left &= ~hit
+    for i in np.flatnonzero(imaginary | left).tolist():
+        labels[i] = format_amplitude(z[i], tol)
+    return labels.tolist()
+
+
 def format_state(state, tol: float = 1e-9) -> str:
-    return "(" + ", ".join(format_amplitude(z, tol) for z in state) + ")"
+    return "(" + ", ".join(_amplitude_labels(state, tol)) + ")"
 
 
 def _step_labels(a: QQA) -> list:
@@ -84,7 +113,9 @@ def render_trace(a: QQA, t: SimulationTrace, tol: float = 1e-9) -> str:
     else:
         outcome = f"P(0)={probs[0]:.6f} P(1)={probs[1]:.6f}"
     cells = [t.input or "(empty)"]
-    cells.extend(format_state(s, tol) for s in t.states[1:])
+    labels = _amplitude_labels(t.states[1:], tol)  # every state of the row in one pass
+    m = a.amplitudes
+    cells.extend("(" + ", ".join(labels[k:k + m]) + ")" for k in range(0, len(labels), m))
     cells.append(outcome)
     return " | ".join(cells)
 

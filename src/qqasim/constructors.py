@@ -13,7 +13,12 @@ probability mass determined only by how many sub-functions are true:
 Sub-algorithms with unequal query schedules are padded with no-op queries and
 identity gates, so a combination always costs max(queries) queries.  The
 parallel gates are written into one identity-initialised stack that spans
-every amplitude, auxiliary ones included, so no gate is padded twice.
+every amplitude, auxiliary ones included, so no gate is padded twice.  The
+parts' gates were checked when the parts were made, and the mixing gates
+are unitary by construction once their builder's first gate has passed the
+check, so a combination checks no gate again; its query variables, arity,
+initial state and measurement are still checked
+(:func:`qqasim.simulator._assembled`).
 
 A combined algorithm carries nothing but its fields:
 :func:`qqasim.simulator.run_all` finds the parts' blocks in its gates, as it
@@ -21,6 +26,7 @@ does in a copy reloaded from a document.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,6 +41,8 @@ from .simulator import (
     QQA,
     QueryGate,
     StructuralProperty,
+    _assembled,
+    _freeze,
     check_property,
     computed_function,
 )
@@ -65,27 +73,42 @@ def _as_accept_plus(a: QQA, label: str) -> QQA:
 
 
 def _accepting_index(a: QQA) -> int:
-    accepting = a.accepting_outputs()
-    if len(accepting) != 1:
-        raise ValueError(f"expected exactly one accepting output, found {len(accepting)}")
-    return accepting[0]
+    accepting = a.measurement.count(1)
+    if accepting != 1:
+        raise ValueError(f"expected exactly one accepting output, found {accepting}")
+    return a.measurement.index(1)
 
 
-def _segments(a: QQA):
-    """Split steps into runs of unitaries separated by the query gates."""
-    segments: list[list] = [[]]
-    queries: list[QueryGate] = []
+def _accepting_at(amplitudes: int, index: int) -> tuple:
+    """The measurement that accepts at ``index`` alone."""
+    return (0,) * index + (1,) + (0,) * (amplitudes - index - 1)
+
+
+def _schedule(a: QQA) -> tuple:
+    """The number of gates in each run between ``a``'s queries, and its query gates."""
+    runs, queries = [0], []
     for step in a.steps:
         if isinstance(step, QueryGate):
             queries.append(step)
-            segments.append([])
+            runs.append(0)
         else:
-            segments[-1].append(step)
-    return segments, queries
+            runs[-1] += 1
+    return runs, queries
 
 
-def _parallel_steps(algs: Sequence[QQA], widths: Sequence[int], amplitudes: int) -> tuple:
-    """Steps running all ``algs`` side by side on disjoint variables, over ``amplitudes`` states.
+#: The builders of the combiners' mixing gates that a construction has
+#: checked.  Each builds a unitary gate from any arguments it accepts, once
+#: its own constants are right: a permutation, Hadamard blocks on disjoint
+#: pairs of positions and the identity elsewhere, or one fixed gate.  So the
+#: first construction that uses a builder checks its gates, and no later one.
+_CHECKED: set = set()
+
+
+def _combined(
+    algs: Sequence[QQA], widths: Sequence[int], amplitudes: int, tail: Sequence[tuple],
+    initial: np.ndarray, measurement: tuple,
+) -> QQA:
+    """All ``algs`` side by side on disjoint variables over ``amplitudes`` states, then ``tail``.
 
     Algorithm i acts on the first amplitudes of its own block of
     ``widths[i]``, in order; the rest of a block, and the amplitudes past
@@ -94,42 +117,63 @@ def _parallel_steps(algs: Sequence[QQA], widths: Sequence[int], amplitudes: int)
     run, and unitary runs are identity-padded to a common length per slot, so
     the steps share one step-kind pattern; padding never changes what an
     algorithm computes.  Every gate is written into one identity-initialised
-    ``(slots, amplitudes, amplitudes)`` stack.  Variable indices of later
-    blocks are shifted past the arities of earlier ones, matching the
-    convention of :func:`qqasim.boolfun.combine_disjoint`.
+    ``(slots, amplitudes, amplitudes)`` stack, each part's gates with one
+    assignment.  Variable indices of later blocks are shifted past the
+    arities of earlier ones, matching the convention of
+    :func:`qqasim.boolfun.combine_disjoint`.  ``tail`` lists the mixing
+    gates that follow as ``(builder, arguments)`` pairs.  The parts' gates
+    were checked when the parts were made, so only the mixing gates of a
+    builder used for the first time are checked here (see ``_CHECKED``).
     """
-    split = [_segments(a) for a in algs]
-    t_max = max(len(queries) for _, queries in split)
-    for a, (segments, queries) in zip(algs, split):
-        while len(queries) < t_max:
-            queries.append(QueryGate((None,) * a.amplitudes))
-            segments.insert(len(segments) - 1, [])
-    run_lengths = [max(len(segments[i]) for segments, _ in split) for i in range(t_max + 1)]
-    starts = list(itertools.accumulate(run_lengths, initial=0))
-    stack = np.empty((starts[-1], amplitudes, amplitudes), dtype=complex)
-    stack[...] = np.eye(amplitudes)
+    schedules = [_schedule(a) for a in algs]
+    rounds = max(len(queries) for _, queries in schedules)
+    for runs, queries in schedules:
+        runs[-1:-1] = [0] * (rounds - len(queries))
+    lengths = [max(column) for column in zip(*(runs for runs, _ in schedules))]
+    starts = list(itertools.accumulate(lengths, initial=0))
+    parallel = starts[-1]
+    stack = np.zeros((parallel + len(tail), amplitudes, amplitudes), dtype=complex)
+    stack.reshape(len(stack), -1)[:parallel, ::amplitudes + 1] = 1.0  # the diagonals
+    for slot, (build, args) in enumerate(tail, parallel):
+        stack[slot] = build(*args)
     offsets = list(itertools.accumulate(widths, initial=0))
-    for a, offset, (segments, _) in zip(algs, offsets, split):
+    for a, offset, (runs, _) in zip(algs, offsets, schedules):
+        if runs == lengths:  # a gate in every slot: a slice, which is faster to write
+            slots = slice(0, parallel)
+        else:
+            slots = [k for start, run in zip(starts, runs) for k in range(start, start + run)]
         block = slice(offset, offset + a.amplitudes)
-        for start, segment in zip(starts, segments):
-            for slot, gate in enumerate(segment, start):
-                stack[slot, block, block] = gate
+        stack[slots, block, block] = a._gates
     shifts = list(itertools.accumulate((a.arity for a in algs), initial=0))
     steps: list = []
-    for i in range(t_max + 1):
-        steps.extend(stack[starts[i]:starts[i + 1]])
-        if i < t_max:
+    for i, length in enumerate(lengths):
+        steps += [None] * length
+        if i < rounds:
             assignments = [None] * amplitudes
-            for a, offset, shift, (_, queries) in zip(algs, offsets, shifts, split):
-                assignments[offset:offset + a.amplitudes] = (
-                    None if v is None else v + shift for v in queries[i].assignments
-                )
+            for a, offset, shift, (_, queries) in zip(algs, offsets, shifts, schedules):
+                if i < len(queries):
+                    assignments[offset:offset + a.amplitudes] = [
+                        None if v is None else v + shift for v in queries[i].assignments
+                    ]
             steps.append(QueryGate(assignments))
-    return tuple(steps)
+    steps += [None] * len(tail)
+    known = all(build in _CHECKED for build, _ in tail)
+    algorithm = _assembled(
+        shifts[-1], initial, stack, len(stack) if known else parallel, steps, measurement
+    )
+    _CHECKED.update(build for build, _ in tail)
+    return algorithm
 
 
-def _hadamard_pairs(dim: int, pairs: Sequence[tuple]) -> np.ndarray:
-    """Identity with a ((s, s), (s, -s)) block on each (i, j) position pair."""
+def _hadamard_pairs(dim: int, pairs: tuple) -> np.ndarray:
+    """Identity with a ((s, s), (s, -s)) block on each (i, j) position pair.
+
+    The pairs must not share a position, so the gate is unitary whenever its
+    2x2 block is.
+    """
+    positions = [p for pair in pairs for p in pair]
+    if len(set(positions)) != len(positions) or not set(positions) <= set(range(dim)):
+        raise ValueError(f"Hadamard pairs must be disjoint positions below {dim}, got {pairs}")
     gate = np.eye(dim, dtype=complex)
     for i, j in pairs:
         gate[i, i] = _S
@@ -151,22 +195,14 @@ def and_construct(a1: QQA, a2: QQA) -> ConstructionResult:
     a2 = _as_accept_plus(a2, "second input")
     f1, f2 = computed_function(a1), computed_function(a2)
     m = max(a1.amplitudes, a2.amplitudes)
-    steps = _parallel_steps([a1, a2], [m, m], 2 * m)
     acc1 = _accepting_index(a1)
     acc2 = m + _accepting_index(a2)
-    mix = _hadamard_pairs(2 * m, [(acc1, acc2)])
     initial = np.zeros(2 * m, dtype=complex)
     initial[:a1.amplitudes] = a1.initial
     initial[m:m + a2.amplitudes] = a2.initial
     initial /= math.sqrt(2.0)
-    measurement = tuple(1 if i == acc1 else 0 for i in range(2 * m))
-    algorithm = QQA(
-        arity=a1.arity + a2.arity,
-        amplitudes=2 * m,
-        initial=initial,
-        steps=steps + (mix,),
-        measurement=measurement,
-    )
+    mix = (_hadamard_pairs, (2 * m, ((acc1, acc2),)))
+    algorithm = _combined([a1, a2], [m, m], 2 * m, [mix], initial, _accepting_at(2 * m, acc1))
     target = combine_disjoint(f1, f2, "and")
     return ConstructionResult(algorithm, target, guaranteed_p=3 / 4, queries=algorithm.query_count)
 
@@ -182,26 +218,38 @@ def _route(sigma: list, sources: Sequence[int], targets: Sequence[int]) -> None:
         sigma[s] = t
 
 
-def _or_routing(acc1: int, acc2: int) -> list:
-    """16-slot permutation placing accepting amplitudes first, rejects in fixed groups."""
+@functools.cache
+def _or_routing(acc1: int, acc2: int) -> np.ndarray:
+    """16-slot permutation placing accepting amplitudes first, rejects in fixed groups.
+
+    ``acc1`` and ``acc2`` are the accepting outputs of the two 4-amplitude
+    parts; each of the 16 gates is built once and kept read-only.
+    """
     sigma: list = [None] * 16
     rejecting1 = [i for i in range(4) if i != acc1]
-    rejecting2 = [i for i in range(4, 8) if i != acc2]
+    rejecting2 = [i for i in range(4, 8) if i != 4 + acc2]
     _route(sigma, [acc1], [0])
-    _route(sigma, [acc2], [1])
+    _route(sigma, [4 + acc2], [1])
     _route(sigma, rejecting1, [2, 3, 4])
     _route(sigma, rejecting2, [6, 7, 8])
     unused_sources = [i for i in range(16) if sigma[i] is None]
     unused_targets = sorted(set(range(16)) - set(s for s in sigma if s is not None))
     _route(sigma, unused_sources, unused_targets)
-    return sigma
+    return _freeze(permutation_matrix(sigma))
 
 
 _H2 = np.array([[_S, _S], [_S, -_S]])
-#: The last gate of every ``or`` construction, read-only: a Hadamard block on
-#: the accepting pair (slots 0-1) and a 4x4 one on each side's group (2-5, 6-9).
-_OR_MIX = block_diag([_H2, np.kron(_H2, _H2), np.kron(_H2, _H2), np.eye(6)])
-_OR_MIX.setflags(write=False)
+
+
+@functools.cache
+def _or_mix() -> np.ndarray:
+    """The last gate of every ``or`` construction, built once and kept read-only: a
+    Hadamard block on the accepting pair (slots 0-1) and a 4x4 one on each side's
+    group (2-5, 6-9)."""
+    return _freeze(block_diag([_H2, np.kron(_H2, _H2), np.kron(_H2, _H2), np.eye(6)]))
+
+
+_OR_MEASUREMENT = tuple(1 if i in (0, 1, 2, 6) else 0 for i in range(16))
 
 
 def or_construct(a1: QQA, a2: QQA) -> ConstructionResult:
@@ -222,18 +270,10 @@ def or_construct(a1: QQA, a2: QQA) -> ConstructionResult:
                 f"{label}: needs a certain outcome with one accepting amplitude in {{-1, 0, +1}}"
             )
     f1, f2 = computed_function(a1), computed_function(a2)
-    steps = _parallel_steps([a1, a2], [4, 4], 16)
-    swap = permutation_matrix(_or_routing(_accepting_index(a1), 4 + _accepting_index(a2)))
     initial = np.concatenate([a1.initial, a2.initial]) / math.sqrt(2.0)
     initial = np.concatenate([initial, np.zeros(8)])
-    measurement = tuple(1 if i in (0, 1, 2, 6) else 0 for i in range(16))
-    algorithm = QQA(
-        arity=a1.arity + a2.arity,
-        amplitudes=16,
-        initial=initial,
-        steps=steps + (swap, _OR_MIX),
-        measurement=measurement,
-    )
+    tail = [(_or_routing, (_accepting_index(a1), _accepting_index(a2))), (_or_mix, ())]
+    algorithm = _combined([a1, a2], [4, 4], 16, tail, initial, _OR_MEASUREMENT)
     target = combine_disjoint(f1, f2, "or")
     return ConstructionResult(algorithm, target, guaranteed_p=5 / 8, queries=algorithm.query_count)
 
@@ -246,21 +286,16 @@ def _majority_pipeline(algs: Sequence[QQA]) -> QQA:
     where b counts the true sub-functions.
     """
     algs = [_as_accept_plus(a, f"input {i + 1}") for i, a in enumerate(algs)]
-    offsets = np.cumsum([0] + [a.amplitudes for a in algs])
-    total = int(offsets[-1])
-    steps = _parallel_steps(algs, [a.amplitudes for a in algs], total)
-    acc = [int(off) + _accepting_index(a) for off, a in zip(offsets, algs)]
-    first_mix = _hadamard_pairs(total, [(acc[0], acc[1]), (acc[2], acc[3])])
-    second_mix = _hadamard_pairs(total, [(acc[0], acc[2])])
+    widths = [a.amplitudes for a in algs]
+    offsets = itertools.accumulate(widths, initial=0)
+    acc = [offset + _accepting_index(a) for offset, a in zip(offsets, algs)]
+    total = sum(widths)
+    tail = [
+        (_hadamard_pairs, (total, ((acc[0], acc[1]), (acc[2], acc[3])))),
+        (_hadamard_pairs, (total, ((acc[0], acc[2]),))),
+    ]
     initial = np.concatenate([a.initial for a in algs]) / 2.0
-    measurement = tuple(1 if i == acc[0] else 0 for i in range(total))
-    return QQA(
-        arity=sum(a.arity for a in algs),
-        amplitudes=total,
-        initial=initial,
-        steps=steps + (first_mix, second_mix),
-        measurement=measurement,
-    )
+    return _combined(algs, widths, total, tail, initial, _accepting_at(total, acc[0]))
 
 
 def majority_even4_construct(a1: QQA, a2: QQA, a3: QQA, a4: QQA) -> ConstructionResult:
@@ -276,6 +311,12 @@ def majority_even4_construct(a1: QQA, a2: QQA, a3: QQA, a4: QQA) -> Construction
     return ConstructionResult(algorithm, target, guaranteed_p=9 / 16, queries=algorithm.query_count)
 
 
+@functools.cache
+def _filler() -> QQA:
+    """The constant-1 algorithm that fills the fourth slot of :func:`majority3_construct`."""
+    return constant_one_algorithm(num_amplitudes=1, arity=0, queries=0)
+
+
 def majority3_construct(a1: QQA, a2: QQA, a3: QQA) -> ConstructionResult:
     """Bounded-error algorithm accepting iff at least 2 of 3 sub-functions accept.
 
@@ -284,7 +325,6 @@ def majority3_construct(a1: QQA, a2: QQA, a3: QQA) -> ConstructionResult:
     majority into the odd three-way one at the same 9/16 floor.
     """
     algs = (a1, a2, a3)
-    filler = constant_one_algorithm(num_amplitudes=1, arity=0, queries=0)
-    algorithm = _majority_pipeline((*algs, filler))
+    algorithm = _majority_pipeline((*algs, _filler()))
     target = majority_compose([computed_function(a) for a in algs], even=False)
     return ConstructionResult(algorithm, target, guaranteed_p=9 / 16, queries=algorithm.query_count)

@@ -8,8 +8,13 @@ summed squared magnitudes of the amplitudes assigned to it.
 
 Only the number of query steps counts toward complexity; unitary steps are
 free.  The whole model is immutable, so every question asked of one
-algorithm has one answer.  Construction checks all of an algorithm's gates
-for unitarity in one batch.  :func:`computed_function`, :func:`is_exact`
+algorithm has one answer.  Each gate is checked for unitarity once, in a
+batch with the other new gates of the algorithm that brings it in:
+:class:`QQA` checks every field it is given, and the combiners and
+transforms build through :func:`_assembled`, which takes the gates of
+algorithms made before as checked and checks only the rest.  Two
+algorithms may share one read-only stack of gates.
+:func:`computed_function`, :func:`is_exact`
 and :func:`check_property` share one :func:`run_all` simulation per
 algorithm object: the first of them to be called keeps the answers (never
 the per-input states) on the object, taken in one pass over the states'
@@ -37,7 +42,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .boolfun import MAX_ARITY, TruthTable, bit_string, _check_input
+from .boolfun import MAX_ARITY, TruthTable, all_inputs, bit_string, _check_input
 from .linalg import NORM_TOL, UNITARY_TOL, _unitarity_errors
 
 
@@ -57,12 +62,21 @@ class QueryGate:
         object.__setattr__(self, "assignments", tuple(self.assignments))
 
 
+#: The types of a query gate's entries that need no conversion.
+_PLAIN_VARIABLE = {int, type(None)}
+
+
 def _query_gate(gate: QueryGate, m: int, arity: int) -> tuple:
     """``(gate, None)`` with every variable an ``int``, or ``(gate, what is wrong)``
     after ``steps[k].``; the gate is copied only if a variable is not an ``int`` yet."""
     assignments = gate.assignments
     if len(assignments) != m:
         return gate, f"query: query gate needs {m} assignments"
+    if set(map(type, assignments)) <= _PLAIN_VARIABLE:
+        variables = set(assignments)
+        variables.discard(None)
+        if not variables or 0 <= min(variables) and max(variables) < arity:
+            return gate, None
     convert = False
     for j, v in enumerate(assignments):
         if v is None:
@@ -83,21 +97,63 @@ def _freeze(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _initial(values, m: int) -> np.ndarray:
+    """A read-only complex copy of ``values``, once it is a unit-norm state of ``m`` amplitudes."""
+    initial = np.array(values, dtype=complex)
+    if initial.shape != (m,):
+        raise ValueError(f"initial state must have shape ({m},), got {initial.shape}")
+    if not abs(float(np.square(initial.view(float)).sum()) - 1.0) <= NORM_TOL:
+        raise ValueError("initial: state is not unit-norm")
+    return _freeze(initial)
+
+
+def _check_unitary(stack: np.ndarray, at) -> None:
+    """Check a stack of gates in one batch; gate i is ``steps[at[i]]``, and the first failing
+    one is named."""
+    failing = np.flatnonzero(~(_unitarity_errors(stack) <= UNITARY_TOL))
+    if failing.size:
+        raise ValueError(
+            f"steps[{at[failing[0]]}].unitary: matrix is not unitary within {UNITARY_TOL}"
+        )
+
+
+def _check_arity(arity: int) -> None:
+    if not 0 <= arity <= MAX_ARITY:
+        raise ValueError(f"arity must be between 0 and {MAX_ARITY}, got {arity}")
+
+
+def _measurement(values, m: int) -> tuple:
+    """``values`` as a tuple of ``m`` ``int`` values 0 or 1, once checked."""
+    measurement = tuple(values) if np.iterable(values) else ()
+    if len(measurement) == m:
+        if set(map(type, measurement)) == {int} and set(measurement) <= {0, 1}:
+            return measurement
+        if not any(
+            isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v not in (0, 1)
+            for v in measurement
+        ):
+            return tuple(int(v) for v in measurement)
+    raise ValueError(f"measurement must assign 0 or 1 to each of the {m} outputs")
+
+
 @dataclass(frozen=True, eq=False)
 class QQA:
     """A quantum query algorithm over ``amplitudes`` basis states.
 
     ``steps`` holds unitary matrices and :class:`QueryGate` objects in
     execution order; ``measurement`` assigns an output value (0 or 1) to each
-    basis state.  Construction is the one place an algorithm is checked,
-    loaded or built: unitarity of every gate at ``UNITARY_TOL``, all gates in
-    one batch, unit norm of the initial state at ``NORM_TOL``, every shape,
-    an arity of at most ``MAX_ARITY``, and integer sizes, variables (in
-    ``0..arity-1``) and measurement values (never booleans; numpy integers
-    are stored as ``int``, in query gates too).  Errors name the field as a
-    document does, such as ``steps[k].query[j]``, and the first failing
-    step.  The stored gates are read-only views of one ``(gates, m, m)``
-    complex array.
+    basis state.  Construction checks every field: unitarity of every gate
+    at ``UNITARY_TOL``, all gates in one batch, unit norm of the initial
+    state at ``NORM_TOL``, every shape, an arity of at most ``MAX_ARITY``,
+    and integer sizes, variables (in ``0..arity-1``) and measurement values
+    (never booleans; numpy integers are stored as ``int``, in query gates
+    too).  Errors name the field as a document does, such as
+    ``steps[k].query[j]``, and the first failing step.  The stored gates are
+    read-only views of one ``(gates, m, m)`` complex array.  Loading, the
+    built-ins and ``dataclasses.replace`` all come here; only the combiners
+    and transforms build an algorithm through :func:`_assembled`, from gates
+    that were checked already, and it checks the rest with the same helpers
+    and messages.
     """
 
     arity: int
@@ -116,18 +172,11 @@ class QQA:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
-        if not 0 <= self.arity <= MAX_ARITY:
-            raise ValueError(f"arity must be between 0 and {MAX_ARITY}, got {self.arity}")
+        _check_arity(self.arity)
         if self.amplitudes < 1:
             raise ValueError(f"amplitudes must be positive, got {self.amplitudes}")
         m = self.amplitudes
-
-        initial = np.array(self.initial, dtype=complex)
-        if initial.shape != (m,):
-            raise ValueError(f"initial state must have shape ({m},), got {initial.shape}")
-        if not abs(float(np.sum(np.abs(initial) ** 2)) - 1.0) <= NORM_TOL:
-            raise ValueError("initial: state is not unit-norm")
-        object.__setattr__(self, "initial", _freeze(initial))
+        object.__setattr__(self, "initial", _initial(self.initial, m))
 
         steps, malformed = [], None
         for k, step in enumerate(self.steps):
@@ -151,25 +200,14 @@ class QQA:
         stack = np.empty((len(gates), m, m), dtype=complex)
         for gate, k in zip(stack, gates):
             gate[...] = steps[k]
-        failing = np.flatnonzero(~(_unitarity_errors(stack) <= UNITARY_TOL))
-        if failing.size:
-            raise ValueError(
-                f"steps[{gates[failing[0]]}].unitary: matrix is not unitary within {UNITARY_TOL}"
-            )
+        _check_unitary(stack, gates)
         if malformed:
             raise ValueError(malformed)
         for k, gate in zip(gates, _freeze(stack)):
             steps[k] = gate
         object.__setattr__(self, "_gates", stack)
         object.__setattr__(self, "steps", tuple(steps))
-
-        measurement = tuple(self.measurement) if np.iterable(self.measurement) else ()
-        if len(measurement) != m or any(
-            isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v not in (0, 1)
-            for v in measurement
-        ):
-            raise ValueError(f"measurement must assign 0 or 1 to each of the {m} outputs")
-        object.__setattr__(self, "measurement", tuple(int(v) for v in measurement))
+        object.__setattr__(self, "measurement", _measurement(self.measurement, m))
 
     @property
     def query_count(self) -> int:
@@ -179,6 +217,52 @@ class QQA:
     def accepting_outputs(self) -> tuple:
         """Indices of basis states assigned value 1."""
         return tuple(i for i, v in enumerate(self.measurement) if v == 1)
+
+
+def _assembled(arity: int, initial, gates: np.ndarray, trusted: int, steps, measurement) -> QQA:
+    """An algorithm on ``gates``, a ``(k, m, m)`` complex stack, checking only what is new.
+
+    The combiners and transforms build their algorithms here.  The first
+    ``trusted`` gates must have passed :class:`QQA`'s check already: they
+    are taken from validated algorithms, or from a table that a construction
+    checked before.  The rest are checked in one batch.  So are the arity,
+    the initial state (a read-only copy is kept), every query variable and
+    the measurement, with :class:`QQA`'s messages, naming the first failing
+    step.  Each entry of ``steps`` that is not a :class:`QueryGate` stands
+    for the next gate of ``gates``, in order, and becomes a read-only view
+    of it; the stack is frozen and kept as it is, not copied.
+    """
+    _check_arity(arity)
+    m = gates.shape[1]
+    initial = _initial(initial, m)
+    views = iter(_freeze(gates))
+    checked, malformed = [], None
+    for k, step in enumerate(steps):
+        if isinstance(step, QueryGate):
+            step, malformed = _query_gate(step, m, arity)
+            if malformed:
+                malformed = f"steps[{k}].{malformed}"
+                break
+        else:
+            step = next(views)
+        checked.append(step)
+    if len(gates) > trusted:  # as in QQA, only the gates before a malformed step
+        at = [k for k, step in enumerate(checked) if not isinstance(step, QueryGate)]
+        _check_unitary(gates[trusted:len(at)], at[trusted:])
+    if malformed:
+        raise ValueError(malformed)
+    algorithm = object.__new__(QQA)
+    for name, value in (
+        ("arity", arity),
+        ("amplitudes", m),
+        ("initial", initial),
+        ("steps", tuple(checked)),
+        ("measurement", _measurement(measurement, m)),
+        ("_memo", None),
+        ("_gates", gates),
+    ):
+        object.__setattr__(algorithm, name, value)
+    return algorithm
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,7 +292,13 @@ class VerificationReport:
     def per_input(self) -> dict:
         """``success`` keyed by input string, built on first read."""
         arity = len(self.witness)  # one character per variable
-        return {bit_string(i, arity): float(p) for i, p in enumerate(self.success)}
+        return dict(zip(_input_strings(arity), self.success.tolist()))
+
+
+@lru_cache(maxsize=None)
+def _input_strings(arity: int) -> tuple:
+    """Every input string of an arity, in row order; one tuple per arity, kept."""
+    return tuple(all_inputs(arity))
 
 
 class StructuralProperty(enum.Enum):

@@ -2,11 +2,13 @@
 
 Each transform returns a new algorithm; none of them adds a query, so
 complexity is preserved.  Inputs are validated against the precondition each
-transform needs for the output to stay exact.
+transform needs for the output to stay exact.  The source's gates were
+checked when it was made: relabelling the outputs or the variables shares
+its read-only gate stack and checks no gate, and the sign flip copies the
+stack and checks only the gate it adds.
 """
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -15,6 +17,7 @@ from .simulator import (
     QQA,
     QueryGate,
     StructuralProperty,
+    _assembled,
     check_property,
     computed_function,
     is_exact,
@@ -29,6 +32,11 @@ def _check_permutation(sigma: Sequence[int], size: int, what: str) -> tuple:
     return sigma
 
 
+def _relabelled(a: QQA, steps: tuple, measurement: tuple) -> QQA:
+    """``a`` with new query gates or a new measurement, on ``a``'s own gates."""
+    return _assembled(a.arity, a.initial, a._gates, len(a._gates), steps, measurement)
+
+
 def invert_outputs(a: QQA) -> QQA:
     """Flip every output's assigned value; the result computes the complement.
 
@@ -38,7 +46,7 @@ def invert_outputs(a: QQA) -> QQA:
     computed_function(a)  # fails on an input where neither value wins
     if not is_exact(a):
         raise ValueError("output inversion requires an exact algorithm")
-    return replace(a, measurement=tuple(1 - v for v in a.measurement))
+    return _relabelled(a, a.steps, tuple(1 - v for v in a.measurement))
 
 
 def permute_outputs(a: QQA, sigma: Sequence[int]) -> QQA:
@@ -56,7 +64,7 @@ def permute_outputs(a: QQA, sigma: Sequence[int]) -> QQA:
     values = list(a.measurement)
     for i, j in enumerate(sigma):
         values[j] = a.measurement[i]
-    return replace(a, measurement=tuple(values))
+    return _relabelled(a, a.steps, tuple(values))
 
 
 def permute_variables(a: QQA, sigma: Sequence[int]) -> QQA:
@@ -71,7 +79,7 @@ def permute_variables(a: QQA, sigma: Sequence[int]) -> QQA:
         else step
         for step in a.steps
     )
-    return replace(a, steps=steps)
+    return _relabelled(a, steps, a.measurement)
 
 
 def normalize_accepting_sign(a: QQA) -> QQA:
@@ -84,6 +92,6 @@ def normalize_accepting_sign(a: QQA) -> QQA:
     if not check_property(a, StructuralProperty.ACCEPT_MINUS_ONE):
         raise ValueError("sign normalization requires an accepting amplitude in {0, -1}")
     acc = a.accepting_outputs()[0]
-    gate = np.eye(a.amplitudes, dtype=complex)
-    gate[acc, acc] = -1.0
-    return replace(a, steps=a.steps + (gate,))
+    gates = np.concatenate([a._gates, np.eye(a.amplitudes, dtype=complex)[np.newaxis]])
+    gates[-1, acc, acc] = -1.0
+    return _assembled(a.arity, a.initial, gates, len(a._gates), a.steps + (None,), a.measurement)

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import settings
 
+from qqasim import simulator
 from qqasim.algorithms import equality3_algorithm, pair_equality4_algorithm
 from qqasim.boolfun import named_function
 from qqasim.catalog import generate_all
@@ -74,3 +75,21 @@ def f_pe4():
 def full_catalog():
     """All six generated families; shared because generation re-verifies everything."""
     return generate_all()
+
+
+@pytest.fixture
+def count_checks(monkeypatch):
+    """Call it to start recording the size of each batch of gates checked for unitarity."""
+
+    def start() -> list:
+        batches = []
+        check = simulator._unitarity_errors
+
+        def counting(stack):
+            batches.append(len(stack))
+            return check(stack)
+
+        monkeypatch.setattr(simulator, "_unitarity_errors", counting)
+        return batches
+
+    return start

@@ -5,10 +5,17 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qqasim import simulator
+from qqasim import cli, simulator
 from qqasim.algorithms import BUILTINS
-from qqasim.boolfun import TruthTable, all_inputs, combine_disjoint, named_function, table_to_csv
-from qqasim.cli import format_amplitude, format_state, main
+from qqasim.boolfun import (
+    TruthTable,
+    all_inputs,
+    bit_string,
+    combine_disjoint,
+    named_function,
+    table_to_csv,
+)
+from qqasim.cli import format_amplitude, format_state, main, render_trace
 from qqasim.serialize import load, save
 from qqasim.simulator import computed_function
 
@@ -493,3 +500,33 @@ class TestFormatting:
 
     def test_state_rendering(self):
         assert format_state([0.5, -(2**-0.5), 0.0, 1.0]) == "(1/2, -1/√2, 0, 1)"
+
+
+def _state_one_value_at_a_time(state, tol):
+    """The reference for :func:`format_state`: every amplitude formatted on its own."""
+    return "(" + ", ".join(format_amplitude(z, tol) for z in state) + ")"
+
+
+def test_trace_rendering_equals_the_per_value_function(full_catalog):
+    for function_set in full_catalog.values():
+        for entry in function_set.entries:
+            a = entry.algorithm
+            for row in sorted({0, (1 << a.arity) // 3, (1 << a.arity) - 1}):
+                t = simulator.trace(a, bit_string(row, a.arity))
+                for state in t.states:
+                    assert format_state(state, 1e-9) == _state_one_value_at_a_time(state, 1e-9)
+                cells = render_trace(a, t).split(" | ")
+                assert cells[1:-1] == [_state_one_value_at_a_time(s, 1e-9) for s in t.states[1:]]
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-3, 0.3])
+def test_edge_values_equal_the_per_value_function(tol):
+    reals = [np.nan, np.inf, -np.inf, -0.0, 0.75, 2.0]
+    for magnitude, _ in cli._NAMED_AMPLITUDES:
+        for edge in (magnitude + tol, magnitude - tol, -magnitude + tol, -magnitude - tol):
+            reals += [edge, np.nextafter(edge, np.inf), np.nextafter(edge, -np.inf)]
+    reals += list(np.linspace(-1.5, 1.5, 61))  # overlapping ranges at a large tol: rule order
+    imaginary = [0.0, tol, -tol, np.nextafter(tol, 1.0), np.nan, np.inf, -np.inf]
+    values = [complex(x, y) for x in reals for y in imaginary]
+    for state in (reals, values, np.array(values)):
+        assert format_state(state, tol) == _state_one_value_at_a_time(state, tol)

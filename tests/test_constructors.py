@@ -3,17 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from qqasim.algorithms import constant_one_algorithm
-from qqasim.boolfun import all_inputs, combine_disjoint, majority_compose, named_function
+from qqasim import catalog, constructors, simulator
+from qqasim.algorithms import constant_one_algorithm, equality3_algorithm, pair_equality4_algorithm
+from qqasim.boolfun import MAX_ARITY, all_inputs, combine_disjoint, majority_compose, named_function
 from qqasim.constructors import (
     and_construct,
     majority3_construct,
     majority_even4_construct,
     or_construct,
 )
-from qqasim.linalg import block_diag, is_unitary
-from qqasim.simulator import QQA, QueryGate, run, run_all, verify
-from qqasim.transforms import permute_outputs
+from qqasim.linalg import UNITARY_TOL, _unitarity_errors, block_diag, is_unitary
+from qqasim.simulator import QQA, QueryGate, _assembled, run, run_all, verify
+from qqasim.transforms import normalize_accepting_sign, permute_outputs
 
 S = 1.0 / math.sqrt(2.0)
 
@@ -288,3 +289,133 @@ class TestMajority3:
         x = "001001001"
         assert result.target.evaluate(x) == 0
         assert report.per_input[x] == pytest.approx(15 / 16, abs=1e-9)
+
+
+class TestAssembledFromCheckedParts:
+    """The combiners and transforms check only the gates that are new."""
+
+    def test_public_constructor_rebuilds_every_catalog_algorithm(self, full_catalog):
+        # The checks that the combiners and transforms skip would have passed.
+        algorithms = [e.algorithm for s in full_catalog.values() for e in s.entries]
+        for name, base in (("e", equality3_algorithm()), ("p", pair_equality4_algorithm())):
+            algorithms += [e.algorithm for e in catalog._transform_variants(name, base)]
+        algorithms += [e.algorithm for e in catalog._mixing_pool(full_catalog["qfunc3"].entries)]
+        assert len(algorithms) == 624 + 240 + 4
+        for a in algorithms:
+            assert (_unitarity_errors(a._gates) <= UNITARY_TOL).all()
+            rebuilt = QQA(a.arity, a.amplitudes, a.initial, a.steps, a.measurement)
+            assert rebuilt._gates.dtype == a._gates.dtype == complex
+            assert rebuilt._gates.tobytes() == a._gates.tobytes()
+            assert [getattr(step, "assignments", None) for step in rebuilt.steps] == [
+                getattr(step, "assignments", None) for step in a.steps
+            ]
+            assert rebuilt.measurement == a.measurement
+            assert simulator._answers(rebuilt) == simulator._answers(a)
+
+    @pytest.mark.parametrize(
+        "combine, parts, builders",
+        [
+            (and_construct, ("eq3", "eq3"), 1),
+            (or_construct, ("pe4", "eq3"), 2),
+            (majority_even4_construct, ("eq3",) * 4, 1),
+            (majority3_construct, ("eq3",) * 3, 1),
+        ],
+    )
+    def test_mixing_gates_are_checked_by_the_first_construction_only(
+        self, eq3, pe4, monkeypatch, count_checks, combine, parts, builders
+    ):
+        algs = [{"eq3": eq3, "pe4": pe4}[name] for name in parts]
+        # Another accepting output, so other mixing gates; in {0, +1}, so no sign flip.
+        moved = normalize_accepting_sign(permute_outputs(eq3, [1, 0, 2, 3]))
+        monkeypatch.setattr(constructors, "_CHECKED", set())
+        checked = count_checks()
+        first = combine(*algs).algorithm
+        assert len(constructors._CHECKED) == builders
+        tail = 1 if combine is and_construct else 2
+        assert checked == [tail]  # the mixing gates, none of the parts' gates
+        second = combine(*algs).algorithm
+        other = combine(*[moved if a is eq3 else a for a in algs]).algorithm
+        assert checked == [tail]  # no gate of the later ones is checked
+        assert second._gates.tobytes() == first._gates.tobytes()
+        assert other._gates[-tail:].tobytes() != first._gates[-tail:].tobytes()
+
+    @pytest.mark.parametrize(
+        "combine, parts, builder, at",
+        [
+            (and_construct, ("eq3", "eq3"), "_hadamard_pairs", 5),
+            (or_construct, ("pe4", "eq3"), "_or_routing", 5),
+            (or_construct, ("pe4", "eq3"), "_or_mix", 6),
+            (majority3_construct, ("eq3",) * 3, "_hadamard_pairs", 5),
+        ],
+    )
+    def test_a_broken_mixing_gate_is_named_and_not_trusted(
+        self, eq3, pe4, monkeypatch, combine, parts, builder, at
+    ):
+        algs = [{"eq3": eq3, "pe4": pe4}[name] for name in parts]
+        combine(*algs)  # every real builder of this combiner is trusted now
+        build = getattr(constructors, builder)
+        monkeypatch.setattr(constructors, builder, lambda *args: 2 * build(*args))
+        for _ in range(2):
+            with pytest.raises(ValueError, match=rf"^steps\[{at}\]\.unitary: matrix is not unitary"):
+                combine(*algs)
+        assert getattr(constructors, builder) not in constructors._CHECKED
+
+    def test_the_tables_are_read_only(self, pe4, eq3):
+        or_construct(pe4, eq3)
+        assert not constructors._or_routing(0, 0).flags.writeable
+        assert not constructors._or_mix().flags.writeable
+
+    @pytest.mark.parametrize("pairs", [((0, 1), (1, 2)), ((0, 0),), ((0, 4),), ((-1, 0),)])
+    def test_hadamard_pairs_must_be_disjoint_positions(self, pairs):
+        with pytest.raises(ValueError, match="disjoint positions below 4"):
+            constructors._hadamard_pairs(4, pairs)
+
+    def test_combined_arity_above_the_limit(self, eq3):
+        wide = QQA(5, eq3.amplitudes, eq3.initial, eq3.steps, eq3.measurement)  # 2 unread variables
+        with pytest.raises(ValueError, match=f"^arity must be between 0 and {MAX_ARITY}, got 20$"):
+            majority_even4_construct(wide, wide, wide, wide)
+
+
+def _broken_copies(eq3):
+    """(what is wrong, QQA's fields with it) for each field ``_assembled`` still checks."""
+    fields = dict(arity=3, initial=eq3.initial, steps=eq3.steps, measurement=eq3.measurement)
+    steps = list(eq3.steps)
+    out_of_range = steps[:1] + [QueryGate((0, 1, 0, 3))] + steps[2:]
+    short = steps[:3] + [QueryGate((2, 0, 0))] + steps[4:]
+    not_an_index = steps[:1] + [QueryGate((0, 1.0, 0, 1))] + steps[2:]
+    return [
+        ("measurement value", {**fields, "measurement": (1, 2, 0, 0)}),
+        ("measurement length", {**fields, "measurement": (1, 0, 0)}),
+        ("boolean measurement", {**fields, "measurement": (True, 0, 0, 0)}),
+        ("variable out of range", {**fields, "steps": tuple(out_of_range)}),
+        ("short query gate", {**fields, "steps": tuple(short)}),
+        ("variable not an index", {**fields, "steps": tuple(not_an_index)}),
+        ("initial not unit-norm", {**fields, "initial": np.array([1.0, 1.0, 0.0, 0.0])}),
+        ("initial shape", {**fields, "initial": np.array([1.0, 0.0, 0.0])}),
+        ("initial not finite", {**fields, "initial": np.array([np.nan, 0.0, 0.0, 0.0])}),
+        ("arity", {**fields, "arity": MAX_ARITY + 1}),
+    ]
+
+
+@pytest.mark.parametrize("case", range(10))
+def test_assembled_rejects_with_the_public_message(eq3, case):
+    what, fields = _broken_copies(eq3)[case]
+    with pytest.raises(ValueError) as public:
+        QQA(fields["arity"], 4, fields["initial"], fields["steps"], fields["measurement"])
+    with pytest.raises(ValueError) as private:
+        _assembled(fields["arity"], fields["initial"], eq3._gates, len(eq3._gates),
+                   fields["steps"], fields["measurement"])
+    assert str(private.value) == str(public.value), what
+
+
+def test_assembled_checks_new_gates_in_one_batch_and_names_the_first(eq3, count_checks):
+    broken = np.concatenate([eq3._gates, [np.eye(4), 2 * np.eye(4)]]).astype(complex)
+    steps = eq3.steps + (np.eye(4), QueryGate((0, 1, 2, None)), 2 * np.eye(4))
+    with pytest.raises(ValueError) as public:
+        QQA(3, 4, eq3.initial, steps, eq3.measurement)
+    checked = count_checks()
+    with pytest.raises(ValueError) as private:
+        _assembled(3, eq3.initial, broken, len(eq3._gates), steps, eq3.measurement)
+    assert str(private.value) == str(public.value)
+    assert str(private.value).startswith("steps[7].unitary: matrix is not unitary")
+    assert checked == [2]  # the parts' gates are not checked again

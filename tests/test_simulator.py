@@ -561,6 +561,15 @@ class TestVerify:
         assert report.per_input["0101"] == report.worst_case_p
         assert report.per_input["0000"] == pytest.approx(1.0, abs=1e-9)
 
+    def test_per_input_equals_the_per_row_dict(self, full_catalog):
+        for name in ("qfunc3", "and", "majority3"):
+            entry = full_catalog[name].entries[-1]
+            report = verify(entry.algorithm, entry.function)
+            expected = {bit_string(i, entry.function.arity): float(p)
+                        for i, p in enumerate(report.success)}
+            assert list(report.per_input.items()) == list(expected.items())
+            assert all(type(p) is float for p in report.per_input.values())
+
 
 def _reference_answers(a, states, p_one):
     """The answers of one simulation, each from its own direct formula."""

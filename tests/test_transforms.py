@@ -153,3 +153,28 @@ class TestQueryCountPreservation:
             normalize_accepting_sign(moved),
         ]
         assert all(t.query_count == 2 for t in transformed)
+
+
+class TestGatesChecked:
+    """A transform keeps its source's checked gates and checks only a gate it adds."""
+
+    def test_relabelling_shares_the_source_gates(self, eq3, count_checks):
+        checked = count_checks()
+        for derived in (
+            invert_outputs(eq3),
+            permute_outputs(eq3, [1, 0, 2, 3]),
+            permute_variables(eq3, [2, 0, 1]),
+        ):
+            assert derived._gates is eq3._gates
+            gates = [step for step in derived.steps if not isinstance(step, QueryGate)]
+            assert all(gate.base is eq3._gates and not gate.flags.writeable for gate in gates)
+            assert derived._memo is None
+        assert checked == []
+
+    def test_sign_flip_checks_only_its_gate(self, eq3, count_checks):
+        moved = permute_outputs(eq3, [3, 1, 2, 0])
+        checked = count_checks()
+        fixed = normalize_accepting_sign(moved)
+        assert checked == [1]
+        assert fixed._gates[:-1].tobytes() == moved._gates.tobytes()
+        assert fixed.steps[-1].base is fixed._gates and not fixed._gates.flags.writeable
