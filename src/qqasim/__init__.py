@@ -67,10 +67,8 @@ from .constructors import (
 from .serialize import from_document, load, save, to_document
 from .catalog import (
     CatalogEntry,
-    CatalogSummary,
     FunctionSet,
     SET_NAMES,
-    catalog_summary,
     export_csv,
     generate_all,
     generate_set,

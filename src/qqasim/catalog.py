@@ -9,7 +9,7 @@ Eligibility for a combiner is decided by the structural property checks, not
 hard-coded lists: the accept-plus pool (equality3 family) has 4 algorithms
 and the signed-unit pool has 4 + 12, which is what makes the constructed set
 sizes 16, 256, 256 and 64.  Per-set sizes count distinct functions after
-deduplication; a summary's grand total counts method applications, i.e.
+deduplication; a set's ``candidates`` counts method applications, i.e.
 generated algorithm instances before deduplication.
 """
 from __future__ import annotations
@@ -72,28 +72,10 @@ class FunctionSet:
     guaranteed_p: float
     candidates: int
 
-
-@dataclass(frozen=True)
-class SetSummary:
-    name: str
-    size: int
-    arities: tuple
-    queries: int
-    probability: float
-    candidates: int
-
     @property
     def probability_label(self) -> str:
-        return str(Fraction(self.probability).limit_denominator(64))
-
-
-@dataclass(frozen=True)
-class CatalogSummary:
-    """Per-set sizes plus the two grand totals (distinct functions, applications)."""
-
-    rows: tuple
-    distinct_functions: int
-    total_applications: int
+        """``guaranteed_p`` as a fraction, such as ``9/16``, for the summary and the CSV."""
+        return str(Fraction(self.guaranteed_p).limit_denominator(64))
 
 
 def _transposition(size: int, i: int, j: int) -> list:
@@ -225,23 +207,6 @@ def generate_all() -> dict:
     return sets
 
 
-def catalog_summary(sets: dict | None = None) -> CatalogSummary:
-    """Size/arity/query/probability rows for the given families (default: all)."""
-    if sets is None:
-        sets = generate_all()
-    rows = tuple(
-        SetSummary(
-            s.name, len(s.entries), s.arities, s.queries, s.guaranteed_p, s.candidates
-        )
-        for s in sets.values()
-    )
-    return CatalogSummary(
-        rows,
-        distinct_functions=sum(r.size for r in rows),
-        total_applications=sum(r.candidates for r in rows),
-    )
-
-
 def export_csv(sets: dict, destination) -> None:
     """Write ``set,arity,queries,probability,truth_table_hex,provenance`` rows."""
     if hasattr(destination, "write"):
@@ -255,7 +220,7 @@ def _write_csv(sets: dict, handle) -> None:
     writer = csv.writer(handle)
     writer.writerow(["set", "arity", "queries", "probability", "truth_table_hex", "provenance"])
     for function_set in sets.values():
-        label = str(Fraction(function_set.guaranteed_p).limit_denominator(64))
+        label = function_set.probability_label
         for entry in function_set.entries:
             writer.writerow(
                 [

@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from . import catalog as catalog_module
-from . import constructors
+from . import constructors, transforms
 from .algorithms import BUILTINS
 from .boolfun import (
     NAMED_FUNCTIONS,
@@ -30,7 +30,6 @@ from .boolfun import (
 )
 from .serialize import _json_text, load, save
 from .simulator import QQA, QueryGate, SimulationTrace, _outcome, trace as run_trace, verify
-from .transforms import invert_outputs, permute_outputs, permute_variables
 
 _SQRT2 = math.sqrt(2.0)
 _NAMED_AMPLITUDES = (
@@ -82,10 +81,6 @@ def _amplitude_labels(values, tol: float) -> list:
     for i in np.flatnonzero(imaginary | left).tolist():
         labels[i] = format_amplitude(z[i], tol)
     return labels.tolist()
-
-
-def format_state(state, tol: float = 1e-9) -> str:
-    return "(" + ", ".join(_amplitude_labels(state, tol)) + ")"
 
 
 def _step_labels(a: QQA) -> list:
@@ -276,27 +271,30 @@ def trace_command(obj, algorithm_spec, input_bits, every_input):
         click.echo(render_trace(a, run_trace(a, bits), obj["tol"]))
 
 
+#: Per method: the name of its :mod:`qqasim.transforms` function and, if it takes
+#: ``--sigma``, the algorithm's field that is the size it permutes and what that counts.
+_TRANSFORM_METHODS = {
+    "invert": ("invert_outputs", None, None),
+    "permute-outputs": ("permute_outputs", "amplitudes", "outputs"),
+    "permute-vars": ("permute_variables", "arity", "variables"),
+}
+
+
 @main.command("transform")
 @click.option("--algorithm", "algorithm_spec", required=True)
-@click.option("--method", required=True,
-              type=click.Choice(["invert", "permute-outputs", "permute-vars"]))
+@click.option("--method", required=True, type=click.Choice(list(_TRANSFORM_METHODS)))
 @click.option("--sigma", default=None, help="1-based permutation, comma separated.")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @click.pass_obj
 def transform_command(obj, algorithm_spec, method, sigma, out_path):
     """Apply one transformation and write the resulting algorithm."""
     a = _load_algorithm(algorithm_spec)
+    function_name, size, what = _TRANSFORM_METHODS[method]
+    if size and sigma is None:
+        raise click.ClickException(f"{method} needs --sigma")
+    args = (_parse_sigma(sigma, getattr(a, size), what),) if size else ()
     try:
-        if method == "invert":
-            result = invert_outputs(a)
-        elif method == "permute-outputs":
-            if sigma is None:
-                raise click.ClickException("permute-outputs needs --sigma")
-            result = permute_outputs(a, _parse_sigma(sigma, a.amplitudes, "outputs"))
-        else:
-            if sigma is None:
-                raise click.ClickException("permute-vars needs --sigma")
-            result = permute_variables(a, _parse_sigma(sigma, a.arity, "variables"))
+        result = getattr(transforms, function_name)(a, *args)
     except ValueError as error:
         raise click.ClickException(str(error))
     with _writing(out_path):
@@ -368,32 +366,28 @@ def catalog_command(obj, set_name, export_path):
         sets = catalog_module.generate_all()
     else:
         sets = {set_name: catalog_module.generate_set(set_name)}
-    summary = catalog_module.catalog_summary(sets)
     if export_path is not None:
         with _writing(export_path):
             catalog_module.export_csv(sets, export_path)
+    distinct = sum(len(s.entries) for s in sets.values())
+    applications = sum(s.candidates for s in sets.values())
     if obj["fmt"] == "json":
         click.echo(json.dumps({
-            "sets": [{
-                "name": row.name,
-                "size": row.size,
-                "arities": list(row.arities),
-                "queries": row.queries,
-                "probability": row.probability,
-                "applications": row.candidates,
-            } for row in summary.rows],
-            "distinct_functions": summary.distinct_functions,
-            "total_applications": summary.total_applications,
+            "sets": [{"name": s.name, "size": len(s.entries), "arities": list(s.arities),
+                      "queries": s.queries, "probability": s.guaranteed_p,
+                      "applications": s.candidates} for s in sets.values()],
+            "distinct_functions": distinct,
+            "total_applications": applications,
         }, indent=1))
         return
     click.echo(f"{'set':<12}{'size':>6}  {'arguments':<10}{'queries':>8}  probability")
-    for row in summary.rows:
-        arities = ",".join(str(n) for n in row.arities)
+    for s in sets.values():
+        arities = ",".join(str(n) for n in s.arities)
         click.echo(
-            f"{row.name:<12}{row.size:>6}  {arities:<10}{row.queries:>8}  {row.probability_label}"
+            f"{s.name:<12}{len(s.entries):>6}  {arities:<10}{s.queries:>8}  {s.probability_label}"
         )
-    click.echo(f"distinct functions: {summary.distinct_functions}")
-    click.echo(f"Total {summary.total_applications}")
+    click.echo(f"distinct functions: {distinct}")
+    click.echo(f"Total {applications}")
 
 
 @main.command("sensitivity")

@@ -13,12 +13,12 @@ probability mass determined only by how many sub-functions are true:
 Sub-algorithms with unequal query schedules are padded with no-op queries and
 identity gates, so a combination always costs max(queries) queries.  The
 parallel gates are written into one identity-initialised stack that spans
-every amplitude, auxiliary ones included, so no gate is padded twice.  The
+every amplitude, auxiliary ones included, so no gate is padded twice.  A
+combination goes through the one check of every algorithm,
+:func:`qqasim.simulator._assembled`, with its gates marked as checked: the
 parts' gates were checked when the parts were made, and the mixing gates
-are unitary by construction once their builder's first gate has passed the
-check, so a combination checks no gate again; its query variables, arity,
-initial state and measurement are still checked
-(:func:`qqasim.simulator._assembled`).
+are unitary by construction once their builder's first gate has passed.
+Its query variables, arity, initial state and measurement are checked.
 
 A combined algorithm carries nothing but its fields:
 :func:`qqasim.simulator.run_all` finds the parts' blocks in its gates, as it

@@ -16,10 +16,14 @@ UNITARY_TOL = 1e-10
 NORM_TOL = 1e-9
 
 
+def _check_tol(tol: float) -> None:
+    if not tol > 0:  # NaN too
+        raise ValueError("tol must be positive")
+
+
 def is_unitary(matrix, tol: float = UNITARY_TOL) -> bool:
     """True iff ``matrix @ matrix†`` matches the identity entrywise within ``tol``."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False

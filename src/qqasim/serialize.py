@@ -8,8 +8,8 @@ JSON boolean is never taken for a number, nor an integer too large for a
 float), and makes the variables 0-based.  A list of pairs that holds only
 lists and JSON numbers, in the right shape, is converted in one step; any
 other is walked entry by entry, which names the first bad one.  Everything
-else goes to :class:`qqasim.simulator.QQA` as it is; that is the one place
-an algorithm is checked, and its messages name the document's fields.
+else goes to :class:`qqasim.simulator.QQA` as it is, and so to the one check
+of every algorithm, whose messages name the document's fields.
 
 A saved file is exactly ``json.dump(to_document(a), f, indent=1)`` followed
 by a newline, byte for byte, but it is written from the algorithm's arrays:

@@ -8,12 +8,12 @@ summed squared magnitudes of the amplitudes assigned to it.
 
 Only the number of query steps counts toward complexity; unitary steps are
 free.  The whole model is immutable, so every question asked of one
-algorithm has one answer.  Each gate is checked for unitarity once, in a
-batch with the other new gates of the algorithm that brings it in:
-:class:`QQA` checks every field it is given, and the combiners and
-transforms build through :func:`_assembled`, which takes the gates of
-algorithms made before as checked and checks only the rest.  Two
-algorithms may share one read-only stack of gates.
+algorithm has one answer.  One function checks every algorithm,
+:func:`_assembled`: :class:`QQA` hands it every field it is given, and the
+combiners and transforms hand it the gates of algorithms made before as
+checked.  So each gate is checked for unitarity once, in a batch with the
+other new gates of the algorithm that brings it in.  Two algorithms may
+share one read-only stack of gates.
 :func:`computed_function`, :func:`is_exact`
 and :func:`check_property` share one :func:`run_all` simulation per
 algorithm object: the first of them to be called keeps the answers (never
@@ -43,7 +43,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .boolfun import MAX_ARITY, TruthTable, all_inputs, bit_string, _check_input
-from .linalg import NORM_TOL, UNITARY_TOL, _unitarity_errors
+from .linalg import NORM_TOL, UNITARY_TOL, _check_tol, _unitarity_errors
 
 
 @dataclass(frozen=True)
@@ -62,31 +62,22 @@ class QueryGate:
         object.__setattr__(self, "assignments", tuple(self.assignments))
 
 
-#: The types of a query gate's entries that need no conversion.
-_PLAIN_VARIABLE = {int, type(None)}
-
-
-def _query_gate(gate: QueryGate, m: int, arity: int) -> tuple:
-    """``(gate, None)`` with every variable an ``int``, or ``(gate, what is wrong)``
-    after ``steps[k].``; the gate is copied only if a variable is not an ``int`` yet."""
+def _query_gate(gate: QueryGate, k: int, m: int, arity: int) -> tuple:
+    """``(gate, None)`` with every variable an ``int``, or ``(gate, what is wrong)`` if
+    ``gate`` is ``steps[k]``; the gate is copied only if a variable is not an ``int`` yet."""
     assignments = gate.assignments
     if len(assignments) != m:
-        return gate, f"query: query gate needs {m} assignments"
-    if set(map(type, assignments)) <= _PLAIN_VARIABLE:
-        variables = set(assignments)
-        variables.discard(None)
-        if not variables or 0 <= min(variables) and max(variables) < arity:
-            return gate, None
+        return gate, f"steps[{k}].query: query gate needs {m} assignments"
     convert = False
     for j, v in enumerate(assignments):
         if v is None:
             continue
         if type(v) is not int:
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                return gate, f"query[{j}]: expected None or a variable index, got {v!r}"
+                return gate, f"steps[{k}].query[{j}]: expected None or a variable index, got {v!r}"
             convert = True
         if not 0 <= v < arity:
-            return gate, f"query[{j}]: variable out of range for arity {arity}"
+            return gate, f"steps[{k}].query[{j}]: variable out of range for arity {arity}"
     if convert:
         gate = QueryGate(None if v is None else int(v) for v in assignments)
     return gate, None
@@ -95,31 +86,6 @@ def _query_gate(gate: QueryGate, m: int, arity: int) -> tuple:
 def _freeze(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
-
-
-def _initial(values, m: int) -> np.ndarray:
-    """A read-only complex copy of ``values``, once it is a unit-norm state of ``m`` amplitudes."""
-    initial = np.array(values, dtype=complex)
-    if initial.shape != (m,):
-        raise ValueError(f"initial state must have shape ({m},), got {initial.shape}")
-    if not abs(float(np.square(initial.view(float)).sum()) - 1.0) <= NORM_TOL:
-        raise ValueError("initial: state is not unit-norm")
-    return _freeze(initial)
-
-
-def _check_unitary(stack: np.ndarray, at) -> None:
-    """Check a stack of gates in one batch; gate i is ``steps[at[i]]``, and the first failing
-    one is named."""
-    failing = np.flatnonzero(~(_unitarity_errors(stack) <= UNITARY_TOL))
-    if failing.size:
-        raise ValueError(
-            f"steps[{at[failing[0]]}].unitary: matrix is not unitary within {UNITARY_TOL}"
-        )
-
-
-def _check_arity(arity: int) -> None:
-    if not 0 <= arity <= MAX_ARITY:
-        raise ValueError(f"arity must be between 0 and {MAX_ARITY}, got {arity}")
 
 
 def _measurement(values, m: int) -> tuple:
@@ -150,10 +116,8 @@ class QQA:
     too).  Errors name the field as a document does, such as
     ``steps[k].query[j]``, and the first failing step.  The stored gates are
     read-only views of one ``(gates, m, m)`` complex array.  Loading, the
-    built-ins and ``dataclasses.replace`` all come here; only the combiners
-    and transforms build an algorithm through :func:`_assembled`, from gates
-    that were checked already, and it checks the rest with the same helpers
-    and messages.
+    built-ins and ``dataclasses.replace`` come here, and every field is
+    checked by :func:`_assembled`, as the combiners' and transforms' are.
     """
 
     arity: int
@@ -172,42 +136,25 @@ class QQA:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
-        _check_arity(self.arity)
-        if self.amplitudes < 1:
-            raise ValueError(f"amplitudes must be positive, got {self.amplitudes}")
         m = self.amplitudes
-        object.__setattr__(self, "initial", _initial(self.initial, m))
-
-        steps, malformed = [], None
-        for k, step in enumerate(self.steps):
+        # Stack the gates before the first wrongly shaped step; _assembled raises its error in turn.
+        steps, gates, pending = tuple(self.steps), [], None
+        for k, step in enumerate(steps):
             if isinstance(step, QueryGate):
-                step, malformed = _query_gate(step, m, self.arity)
-            else:
-                try:
-                    step = np.asarray(step, dtype=complex)
-                    shape = step.shape
-                except (TypeError, ValueError):  # ragged, or not numbers
-                    shape = "a ragged or non-numeric array"
-                if shape != (m, m):
-                    malformed = f"unitary: expected a {m}x{m} matrix, got {shape}"
-            if malformed:
-                malformed = f"steps[{k}].{malformed}"
+                continue
+            try:
+                step = np.asarray(step, dtype=complex)
+                shape = step.shape
+            except (TypeError, ValueError):  # ragged, or not numbers
+                shape = "a ragged or non-numeric array"
+            if shape != (m, m):
+                pending = f"steps[{k}].unitary: expected a {m}x{m} matrix, got {shape}"
+                steps = steps[:k]
                 break
-            steps.append(step)
-        # The gates before the first malformed step are checked in one batch;
-        # a failing gate among them comes first, so it is the one named.
-        gates = [k for k, step in enumerate(steps) if not isinstance(step, QueryGate)]
-        stack = np.empty((len(gates), m, m), dtype=complex)
-        for gate, k in zip(stack, gates):
-            gate[...] = steps[k]
-        _check_unitary(stack, gates)
-        if malformed:
-            raise ValueError(malformed)
-        for k, gate in zip(gates, _freeze(stack)):
-            steps[k] = gate
-        object.__setattr__(self, "_gates", stack)
-        object.__setattr__(self, "steps", tuple(steps))
-        object.__setattr__(self, "measurement", _measurement(self.measurement, m))
+            gates.append(step)
+        stack = np.array(gates or np.empty((0, max(m, 0), max(m, 0))), dtype=complex)
+        a = _assembled(self.arity, self.initial, stack, 0, steps, self.measurement, pending, m)
+        vars(self).update(vars(a))
 
     @property
     def query_count(self) -> int:
@@ -219,49 +166,54 @@ class QQA:
         return tuple(i for i, v in enumerate(self.measurement) if v == 1)
 
 
-def _assembled(arity: int, initial, gates: np.ndarray, trusted: int, steps, measurement) -> QQA:
-    """An algorithm on ``gates``, a ``(k, m, m)`` complex stack, checking only what is new.
+def _assembled(arity: int, initial, gates: np.ndarray, trusted: int, steps, measurement,
+               pending=None, m=None) -> QQA:
+    """An algorithm on ``gates``, a ``(k, m, m)`` complex stack, once every field is checked.
 
-    The combiners and transforms build their algorithms here.  The first
-    ``trusted`` gates must have passed :class:`QQA`'s check already: they
-    are taken from validated algorithms, or from a table that a construction
-    checked before.  The rest are checked in one batch.  So are the arity,
-    the initial state (a read-only copy is kept), every query variable and
-    the measurement, with :class:`QQA`'s messages, naming the first failing
-    step.  Each entry of ``steps`` that is not a :class:`QueryGate` stands
-    for the next gate of ``gates``, in order, and becomes a read-only view
-    of it; the stack is frozen and kept as it is, not copied.
+    The one check of every algorithm; errors name the field as a document
+    does, and the first failing step.  The first ``trusted`` gates must have
+    passed it already (the combiners and transforms take them from validated
+    algorithms, or from a table a construction checked); the rest are
+    checked in one batch.  ``m`` is the stack's unless given.  ``pending`` is
+    the error of the step after ``steps``, which :class:`QQA` could not
+    stack, raised once every step before it has passed.  Each entry of
+    ``steps`` that is not a :class:`QueryGate` stands for the next gate of
+    ``gates`` and becomes a read-only view of it.  The stack is kept frozen,
+    not copied; the initial state is a read-only copy.
     """
-    _check_arity(arity)
-    m = gates.shape[1]
-    initial = _initial(initial, m)
+    if not 0 <= arity <= MAX_ARITY:
+        raise ValueError(f"arity must be between 0 and {MAX_ARITY}, got {arity}")
+    m = gates.shape[1] if m is None else m
+    if m < 1:
+        raise ValueError(f"amplitudes must be positive, got {m}")
+    initial = np.array(initial, dtype=complex)
+    if initial.shape != (m,):
+        raise ValueError(f"initial state must have shape ({m},), got {initial.shape}")
+    if not abs(float(np.square(initial.view(float)).sum()) - 1.0) <= NORM_TOL:
+        raise ValueError("initial: state is not unit-norm")
     views = iter(_freeze(gates))
     checked, malformed = [], None
     for k, step in enumerate(steps):
         if isinstance(step, QueryGate):
-            step, malformed = _query_gate(step, m, arity)
+            step, malformed = _query_gate(step, k, m, arity)
             if malformed:
-                malformed = f"steps[{k}].{malformed}"
                 break
         else:
             step = next(views)
         checked.append(step)
-    if len(gates) > trusted:  # as in QQA, only the gates before a malformed step
+    if len(gates) > trusted:  # the gates before a malformed step; a failing one is named first
         at = [k for k, step in enumerate(checked) if not isinstance(step, QueryGate)]
-        _check_unitary(gates[trusted:len(at)], at[trusted:])
-    if malformed:
-        raise ValueError(malformed)
+        failing = np.flatnonzero(~(_unitarity_errors(gates[trusted:len(at)]) <= UNITARY_TOL))
+        if failing.size:
+            k = at[trusted + failing[0]]
+            raise ValueError(f"steps[{k}].unitary: matrix is not unitary within {UNITARY_TOL}")
+    if malformed or pending:
+        raise ValueError(malformed or pending)
     algorithm = object.__new__(QQA)
-    for name, value in (
-        ("arity", arity),
-        ("amplitudes", m),
-        ("initial", initial),
-        ("steps", tuple(checked)),
-        ("measurement", _measurement(measurement, m)),
-        ("_memo", None),
-        ("_gates", gates),
-    ):
-        object.__setattr__(algorithm, name, value)
+    algorithm.__dict__.update(
+        arity=arity, amplitudes=m, initial=_freeze(initial), steps=tuple(checked),
+        measurement=_measurement(measurement, m), _memo=None, _gates=gates,
+    )
     return algorithm
 
 
@@ -613,6 +565,7 @@ def verify(a: QQA, f: TruthTable, tol: float = NORM_TOL) -> VerificationReport:
     ``exact`` means the worst-case success probability is within ``tol`` of 1.
     Each call simulates the algorithm once and keeps nothing on it.
     """
+    _check_tol(tol)
     if a.arity != f.arity:
         raise ValueError(
             f"arity mismatch: algorithm reads {a.arity} variables, function has {f.arity}"
@@ -634,6 +587,7 @@ def computed_function(a: QQA, tol: float = NORM_TOL) -> TruthTable:
     case the algorithm computes nothing even under bounded error; the error
     names the input closest to a tie.
     """
+    _check_tol(tol)
     if a.arity < 1:
         raise ValueError("algorithm must read at least one variable to define a truth table")
     answers = _answers(a)
@@ -646,11 +600,13 @@ def computed_function(a: QQA, tol: float = NORM_TOL) -> TruthTable:
 
 def is_exact(a: QQA, tol: float = NORM_TOL) -> bool:
     """Whether ``verify(a, computed_function(a), tol).exact`` holds, without simulating twice."""
+    _check_tol(tol)
     return _answers(a).agreement >= 1.0 - tol
 
 
 def check_property(a: QQA, which: StructuralProperty, tol: float = NORM_TOL) -> bool:
     """Whether one of the pre-measurement amplitude disciplines holds on every input."""
+    _check_tol(tol)
     answers = _answers(a)
     certain = answers.peak >= 1.0 - tol
     if which is StructuralProperty.CERTAIN_OUTCOME:

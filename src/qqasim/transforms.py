@@ -2,10 +2,10 @@
 
 Each transform returns a new algorithm; none of them adds a query, so
 complexity is preserved.  Inputs are validated against the precondition each
-transform needs for the output to stay exact.  The source's gates were
-checked when it was made: relabelling the outputs or the variables shares
-its read-only gate stack and checks no gate, and the sign flip copies the
-stack and checks only the gate it adds.
+transform needs for the output to stay exact.  The one checker takes the
+source's gates as checked (:func:`qqasim.simulator._assembled`): relabelling
+the outputs or the variables shares its read-only gate stack and checks no
+gate, and the sign flip copies the stack and checks only the gate it adds.
 """
 from __future__ import annotations
 

@@ -7,7 +7,6 @@ from qqasim.catalog import (
     SET_NAMES,
     CatalogEntry,
     _verified_set,
-    catalog_summary,
     export_csv,
     generate_set,
 )
@@ -97,11 +96,11 @@ def test_eligibility_pools_are_derived_counts(full_catalog):
 
 
 def test_summary_totals(full_catalog):
-    summary = catalog_summary(full_catalog)
-    assert [row.size for row in summary.rows] == [8, 24, 16, 256, 256, 64]
-    assert summary.distinct_functions == 624
-    assert summary.total_applications == 832
-    labels = [row.probability_label for row in summary.rows]
+    sets = full_catalog.values()
+    assert [len(s.entries) for s in sets] == [8, 24, 16, 256, 256, 64]
+    assert sum(len(s.entries) for s in sets) == 624
+    assert sum(s.candidates for s in sets) == 832
+    labels = [s.probability_label for s in sets]
     assert labels == ["1", "1", "3/4", "5/8", "9/16", "9/16"]
 
 

@@ -15,7 +15,7 @@ from qqasim.boolfun import (
     named_function,
     table_to_csv,
 )
-from qqasim.cli import format_amplitude, format_state, main, render_trace
+from qqasim.cli import format_amplitude, main, render_trace
 from qqasim.serialize import load, save
 from qqasim.simulator import computed_function
 
@@ -239,6 +239,91 @@ class TestConstructCommand:
         assert "accepting amplitude" in result.output
 
 
+#: ``qqasim catalog --set all`` and its ``--format json`` output, byte for byte.
+CATALOG_TEXT = """\
+set           size  arguments  queries  probability
+qfunc3           8  3                2  1
+qfunc4          24  4                2  1
+and             16  6                2  3/4
+or             256  6,7,8            2  5/8
+maj_even4      256  12               2  9/16
+majority3       64  9                2  9/16
+distinct functions: 624
+Total 832
+"""
+
+CATALOG_JSON = """\
+{
+ "sets": [
+  {
+   "name": "qfunc3",
+   "size": 8,
+   "arities": [
+    3
+   ],
+   "queries": 2,
+   "probability": 1.0,
+   "applications": 48
+  },
+  {
+   "name": "qfunc4",
+   "size": 24,
+   "arities": [
+    4
+   ],
+   "queries": 2,
+   "probability": 1.0,
+   "applications": 192
+  },
+  {
+   "name": "and",
+   "size": 16,
+   "arities": [
+    6
+   ],
+   "queries": 2,
+   "probability": 0.75,
+   "applications": 16
+  },
+  {
+   "name": "or",
+   "size": 256,
+   "arities": [
+    6,
+    7,
+    8
+   ],
+   "queries": 2,
+   "probability": 0.625,
+   "applications": 256
+  },
+  {
+   "name": "maj_even4",
+   "size": 256,
+   "arities": [
+    12
+   ],
+   "queries": 2,
+   "probability": 0.5625,
+   "applications": 256
+  },
+  {
+   "name": "majority3",
+   "size": 64,
+   "arities": [
+    9
+   ],
+   "queries": 2,
+   "probability": 0.5625,
+   "applications": 64
+  }
+ ],
+ "distinct_functions": 624,
+ "total_applications": 832
+}
+"""
+
+
 class TestCatalogCommand:
     def test_single_set_summary(self):
         result = invoke("catalog", "--set", "qfunc3")
@@ -254,6 +339,16 @@ class TestCatalogCommand:
         assert "distinct functions: 624" in lines
         sizes = [line.split()[1] for line in lines[1:7]]
         assert sizes == ["8", "24", "16", "256", "256", "64"]
+
+    def test_full_summary_text(self):
+        result = invoke("catalog", "--set", "all")
+        assert result.exit_code == 0
+        assert result.output == CATALOG_TEXT
+
+    def test_full_summary_json(self):
+        result = invoke("--format", "json", "catalog", "--set", "all")
+        assert result.exit_code == 0
+        assert result.output == CATALOG_JSON
 
     def test_output_is_deterministic(self):
         first = invoke("catalog", "--set", "qfunc4")
@@ -499,11 +594,16 @@ class TestFormatting:
         assert format_amplitude(complex(0, 0.5)) == "0.000000+0.500000i"
 
     def test_state_rendering(self):
-        assert format_state([0.5, -(2**-0.5), 0.0, 1.0]) == "(1/2, -1/√2, 0, 1)"
+        assert _state_labels([0.5, -(2**-0.5), 0.0, 1.0], 1e-9) == "(1/2, -1/√2, 0, 1)"
+
+
+def _state_labels(state, tol):
+    """A state as a trace cell renders it, labelled by the whole-array pass."""
+    return "(" + ", ".join(cli._amplitude_labels(state, tol)) + ")"
 
 
 def _state_one_value_at_a_time(state, tol):
-    """The reference for :func:`format_state`: every amplitude formatted on its own."""
+    """The reference for :func:`_state_labels`: every amplitude formatted on its own."""
     return "(" + ", ".join(format_amplitude(z, tol) for z in state) + ")"
 
 
@@ -514,7 +614,7 @@ def test_trace_rendering_equals_the_per_value_function(full_catalog):
             for row in sorted({0, (1 << a.arity) // 3, (1 << a.arity) - 1}):
                 t = simulator.trace(a, bit_string(row, a.arity))
                 for state in t.states:
-                    assert format_state(state, 1e-9) == _state_one_value_at_a_time(state, 1e-9)
+                    assert _state_labels(state, 1e-9) == _state_one_value_at_a_time(state, 1e-9)
                 cells = render_trace(a, t).split(" | ")
                 assert cells[1:-1] == [_state_one_value_at_a_time(s, 1e-9) for s in t.states[1:]]
 
@@ -529,4 +629,4 @@ def test_edge_values_equal_the_per_value_function(tol):
     imaginary = [0.0, tol, -tol, np.nextafter(tol, 1.0), np.nan, np.inf, -np.inf]
     values = [complex(x, y) for x in reals for y in imaginary]
     for state in (reals, values, np.array(values)):
-        assert format_state(state, tol) == _state_one_value_at_a_time(state, tol)
+        assert _state_labels(state, tol) == _state_one_value_at_a_time(state, tol)

@@ -377,35 +377,77 @@ class TestAssembledFromCheckedParts:
 
 
 def _broken_copies(eq3):
-    """(what is wrong, QQA's fields with it) for each field ``_assembled`` still checks."""
-    fields = dict(arity=3, initial=eq3.initial, steps=eq3.steps, measurement=eq3.measurement)
+    """(what is wrong, QQA's fields with it, the message) for each field ``_assembled`` checks.
+
+    A case with several faults names the first in the order the checker
+    keeps.  ``gates`` and ``trusted``, where given, are what a builder would
+    hand ``_assembled`` for those steps; by default eq3's gates, all checked.
+    """
+    fields = dict(arity=3, amplitudes=4, initial=eq3.initial, steps=eq3.steps,
+                  measurement=eq3.measurement)
     steps = list(eq3.steps)
     out_of_range = steps[:1] + [QueryGate((0, 1, 0, 3))] + steps[2:]
     short = steps[:3] + [QueryGate((2, 0, 0))] + steps[4:]
     not_an_index = steps[:1] + [QueryGate((0, 1.0, 0, 1))] + steps[2:]
+    doubled = 2 * np.eye(4)
+    doubled_first = (doubled, out_of_range[1], *steps[2:])
+    doubled_after = (*out_of_range[:2], doubled, *steps[3:])
+    measurement_message = "measurement must assign 0 or 1 to each of the 4 outputs"
+    arity_message = f"arity must be between 0 and {MAX_ARITY}, got {MAX_ARITY + 1}"
     return [
-        ("measurement value", {**fields, "measurement": (1, 2, 0, 0)}),
-        ("measurement length", {**fields, "measurement": (1, 0, 0)}),
-        ("boolean measurement", {**fields, "measurement": (True, 0, 0, 0)}),
-        ("variable out of range", {**fields, "steps": tuple(out_of_range)}),
-        ("short query gate", {**fields, "steps": tuple(short)}),
-        ("variable not an index", {**fields, "steps": tuple(not_an_index)}),
-        ("initial not unit-norm", {**fields, "initial": np.array([1.0, 1.0, 0.0, 0.0])}),
-        ("initial shape", {**fields, "initial": np.array([1.0, 0.0, 0.0])}),
-        ("initial not finite", {**fields, "initial": np.array([np.nan, 0.0, 0.0, 0.0])}),
-        ("arity", {**fields, "arity": MAX_ARITY + 1}),
+        ("measurement value", {**fields, "measurement": (1, 2, 0, 0)}, measurement_message),
+        ("measurement length", {**fields, "measurement": (1, 0, 0)}, measurement_message),
+        ("boolean measurement", {**fields, "measurement": (True, 0, 0, 0)}, measurement_message),
+        ("variable out of range", {**fields, "steps": tuple(out_of_range)},
+         "steps[1].query[3]: variable out of range for arity 3"),
+        ("short query gate", {**fields, "steps": tuple(short)},
+         "steps[3].query: query gate needs 4 assignments"),
+        ("variable not an index", {**fields, "steps": tuple(not_an_index)},
+         "steps[1].query[1]: expected None or a variable index, got 1.0"),
+        ("initial not unit-norm", {**fields, "initial": np.array([1.0, 1.0, 0.0, 0.0])},
+         "initial: state is not unit-norm"),
+        ("initial shape", {**fields, "initial": np.array([1.0, 0.0, 0.0])},
+         "initial state must have shape (4,), got (3,)"),
+        ("initial not finite", {**fields, "initial": np.array([np.nan, 0.0, 0.0, 0.0])},
+         "initial: state is not unit-norm"),
+        ("arity", {**fields, "arity": MAX_ARITY + 1}, arity_message),
+        ("initial, then a query",
+         {**fields, "initial": np.array([1.0, 1.0, 0.0, 0.0]), "steps": tuple(out_of_range)},
+         "initial: state is not unit-norm"),
+        ("a query, then the measurement",
+         {**fields, "measurement": (1, 2, 0, 0), "steps": tuple(short)},
+         "steps[3].query: query gate needs 4 assignments"),
+        ("a gate, then a query",
+         {**fields, "steps": doubled_first,
+          "gates": np.array([doubled, steps[2], steps[4]], dtype=complex), "trusted": 0},
+         "steps[0].unitary: matrix is not unitary within 1e-10"),
+        ("a query, then a gate",
+         {**fields, "steps": doubled_after,
+          "gates": np.array([steps[0], doubled, steps[4]], dtype=complex), "trusted": 1},
+         "steps[1].query[3]: variable out of range for arity 3"),
+        ("arity, then the amplitudes",
+         {**fields, "arity": MAX_ARITY + 1, "amplitudes": 0, "steps": (),
+          "gates": np.empty((0, 0, 0), dtype=complex), "trusted": 0},
+         arity_message),
     ]
 
 
-@pytest.mark.parametrize("case", range(10))
+@pytest.mark.parametrize("case", range(15))
 def test_assembled_rejects_with_the_public_message(eq3, case):
-    what, fields = _broken_copies(eq3)[case]
+    what, fields, message = _broken_copies(eq3)[case]
     with pytest.raises(ValueError) as public:
-        QQA(fields["arity"], 4, fields["initial"], fields["steps"], fields["measurement"])
+        QQA(fields["arity"], fields["amplitudes"], fields["initial"], fields["steps"],
+            fields["measurement"])
+    gates = fields.get("gates", eq3._gates)
     with pytest.raises(ValueError) as private:
-        _assembled(fields["arity"], fields["initial"], eq3._gates, len(eq3._gates),
+        _assembled(fields["arity"], fields["initial"], gates, fields.get("trusted", len(gates)),
                    fields["steps"], fields["measurement"])
+    assert str(public.value) == message, what
     assert str(private.value) == str(public.value), what
+
+
+def test_every_broken_copy_is_tested(eq3):
+    assert len(_broken_copies(eq3)) == 15
 
 
 def test_assembled_checks_new_gates_in_one_batch_and_names_the_first(eq3, count_checks):

@@ -638,6 +638,25 @@ class TestOneSimulationPerAlgorithm:
         assert check_property(a, StructuralProperty.ACCEPT_PLUS_ONE, tol=0.3)
         assert not check_property(a, StructuralProperty.ACCEPT_PLUS_ONE, tol=0.2)
 
+    @pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0])
+    @pytest.mark.parametrize(
+        "ask",
+        [
+            lambda a, tol: verify(a, TruthTable(1, b"\x00\x01"), tol),
+            computed_function,
+            is_exact,
+            lambda a, tol: check_property(a, StructuralProperty.CERTAIN_OUTCOME, tol),
+        ],
+        ids=["verify", "computed_function", "is_exact", "check_property"],
+    )
+    def test_tolerance_must_be_positive(self, ask, tol):
+        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        a = QQA(1, 2, [1, 0], (h,), (0, 1))  # P(1) = 1/2 on every input
+        with pytest.raises(ValueError, match="on input 0"):
+            computed_function(a)  # no table, where a NaN or negative tol once gave one
+        with pytest.raises(ValueError, match="^tol must be positive$"):
+            ask(a, tol)
+
     @pytest.mark.parametrize("shape", [*CATALOG_SHAPES, "complex-phase"])
     def test_answers_equal_direct_formulas(self, shape, full_catalog, eq3):
         if shape == "complex-phase":
@@ -800,24 +819,40 @@ class TestValidation:
             QQA(2, 2, [1, 0], (np.eye(2), gate), (1, 0))
 
     @pytest.mark.parametrize(
-        "steps, message",
+        "steps, changes, message",
         [
-            ((np.eye(3), np.ones((2, 2))), r"steps\[0\]\.unitary: expected a 2x2 matrix"),
-            ((np.ones((2, 2)), np.eye(3)), r"steps\[0\]\.unitary: matrix is not unitary"),
-            ((np.eye(2), 2 * np.eye(2), np.ones((2, 2))), r"steps\[1\]\.unitary"),
-            ((np.eye(2), QueryGate((0, 3)), np.ones((2, 2))),
+            ((np.eye(3), np.ones((2, 2))), {}, r"steps\[0\]\.unitary: expected a 2x2 matrix"),
+            ((np.ones((2, 2)), np.eye(3)), {}, r"steps\[0\]\.unitary: matrix is not unitary"),
+            ((np.eye(2), 2 * np.eye(2), np.ones((2, 2))), {}, r"steps\[1\]\.unitary"),
+            ((np.eye(2), QueryGate((0, 3)), np.ones((2, 2))), {},
              r"steps\[1\]\.query\[1\]: variable out of range for arity 1$"),
-            ((np.eye(2), np.ones((2, 2)), QueryGate((0,))), r"steps\[1\]\.unitary"),
-            ((np.eye(2), [[np.nan, 0], [0, 1]]), r"steps\[1\]\.unitary"),
-            ((np.eye(2), [[1, 0], [0]]), r"^steps\[1\]\.unitary: expected a 2x2 matrix"),
-            ((np.eye(2), [["1", "x"], [0, 1]]), r"^steps\[1\]\.unitary: expected a 2x2"),
-            ((np.eye(2), [[{}, 0], [0, 1]]), r"^steps\[1\]\.unitary: expected a 2x2"),
-            ((QueryGate((0,)), np.ones((2, 2))), r"^steps\[0\]\.query: query gate needs 2"),
+            ((np.eye(2), np.ones((2, 2)), QueryGate((0,))), {}, r"steps\[1\]\.unitary"),
+            ((np.eye(2), [[np.nan, 0], [0, 1]]), {}, r"steps\[1\]\.unitary"),
+            ((np.eye(2), [[1, 0], [0]]), {}, r"^steps\[1\]\.unitary: expected a 2x2 matrix"),
+            ((np.eye(2), [["1", "x"], [0, 1]]), {}, r"^steps\[1\]\.unitary: expected a 2x2"),
+            ((np.eye(2), [[{}, 0], [0, 1]]), {}, r"^steps\[1\]\.unitary: expected a 2x2"),
+            ((QueryGate((0,)), np.ones((2, 2))), {}, r"^steps\[0\]\.query: query gate needs 2"),
+            # Faults in more than one field: the first in the order of the checks is named.
+            ((np.eye(2), QueryGate((0, 3))), {"initial": [1, 1]},
+             r"^initial: state is not unit-norm$"),
+            ((np.eye(2), QueryGate((0,))), {"measurement": (1, 2)},
+             r"^steps\[1\]\.query: query gate needs 2 assignments$"),
+            ((np.eye(3),), {"measurement": (1, 2)},
+             r"^steps\[0\]\.unitary: expected a 2x2 matrix, got \(3, 3\)$"),
+            ((2 * np.eye(2), QueryGate((0, 3))), {},
+             r"^steps\[0\]\.unitary: matrix is not unitary within 1e-10$"),
+            ((QueryGate((0, 3)), 2 * np.eye(2)), {},
+             r"^steps\[0\]\.query\[1\]: variable out of range for arity 1$"),
+            ((), {"arity": MAX_ARITY + 1, "amplitudes": 0},
+             rf"^arity must be between 0 and {MAX_ARITY}, got {MAX_ARITY + 1}$"),
+            ((), {"arity": MAX_ARITY + 1, "amplitudes": -2},
+             rf"^arity must be between 0 and {MAX_ARITY}, got {MAX_ARITY + 1}$"),
         ],
     )
-    def test_first_failing_step_is_named(self, steps, message):
+    def test_first_failing_step_is_named(self, steps, changes, message):
+        fields = {**dict(arity=1, amplitudes=2, initial=[1, 0], measurement=(1, 0)), **changes}
         with pytest.raises(ValueError, match=message), np.errstate(invalid="ignore"):
-            QQA(1, 2, [1, 0], steps, (1, 0))
+            QQA(steps=steps, **fields)
 
     def test_wrong_matrix_shape(self):
         with pytest.raises(ValueError, match="matrix"):
