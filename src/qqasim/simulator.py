@@ -152,6 +152,7 @@ class QQA:
                 steps = steps[:k]
                 break
             gates.append(step)
+        # A new array that owns its data, so no view of it can be made writeable again.
         stack = np.array(gates or np.empty((0, max(m, 0), max(m, 0))), dtype=complex)
         a = _assembled(self.arity, self.initial, stack, 0, steps, self.measurement, pending, m)
         vars(self).update(vars(a))
