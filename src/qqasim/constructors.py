@@ -35,12 +35,13 @@ from typing import Sequence
 import numpy as np
 
 from .algorithms import constant_one_algorithm
-from .boolfun import TruthTable, combine_disjoint, majority_compose
+from .boolfun import TruthTable, bit_string, combine_disjoint, majority_compose
 from .linalg import block_diag, permutation_matrix
 from .simulator import (
     QQA,
     QueryGate,
     StructuralProperty,
+    _answers,
     _assembled,
     _freeze,
     check_property,
@@ -61,6 +62,30 @@ class ConstructionResult:
     queries: int
 
 
+#: The values each accepting discipline allows, as its errors name them.
+_ALLOWED = {
+    StructuralProperty.ACCEPT_PLUS_ONE: "{0, +1}",
+    StructuralProperty.ACCEPT_MINUS_ONE: "{0, -1}",
+    StructuralProperty.ACCEPT_SIGNED_UNIT: "{-1, 0, +1}",
+}
+
+
+def _where_broken(a: QQA, *disciplines: StructuralProperty) -> str:
+    """Where ``a`` breaks accepting ``disciplines``, for an error message.
+
+    Names, for each, the first input in row order on which the accepting
+    amplitude is furthest from its allowed values; with other than one
+    accepting output, the number of them.
+    """
+    answers = _answers(a)
+    if not answers.spread:
+        return f"it has {a.measurement.count(1)} accepting outputs"
+    return "its accepting amplitude leaves " + " and ".join(
+        f"{_ALLOWED[which]} on input {bit_string(answers.spread_at[which], a.arity)}"
+        for which in disciplines
+    )
+
+
 def _as_accept_plus(a: QQA, label: str) -> QQA:
     """Coerce to the {0, +1} accepting discipline, flipping a {0, -1} sign if needed."""
     if check_property(a, StructuralProperty.ACCEPT_PLUS_ONE):
@@ -68,7 +93,8 @@ def _as_accept_plus(a: QQA, label: str) -> QQA:
     if check_property(a, StructuralProperty.ACCEPT_MINUS_ONE):
         return normalize_accepting_sign(a)
     raise ValueError(
-        f"{label}: accepting amplitude must stay in {{0, +1}} or {{0, -1}} on every input"
+        f"{label}: accepting amplitude must stay in {{0, +1}} or {{0, -1}} on every input; "
+        + _where_broken(a, StructuralProperty.ACCEPT_PLUS_ONE, StructuralProperty.ACCEPT_MINUS_ONE)
     )
 
 
@@ -266,8 +292,13 @@ def or_construct(a1: QQA, a2: QQA) -> ConstructionResult:
         if a.amplitudes != 4:
             raise ValueError(f"{label}: the or-combiner needs 4-amplitude sub-algorithms")
         if not check_property(a, StructuralProperty.ACCEPT_SIGNED_UNIT):
+            if check_property(a, StructuralProperty.CERTAIN_OUTCOME):
+                why = _where_broken(a, StructuralProperty.ACCEPT_SIGNED_UNIT)
+            else:
+                why = f"no outcome is certain on input {bit_string(_answers(a).peak_at, a.arity)}"
             raise ValueError(
-                f"{label}: needs a certain outcome with one accepting amplitude in {{-1, 0, +1}}"
+                f"{label}: needs a certain outcome with one accepting amplitude in {{-1, 0, +1}}; "
+                + why
             )
     f1, f2 = computed_function(a1), computed_function(a2)
     initial = np.concatenate([a1.initial, a2.initial]) / math.sqrt(2.0)

@@ -15,9 +15,9 @@ checked.  So each gate is checked for unitarity once, in a batch with the
 other new gates of the algorithm that brings it in.  Two algorithms may
 share one read-only stack of gates.
 :func:`computed_function`, :func:`is_exact`
-and :func:`check_property` share one :func:`run_all` simulation per
+and :func:`check_property` share one simulation per
 algorithm object: the first of them to be called keeps the answers (never
-the per-input states) on the object, taken in one pass over the states'
+the states) on the object, taken in one pass over the states'
 magnitudes.  :func:`verify` simulates on every call and keeps nothing.
 Everything here is safe to call from concurrent workers: the answers never
 differ between calls, so two racing first calls at worst both simulate.
@@ -28,11 +28,13 @@ combiner, a transform, ``dataclasses.replace`` or a document).  The
 combiners in :mod:`qqasim.constructors` run k parts side by side on
 disjoint variable blocks and then mix them.  A large batch is searched for
 that structure in the gates themselves: the first steps run once per
-independent block of amplitudes on that block's own inputs, and only the
-steps that mix the blocks run on all 2^n rows.  The states are
-bit-identical to a plain pass of every step over all 2^n rows, which the
-tests keep as the oracle.  Every path, :func:`run` and :func:`trace`
-included, applies the steps through one tiled kernel, :func:`_evolve_rows`.
+independent block of amplitudes on that block's own inputs, and the steps
+that mix the blocks run once per distinct state, with an index that gives
+each input its state: the 4096 inputs of a ``maj_even4`` composite share
+256.  Each state is bit-identical to a plain pass of every step over all
+2^n rows, which the tests keep as the oracle.  Every path, :func:`run`
+and :func:`trace` included, applies the steps through one tiled kernel,
+:func:`_evolve_rows`.
 """
 from __future__ import annotations
 
@@ -318,23 +320,45 @@ def run_all(a: QQA) -> np.ndarray:
     +1, serves the unqueried amplitudes.  An algorithm whose gates keep
     blocks of amplitudes on disjoint variables apart up to its last query,
     as every combiner's do, runs those steps once per block on the block's
-    own inputs when it has at least ``_BLOCK_ROWS`` inputs; the result is
-    bit-identical to the whole batch.  When the initial state and every
-    gate have zero imaginary part, as in every built-in and constructed
-    algorithm, the batch runs in float64 and the result is float64;
-    otherwise the same code runs in complex.  A row whose norm drifts from 1
-    by more than ``NORM_TOL`` is an error that names the first such input.
+    own inputs when it has at least ``_BLOCK_ROWS`` inputs, and the steps
+    after them once per distinct state (:func:`_block_states`); its rows
+    are gathered from those states, bit-identical to the whole batch.  When
+    the initial state and every gate have zero imaginary part, as in every
+    built-in and constructed algorithm, the batch runs in float64 and the
+    result is float64; otherwise the same code runs in complex.  A row
+    whose norm drifts from 1 by more than ``NORM_TOL`` is an error that
+    names the first such input.
     """
-    return _unit_norm(_final_states(a), lambda row: bit_string(row, a.arity))
+    return _per_input(*_simulate(a))
 
 
-def _unit_norm(states: np.ndarray, input_of) -> np.ndarray:
-    """``states``, once every row is unit-norm within ``NORM_TOL``; row i ran on ``input_of(i)``."""
+def _simulate(a: QQA) -> tuple:
+    """``(states, index)`` of :func:`_final_states`, once every state is unit-norm.
+
+    The one simulation behind :func:`run_all`, :func:`verify` and :func:`_answers`.
+    """
+    states, index = _final_states(a)
+    return _unit_norm(states, lambda row: bit_string(row, a.arity), index), index
+
+
+def _per_input(values: np.ndarray, index) -> np.ndarray:
+    """``values`` of the distinct states gathered onto every input, in row order."""
+    return values if index is None else values[index]
+
+
+def _unit_norm(states: np.ndarray, input_of, index=None) -> np.ndarray:
+    """``states``, once every row is unit-norm within ``NORM_TOL``.
+
+    Input i ran on row ``index[i]`` (on row i without an index) and is
+    named ``input_of(i)``; the error names the first input that drifts.
+    """
     norms = np.einsum("ij,ij->i", states, states.conj()).real
     drift = np.abs(norms - 1.0)
     if not float(drift.max()) <= NORM_TOL:
-        row = int(np.flatnonzero(~(drift <= NORM_TOL))[0])
-        raise RuntimeError(f"state norm drifted to {norms[row]} on input {input_of(row)!r}")
+        at = int(np.flatnonzero(_per_input(~(drift <= NORM_TOL), index))[0])
+        raise RuntimeError(
+            f"state norm drifted to {_per_input(norms, index)[at]} on input {input_of(at)!r}"
+        )
     return states
 
 
@@ -342,18 +366,20 @@ def _unit_norm(states: np.ndarray, input_of) -> np.ndarray:
 #: float64, small enough to stay off the allocator's mmap path.
 _TILE = 512
 
-#: Fewest rows of a batch that is searched for independent blocks.  Measured on
-#: 13-amplitude composites: at 1024 rows the plain pass is still faster, at 2048
-#: the block path takes about half its time.
+#: Fewest rows of a batch that is searched for independent blocks.  The block
+#: path costs 0.2-0.4 ms a `verify` whatever the batch.  The plain pass takes
+#: 0.10-0.15 ms on `or` at 256 rows, 0.2 ms on `majority3` at 512 and 1024,
+#: 0.4 ms at 2048 and 1.1 ms on `maj_even4` at 4096 (shared 2-vCPU VM).
 _BLOCK_ROWS = 2048
 
 
-def _final_states(a: QQA) -> np.ndarray:
-    """:func:`run_all` without its norm check.
+def _final_states(a: QQA) -> tuple:
+    """``(states, index)``, unchecked: input i ends in ``states[index[i]]``.
 
-    Only a batch of at least ``_BLOCK_ROWS`` rows is searched for independent
-    blocks (:func:`_blocks`): below that, the search and the block path's
-    fixed costs are more than they save.
+    The dense pass gives one row per input and no index.  Only a batch of
+    at least ``_BLOCK_ROWS`` rows is searched for independent blocks
+    (:func:`_blocks`): below that, the search and the block path's fixed
+    costs are more than they save.
     """
     n = a.arity
     real = not (a.initial.imag.any() or a._gates.imag.any())
@@ -362,16 +388,20 @@ def _final_states(a: QQA) -> np.ndarray:
     initial = a.initial.real if real else a.initial
     split = _blocks(a) if 1 << n >= _BLOCK_ROWS else None
     if split is None:
-        return _evolve_rows(np.tile(initial, (1 << n, 1)), _sign_table(tuple(range(n)), n), steps)
+        states = np.tile(initial, (1 << n, 1))
+        return _evolve_rows(states, _sign_table(tuple(range(n)), n), steps), None
     return _block_states(initial, steps, n, *split)
 
 
 def _block_states(initial: np.ndarray, steps: list, n: int, masks, reads, prefix: int):
-    """Final states on all ``2**n`` inputs, running ``steps[:prefix]`` once per block.
+    """The distinct final states on the ``2**n`` inputs, and each input's row among them.
 
-    Each block runs on the values of its own variables only, in full-width
-    rows that are zero outside the block, so every dot product is the one
-    the whole batch would compute and the states are bit-identical to it.
+    ``steps[:prefix]`` run once per block, on the values of its own
+    variables only, in full-width rows that are zero outside the block.
+    Each block keeps its rows that differ bit for bit (signed zeros and NaNs
+    count); the rest of the steps run on the sums of one kept row per block,
+    added in block order.  So every dot product is one the whole batch
+    computes, and ``states[index[i]]`` is bit-identical to its row i.
     """
     m = len(initial)
     stacked = _evolve_rows(
@@ -379,24 +409,34 @@ def _block_states(initial: np.ndarray, steps: list, n: int, masks, reads, prefix
         np.concatenate([_sign_table(variables, n) for variables in reads]),
         steps[:prefix],
     )
-    # The batch grows by whole variables, the first outermost.  A block is
-    # added once all its variables are rows of the batch, and broadcasts
-    # along the axes of the other variables read so far.  Each amplitude is
-    # nonzero in one block at most, so the order of the sums does not matter.
+    # Each block's distinct rows become one axis of the product, the first
+    # block outermost; each amplitude is nonzero in one block at most.
     states = np.zeros((1, m), dtype=stacked.dtype)
+    index = np.zeros(1, dtype=np.intp)
     start = 0
     for variables in reads:
-        rows = stacked[start:start + (1 << len(variables))]
-        start += len(rows)
-        read = variables[-1] + 1 if variables else 0
-        if len(states) < 1 << read:
-            states = np.repeat(states, (1 << read) // len(states), axis=0)
-        grid = states.reshape((2,) * read + (m,))
-        grid += rows.reshape([2 if v in variables else 1 for v in range(read)] + [m])
-    if len(states) < 1 << n:
-        states = np.repeat(states, (1 << n) // len(states), axis=0)
+        block = stacked[start:start + (1 << len(variables))]
+        start += len(block)
+        distinct, where = _distinct_rows(block)
+        states = (states[:, np.newaxis] + distinct).reshape(-1, m)
+        index = (index[:, np.newaxis] * len(distinct) + where).ravel()
+    # So far input bits run in block order; a composite's blocks read 0..n-1 in that order.
+    order = [v for variables in reads for v in variables]
+    if order != list(range(n)):
+        grid = index.reshape((2,) * len(order)).transpose(np.argsort(order))
+        grid = grid.reshape([2 if v in order else 1 for v in range(n)])
+        index = np.broadcast_to(grid, (2,) * n).ravel()
     # The steps after the prefix hold no query, so they need no sign table of 2^n rows.
-    return _evolve_rows(states, _sign_table((), n), steps[prefix:])
+    return _evolve_rows(states, _sign_table((), n), steps[prefix:]), index
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple:
+    """The rows of ``rows`` that differ bit for bit, in first-seen order, and where each row is."""
+    width = rows.shape[1] * rows.itemsize
+    data = rows.tobytes()
+    seen: dict = {}
+    where = [seen.setdefault(data[k:k + width], len(seen)) for k in range(0, len(data), width)]
+    return np.frombuffer(b"".join(seen), dtype=rows.dtype).reshape(len(seen), -1), np.array(where)
 
 
 @lru_cache(maxsize=64)
@@ -486,7 +526,7 @@ def _blocks(a: QQA):
 
 
 def _p_one(a: QQA, states: np.ndarray) -> np.ndarray:
-    """P(output = 1) for every input, in row order."""
+    """P(output = 1) of every row of ``states``."""
     mask = np.array(a.measurement) == 1
     return (np.abs(states[:, mask]) ** 2).sum(axis=1)
 
@@ -507,54 +547,64 @@ class _Answers:
     closest: int
     #: Worst-case success probability against ``bits``.
     agreement: float
-    #: Smallest, over the inputs, of the largest basis-state probability.
+    #: Smallest, over the inputs, of the largest basis-state probability, and
+    #: the first input reaching it.
     peak: float
+    peak_at: int
     #: Per accepting discipline, the largest distance of the single accepting
-    #: amplitude from its allowed values; empty unless exactly one output accepts.
+    #: amplitude from its allowed values, and the first input reaching it;
+    #: both empty unless exactly one output accepts.
     spread: dict
+    spread_at: dict
 
 
 def _answers(a: QQA) -> _Answers:
     """The algorithm's answers, simulating it on the first call only.
 
-    Squaring is monotone, so the peak probability is the square of the peak
-    magnitude, and the accepting amplitude's distances from 0, +1 and -1 are
-    ``|c|``, ``|c - 1|`` and ``|c + 1|``.  The peak magnitude of each row is
-    taken one column at a time: a maximum along each short row is several
-    times slower, and a ``(2^n, m)`` temporary beside the states is enough
-    to make the allocator hand the heap back and fault it in again for the
-    next algorithm.
+    Squaring is monotone, so a state's largest probability is the square of
+    its largest magnitude, and the accepting amplitude's distances from 0,
+    +1 and -1 are ``|c|``, ``|c - 1|`` and ``|c + 1|``.  Each is taken once
+    per distinct state of :func:`_simulate` and read onto the inputs through
+    its index, so the first input reaching a value is found in row order.
+    The largest magnitude of each state is taken one column at a time: a
+    maximum along each short row is several times slower, and on the dense
+    path a ``(2^n, m)`` temporary beside the states is enough to make the
+    allocator hand the heap back and fault it in again for the next
+    algorithm.
     """
     if a._memo is not None:
         return a._memo
-    states = run_all(a)
-    p_one = _p_one(a, states)
+    states, index = _simulate(a)
+    p_one = _per_input(_p_one(a, states), index)
     margins = np.abs(p_one - 0.5)
     closest = int(margins.argmin())
     bits = (p_one > 0.5).astype(np.uint8)
     top = np.abs(states[:, 0])
     for column in states.T[1:]:
         np.maximum(top, np.abs(column), out=top)
-    peak = float(top.min())
-    spread = {}
+    top *= top  # each state's largest basis-state probability
+    top = _per_input(top, index)
+    peak_at = int(top.argmin())
+    spread, spread_at = {}, {}
     accepting = a.accepting_outputs()
     if len(accepting) == 1:
         column = states[:, accepting[0]]
         to_zero = np.abs(column)
         to_plus = np.minimum(to_zero, np.abs(column - 1.0))
         to_minus = np.minimum(to_zero, np.abs(column + 1.0))
-        spread = {
-            StructuralProperty.ACCEPT_PLUS_ONE: float(to_plus.max()),
-            StructuralProperty.ACCEPT_MINUS_ONE: float(to_minus.max()),
-            StructuralProperty.ACCEPT_SIGNED_UNIT: float(np.minimum(to_plus, to_minus).max()),
-        }
+        for which, distance in zip(_ACCEPTING, (to_plus, to_minus, np.minimum(to_plus, to_minus))):
+            distance = _per_input(distance, index)
+            spread_at[which] = int(distance.argmax())
+            spread[which] = float(distance[spread_at[which]])
     answers = _Answers(
         bits=bits.tobytes(),
         margin=float(margins[closest]),
         closest=closest,
         agreement=float(np.where(bits == 1, p_one, 1.0 - p_one).min()),
-        peak=peak * peak,
+        peak=float(top[peak_at]),
+        peak_at=peak_at,
         spread=spread,
+        spread_at=spread_at,
     )
     object.__setattr__(a, "_memo", answers)
     return answers
@@ -571,7 +621,8 @@ def verify(a: QQA, f: TruthTable, tol: float = NORM_TOL) -> VerificationReport:
         raise ValueError(
             f"arity mismatch: algorithm reads {a.arity} variables, function has {f.arity}"
         )
-    p_one = _p_one(a, run_all(a))
+    states, index = _simulate(a)
+    p_one = _per_input(_p_one(a, states), index)
     target = np.frombuffer(f.bits, dtype=np.uint8)
     success = _freeze(np.where(target == 1, p_one, 1.0 - p_one))
     worst_at = int(success.argmin())

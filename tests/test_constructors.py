@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -226,6 +228,77 @@ class TestOrConstruct:
         bounded = or_construct(pe4, pe4).algorithm
         with pytest.raises(ValueError, match="4-amplitude|certain outcome"):
             or_construct(bounded, pe4)
+
+
+_H = np.array([[S, S], [S, -S]])
+
+#: Parts that break a combiner's precondition on known inputs, by name.  The
+#: accepting amplitude of ``signs`` is ((-1)^x0 - (-1)^x1) / 2: 0, +1, -1, 0.
+#: ``uncertain`` splits inputs 01 and 10 evenly over outputs 1 and 2.
+#: ``phased`` is certain, with accepting amplitude -i exactly when x0 is 1.
+_BROKEN_PARTS = {
+    "signs": lambda eq3: QQA(2, 2, [1, 0], (_H, QueryGate((0, 1)), _H), (0, 1)),
+    "two-accepting": lambda eq3: replace(eq3, measurement=(1, 1, 0, 0)),
+    "uncertain": lambda eq3: QQA(
+        2, 4, [S, S, 0, 0],
+        (
+            QueryGate((0, 1, None, None)),
+            block_diag([_H, np.eye(2)]),
+            block_diag([[[1]], _H, [[1]]]),
+        ),
+        (0, 0, 0, 1),
+    ),
+    "phased": lambda eq3: QQA(
+        2, 4, [S, S, 0, 0],
+        (QueryGate((0, None, None, None)), block_diag([_H, np.eye(2)]), np.diag([1, 1j, 1, 1])),
+        (0, 1, 0, 0),
+    ),
+}
+
+_SIGNS = "accepting amplitude must stay in {0, +1} or {0, -1} on every input; "
+_SIGNED_UNIT = "needs a certain outcome with one accepting amplitude in {-1, 0, +1}; "
+
+
+class TestPreconditionWitnesses:
+    """A part that breaks a combiner's precondition is named with an input that breaks it."""
+
+    @pytest.mark.parametrize(
+        "combine, part, message",
+        [
+            (
+                lambda eq3, part: and_construct(eq3, part), "signs",
+                "second input: " + _SIGNS
+                + "its accepting amplitude leaves {0, +1} on input 10 and {0, -1} on input 01",
+            ),
+            (
+                lambda eq3, part: majority_even4_construct(eq3, eq3, part, eq3), "signs",
+                "input 3: " + _SIGNS
+                + "its accepting amplitude leaves {0, +1} on input 10 and {0, -1} on input 01",
+            ),
+            (
+                lambda eq3, part: and_construct(part, eq3), "two-accepting",
+                "first input: " + _SIGNS + "it has 2 accepting outputs",
+            ),
+            (
+                lambda eq3, part: or_construct(eq3, part), "uncertain",
+                "second input: " + _SIGNED_UNIT + "no outcome is certain on input 01",
+            ),
+            (
+                lambda eq3, part: or_construct(part, eq3), "phased",
+                "first input: " + _SIGNED_UNIT
+                + "its accepting amplitude leaves {-1, 0, +1} on input 10",
+            ),
+            (
+                lambda eq3, part: or_construct(part, eq3), "two-accepting",
+                "first input: " + _SIGNED_UNIT + "it has 2 accepting outputs",
+            ),
+        ],
+        ids=["and-signs", "majority-signs", "and-two-accepting", "or-uncertain", "or-phased",
+             "or-two-accepting"],
+    )
+    def test_error_names_the_first_breaking_input(self, eq3, combine, part, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            combine(eq3, _BROKEN_PARTS[part](eq3))
 
 
 class TestMajorityEven4:

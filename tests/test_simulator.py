@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -213,13 +214,14 @@ class TestRunAll:
         assert np.allclose(np.sum(np.abs(states) ** 2, axis=1), 1.0, atol=1e-9)
 
     @pytest.mark.parametrize("scale", [1.5, np.nan])
-    def test_norm_guard_names_the_first_drifting_input(self, pe4, monkeypatch, scale):
+    def test_norm_guard_names_the_first_drifting_input(self, pe4, f_pe4, monkeypatch, scale):
         states = run_all(pe4)
         states[5] *= scale
         states[9] *= 2.0  # drifts further, but on a later input
-        monkeypatch.setattr(simulator, "_final_states", lambda a: states)
-        with pytest.raises(RuntimeError, match="state norm drifted to .* on input '0101'"):
-            run_all(pe4)
+        monkeypatch.setattr(simulator, "_final_states", lambda a: (states, None))
+        for ask in (run_all, lambda a: verify(a, f_pe4), computed_function):
+            with pytest.raises(RuntimeError, match="state norm drifted to .* on input '0101'"):
+                ask(replace(pe4))  # a copy, so no answers are kept on it yet
 
 
 def _rebuilt(a):
@@ -254,6 +256,16 @@ def _assert_bit_identical(a):
     states, reference = run_all(a), _dense_states(a)
     assert states.dtype == reference.dtype
     assert np.array_equal(states, reference)
+
+
+def _assert_answers_bit_identical(a, f):
+    """``verify(a, f)`` and the answers of ``a`` are the dense pass's, bit for bit."""
+    dense = _dense_states(a)
+    p_one = (np.abs(dense[:, np.array(a.measurement) == 1]) ** 2).sum(axis=1)
+    target = np.frombuffer(f.bits, dtype=np.uint8)
+    expected = np.where(target == 1, p_one, 1.0 - p_one)
+    assert verify(a, f).success.tobytes() == expected.tobytes()
+    assert simulator._answers(replace(a)) == _reference_answers(a, dense, p_one)
 
 
 def _block_variables(a):
@@ -322,13 +334,30 @@ class TestComposedPath:
         # One simulation per composite, none per part.
         assert simulated == [composites[0].algorithm, composites[1].algorithm]
 
-    def test_one_public_run_all_per_verify(self, eq3, monkeypatch):
+    def test_one_simulation_per_verify(self, eq3, monkeypatch):
         result = majority_even4_construct(eq3, eq3, eq3, eq3)
         simulated = []
-        batch = simulator.run_all
-        monkeypatch.setattr(simulator, "run_all", lambda a: simulated.append(a) or batch(a))
+        simulate = simulator._simulate
+        monkeypatch.setattr(simulator, "_simulate", lambda a: simulated.append(a) or simulate(a))
         assert verify(result.algorithm, result.target).worst_case_p == pytest.approx(9 / 16)
         assert simulated == [result.algorithm]
+
+    def test_verify_and_answers_match_dense_kernel(self, full_catalog):
+        for name in SET_NAMES[2:]:
+            for e in full_catalog[name].entries:
+                _assert_answers_bit_identical(e.algorithm, e.function)
+
+    def test_verify_holds_no_state_per_input(self, full_catalog):
+        # One (4096, 16) float64 array, as every input's state, is 512 KB.
+        e = full_catalog["maj_even4"].entries[-1]
+        verify(e.algorithm, e.function)  # fills the tables kept between calls
+        tracemalloc.start()
+        try:
+            verify(e.algorithm, e.function)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
 
 
 def _rotation(theta):
@@ -416,6 +445,17 @@ class TestBlockPath:
         assert _block_variables(a) == [[], [0, 1, 2], [3, 4, 5], [6, 7, 8]]
         _assert_bit_identical(a)
 
+    @pytest.mark.parametrize("slot", [0, 3])
+    def test_unread_variable_is_broadcast(self, eq3, slot):
+        padded = QQA(4, 4, eq3.initial, eq3.steps, eq3.measurement)  # reads 3 of 4 variables
+        parts = [eq3] * 4
+        parts[slot] = padded
+        result = majority_even4_construct(*parts)
+        unread = 3 if slot == 0 else 12
+        assert unread not in sum(_block_variables(result.algorithm), [])
+        _assert_bit_identical(result.algorithm)
+        _assert_answers_bit_identical(result.algorithm, result.target)
+
     def test_complex_part_gives_complex_states(self, eq3):
         phase = np.diag(np.exp(1j * np.array([0.0, 0.4, 1.1, 2.0])))  # keeps output 0 real
         part = QQA(eq3.arity, 4, eq3.initial, eq3.steps + (phase,), eq3.measurement)
@@ -449,6 +489,23 @@ class TestBlockPath:
         single = replace(majority, initial=initial)
         assert simulator._blocks(single) is None
         _assert_bit_identical(single)
+
+    def test_norm_guard_names_the_first_input_of_a_drifting_state(self, majority, monkeypatch):
+        states, index = simulator._final_states(majority)
+        assert len(states) == 4 ** 4  # each block's 8 rows hold 4 distinct states
+        # Input 101011110001 ends in the same state as 010011001001, and as no input before it.
+        dense = _dense_states(majority)
+        state = dense[0b101011110001].tobytes()
+        same = [i for i in range(len(dense)) if dense[i].tobytes() == state]
+        assert same[0] == 0b010011001001 < same[1]
+        row = int(index[0b101011110001])
+        states = states.copy()
+        states[row] *= 1.5
+        monkeypatch.setattr(simulator, "_final_states", lambda a: (states, index))
+        f = TruthTable(majority.arity, bytes(1 << majority.arity))
+        for ask in (run_all, lambda a: verify(a, f), computed_function):
+            with pytest.raises(RuntimeError, match="norm drifted to .* on input '010011001001'"):
+                ask(replace(majority))
 
     def test_small_batch_is_not_searched(self, full_catalog, monkeypatch):
         searched = []
@@ -520,7 +577,8 @@ class TestBlockPathProperty:
     @given(data=st.data())
     def test_states_equal_the_dense_pass(self, pools, document_path, rows, data):
         combine, count, pool = _COMBINERS[data.draw(st.sampled_from(sorted(_COMBINERS)))]
-        a = combine(*(data.draw(st.sampled_from(pools[pool])) for _ in range(count))).algorithm
+        result = combine(*(data.draw(st.sampled_from(pools[pool])) for _ in range(count)))
+        a = result.algorithm
         change = data.draw(st.sampled_from(["none", "permute", "invert", "reload"]))
         if change == "permute":
             a = permute_variables(a, data.draw(st.permutations(range(a.arity))))
@@ -531,6 +589,7 @@ class TestBlockPathProperty:
             a = load(document_path)
         with mock.patch.object(simulator, "_BLOCK_ROWS", rows):
             _assert_bit_identical(a)
+            _assert_answers_bit_identical(a, result.target)  # any table of the arity serves
 
 
 class TestVerify:
@@ -576,32 +635,37 @@ def _reference_answers(a, states, p_one):
     margins = np.abs(p_one - 0.5)
     closest = int(margins.argmin())
     bits = (p_one > 0.5).astype(np.uint8)
+    peaks = (np.abs(states) ** 2).max(axis=1)
     allowed = {
         StructuralProperty.ACCEPT_PLUS_ONE: (0.0, 1.0),
         StructuralProperty.ACCEPT_MINUS_ONE: (0.0, -1.0),
         StructuralProperty.ACCEPT_SIGNED_UNIT: (0.0, 1.0, -1.0),
     }
-    spread = {}
+    spread, spread_at = {}, {}
     accepting = a.accepting_outputs()
     if len(accepting) == 1:
         column = states[:, accepting[0]]
         for which, values in allowed.items():
-            spread[which] = float(np.min([np.abs(column - v) for v in values], axis=0).max())
+            distance = np.min([np.abs(column - v) for v in values], axis=0)
+            spread[which] = float(distance.max())
+            spread_at[which] = int(np.flatnonzero(distance == spread[which])[0])
     return simulator._Answers(
         bits=bits.tobytes(),
         margin=float(margins[closest]),
         closest=closest,
         agreement=float(np.where(bits == 1, p_one, 1.0 - p_one).min()),
-        peak=float((np.abs(states) ** 2).max(axis=1).min()),
+        peak=float(peaks.min()),
+        peak_at=int(np.flatnonzero(peaks == peaks.min())[0]),
         spread=spread,
+        spread_at=spread_at,
     )
 
 
 class TestOneSimulationPerAlgorithm:
     def test_questions_share_one_simulation(self, eq3, monkeypatch):
         simulated = []
-        batch = simulator.run_all
-        monkeypatch.setattr(simulator, "run_all", lambda a: simulated.append(a) or batch(a))
+        simulate = simulator._simulate
+        monkeypatch.setattr(simulator, "_simulate", lambda a: simulated.append(a) or simulate(a))
         computed_function(eq3)
         for which in StructuralProperty:
             check_property(eq3, which)
@@ -610,8 +674,8 @@ class TestOneSimulationPerAlgorithm:
 
     def test_verify_simulates_on_every_call(self, eq3, f_eq3, monkeypatch):
         simulated = []
-        batch = simulator.run_all
-        monkeypatch.setattr(simulator, "run_all", lambda a: simulated.append(a) or batch(a))
+        simulate = simulator._simulate
+        monkeypatch.setattr(simulator, "_simulate", lambda a: simulated.append(a) or simulate(a))
         verify(eq3, f_eq3)
         verify(eq3, f_eq3)
         assert eq3._memo is None  # verify keeps no answers
