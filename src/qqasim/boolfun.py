@@ -181,12 +181,14 @@ def majority_compose(fs: Sequence[TruthTable], even: bool) -> TruthTable:
     n = sum(f.arity for f in fs)
     if n > MAX_ARITY:
         raise ValueError(f"combined arity {n} exceeds the {MAX_ARITY}-variable limit")
-    counts = np.zeros(1, dtype=np.int64)
-    for f in fs:
-        block = np.frombuffer(f.bits, dtype=np.uint8)
-        counts = (counts[:, None] + block[None, :]).reshape(-1)
-    table = (counts > len(fs) // 2).astype(np.uint8)
-    return TruthTable(n, table.tobytes())
+    # Function i's table along axis i, the first one outermost, summed in one
+    # broadcast; uint8 holds a count of at most MAX_ARITY.
+    k = len(fs)
+    counts = sum(
+        np.frombuffer(f.bits, dtype=np.uint8).reshape((-1,) + (1,) * (k - 1 - i))
+        for i, f in enumerate(fs)
+    )
+    return TruthTable(n, (counts > k // 2).tobytes())
 
 
 CSV_HEADER = ["input", "value"]

@@ -13,7 +13,9 @@ probability mass determined only by how many sub-functions are true:
 Sub-algorithms with unequal query schedules are padded with no-op queries and
 identity gates, so a combination always costs max(queries) queries.  The
 parallel gates are written into one identity-initialised stack that spans
-every amplitude, auxiliary ones included, so no gate is padded twice.  A
+every amplitude, auxiliary ones included, so no gate is padded twice.  The
+stack is float64 when the parts' stacks and the mixing gates are, as they
+are for every built-in part, and complex otherwise.  A
 combination goes through the one check of every algorithm,
 :func:`qqasim.simulator._assembled`, with its gates marked as checked: the
 parts' gates were checked when the parts were made, and the mixing gates
@@ -35,15 +37,16 @@ from typing import Sequence
 import numpy as np
 
 from .algorithms import constant_one_algorithm
-from .boolfun import TruthTable, bit_string, combine_disjoint, majority_compose
+from .boolfun import TruthTable, combine_disjoint, majority_compose
 from .linalg import block_diag, permutation_matrix
 from .simulator import (
     QQA,
     QueryGate,
     StructuralProperty,
-    _answers,
     _assembled,
     _freeze,
+    _where_broken,
+    _where_uncertain,
     check_property,
     computed_function,
 )
@@ -60,30 +63,6 @@ class ConstructionResult:
     target: TruthTable
     guaranteed_p: float
     queries: int
-
-
-#: The values each accepting discipline allows, as its errors name them.
-_ALLOWED = {
-    StructuralProperty.ACCEPT_PLUS_ONE: "{0, +1}",
-    StructuralProperty.ACCEPT_MINUS_ONE: "{0, -1}",
-    StructuralProperty.ACCEPT_SIGNED_UNIT: "{-1, 0, +1}",
-}
-
-
-def _where_broken(a: QQA, *disciplines: StructuralProperty) -> str:
-    """Where ``a`` breaks accepting ``disciplines``, for an error message.
-
-    Names, for each, the first input in row order on which the accepting
-    amplitude is furthest from its allowed values; with other than one
-    accepting output, the number of them.
-    """
-    answers = _answers(a)
-    if not answers.spread:
-        return f"it has {a.measurement.count(1)} accepting outputs"
-    return "its accepting amplitude leaves " + " and ".join(
-        f"{_ALLOWED[which]} on input {bit_string(answers.spread_at[which], a.arity)}"
-        for which in disciplines
-    )
 
 
 def _as_accept_plus(a: QQA, label: str) -> QQA:
@@ -144,7 +123,8 @@ def _combined(
     the steps share one step-kind pattern; padding never changes what an
     algorithm computes.  Every gate is written into one identity-initialised
     ``(slots, amplitudes, amplitudes)`` stack, each part's gates with one
-    assignment.  Variable indices of later blocks are shifted past the
+    assignment, in the common type of the parts' stacks and the mixing
+    gates.  Variable indices of later blocks are shifted past the
     arities of earlier ones, matching the convention of
     :func:`qqasim.boolfun.combine_disjoint`.  ``tail`` lists the mixing
     gates that follow as ``(builder, arguments)`` pairs.  The parts' gates
@@ -158,10 +138,12 @@ def _combined(
     lengths = [max(column) for column in zip(*(runs for runs, _ in schedules))]
     starts = list(itertools.accumulate(lengths, initial=0))
     parallel = starts[-1]
-    stack = np.zeros((parallel + len(tail), amplitudes, amplitudes), dtype=complex)
+    mixing = [build(*args) for build, args in tail]
+    dtype = np.result_type(*(a._gates for a in algs), *mixing)
+    stack = np.zeros((parallel + len(tail), amplitudes, amplitudes), dtype=dtype)
     stack.reshape(len(stack), -1)[:parallel, ::amplitudes + 1] = 1.0  # the diagonals
-    for slot, (build, args) in enumerate(tail, parallel):
-        stack[slot] = build(*args)
+    for slot, gate in enumerate(mixing, parallel):
+        stack[slot] = gate
     offsets = list(itertools.accumulate(widths, initial=0))
     for a, offset, (runs, _) in zip(algs, offsets, schedules):
         if runs == lengths:  # a gate in every slot: a slice, which is faster to write
@@ -200,7 +182,7 @@ def _hadamard_pairs(dim: int, pairs: tuple) -> np.ndarray:
     positions = [p for pair in pairs for p in pair]
     if len(set(positions)) != len(positions) or not set(positions) <= set(range(dim)):
         raise ValueError(f"Hadamard pairs must be disjoint positions below {dim}, got {pairs}")
-    gate = np.eye(dim, dtype=complex)
+    gate = np.eye(dim)
     for i, j in pairs:
         gate[i, i] = _S
         gate[i, j] = _S
@@ -295,7 +277,7 @@ def or_construct(a1: QQA, a2: QQA) -> ConstructionResult:
             if check_property(a, StructuralProperty.CERTAIN_OUTCOME):
                 why = _where_broken(a, StructuralProperty.ACCEPT_SIGNED_UNIT)
             else:
-                why = f"no outcome is certain on input {bit_string(_answers(a).peak_at, a.arity)}"
+                why = _where_uncertain(a)
             raise ValueError(
                 f"{label}: needs a certain outcome with one accepting amplitude in {{-1, 0, +1}}; "
                 + why

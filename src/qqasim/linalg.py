@@ -31,28 +31,32 @@ def is_unitary(matrix, tol: float = UNITARY_TOL) -> bool:
 
 
 def _unitarity_errors(stack: np.ndarray) -> np.ndarray:
-    """Largest entrywise ``|G @ G† - I|`` of each gate ``G`` in a ``(k, m, m)`` complex stack.
+    """Largest entrywise ``|G @ G† - I|`` of each gate ``G`` in a ``(k, m, m)`` stack.
 
     A gate that is not finite gets NaN or inf, so a guard reads ``not err <= tol``.
-    A stack with no imaginary part, as every built-in and constructed
-    algorithm's is, is checked in float64, which is faster.
+    A float64 stack, as every built-in and constructed algorithm keeps, is
+    checked as it is; a complex one with no imaginary part is checked in
+    float64 too, which is faster.
     """
-    if not stack.imag.any():
+    if stack.dtype == complex and not stack.imag.any():
         stack = np.ascontiguousarray(stack.real)
-    eye = np.eye(stack.shape[-1])
-    return np.abs(stack @ stack.conj().swapaxes(-1, -2) - eye).max(axis=(-2, -1))
+    adjoint = (stack.conj() if stack.dtype == complex else stack).swapaxes(-1, -2)
+    return np.abs(stack @ adjoint - np.eye(stack.shape[-1])).max(axis=(-2, -1))
 
 
 def block_diag(blocks: Sequence) -> np.ndarray:
-    """Assemble square blocks into one block-diagonal matrix, zeros elsewhere."""
-    mats = [np.asarray(b, dtype=complex) for b in blocks]
+    """Assemble square blocks into one block-diagonal matrix, zeros elsewhere.
+
+    The matrix is complex if a block is, and float64 otherwise.
+    """
+    mats = [np.asarray(b) for b in blocks]
     if not mats:
         raise ValueError("block_diag needs at least one block")
     for b in mats:
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ValueError("every block must be a square matrix")
     dim = sum(b.shape[0] for b in mats)
-    out = np.zeros((dim, dim), dtype=complex)
+    out = np.zeros((dim, dim), dtype=complex if any(map(np.iscomplexobj, mats)) else float)
     at = 0
     for b in mats:
         k = b.shape[0]
@@ -65,13 +69,13 @@ def permutation_matrix(sigma: Sequence[int]) -> np.ndarray:
     """Matrix that routes the amplitude at position ``i`` to position ``sigma[i]``.
 
     For a row vector ``s``, ``(s @ P)[sigma[i]] == s[i]``.  ``sigma`` must be a
-    permutation of ``0..len(sigma)-1``; the result is always unitary.
+    permutation of ``0..len(sigma)-1``; the result, float64, is always unitary.
     """
     targets = list(sigma)
     n = len(targets)
     if sorted(targets) != list(range(n)):
         raise ValueError(f"sigma is not a permutation of 0..{n - 1}: {targets}")
-    out = np.zeros((n, n), dtype=complex)
+    out = np.zeros((n, n))
     for i, j in enumerate(targets):
         out[i, j] = 1.0
     return out

@@ -37,12 +37,12 @@ FIELDS = ("format_version", "arity", "amplitudes", "initial", "steps", "measurem
 
 
 def _pair_lists(z: np.ndarray) -> list:
-    """A complex array as nested lists whose leaves are ``[re, im]`` pairs of floats."""
-    return np.ascontiguousarray(z).view(float).reshape(*z.shape, 2).tolist()
+    """An array as nested lists whose leaves are ``[re, im]`` pairs of floats."""
+    return np.ascontiguousarray(z, dtype=complex).view(float).reshape(*z.shape, 2).tolist()
 
 
 def _document(a: QQA, name: str | None, provenance: str | None, pairs) -> dict:
-    """The document of an algorithm, each complex array given as ``pairs(array)``."""
+    """The document of an algorithm, each array given as ``pairs(array)``."""
     steps = [
         {"query": [None if v is None else v + 1 for v in step.assignments]}
         if isinstance(step, QueryGate) else {"unitary": pairs(step)}
@@ -90,7 +90,7 @@ def _separators(shape: tuple, level: int) -> tuple:
 
 
 def _pair_text(z: np.ndarray, level: int) -> str:
-    """A complex array with no zero dimension as nested ``[re, im]`` pairs.
+    """An array with no zero dimension as nested ``[re, im]`` pairs.
 
     Each part goes through ``float.__repr__``, as in ``json``; every number
     of an algorithm or of its states is finite.
@@ -112,7 +112,7 @@ def _bracketed(opening: str, items: list, closing: str, level: int) -> str:
 
 
 def _json_text(value, level: int = 0) -> str:
-    """``json.dumps(value, indent=1)`` at nesting ``level``, a complex array
+    """``json.dumps(value, indent=1)`` at nesting ``level``, an array
     standing for its nested ``[re, im]`` pairs; object keys are strings."""
     if type(value) is float and math.isfinite(value):
         return float.__repr__(value)
@@ -212,8 +212,8 @@ def from_document(doc: dict) -> QQA:
 
 def save(a: QQA, destination, name: str | None = None, provenance: str | None = None) -> dict:
     """Write an algorithm document to ``destination`` atomically; returns the
-    document written, its complex arrays as they are (``to_document`` turns
-    them into ``[re, im]`` lists)."""
+    document written, its arrays as they are, real gates as float64
+    (``to_document`` turns them into ``[re, im]`` lists)."""
     doc = _document(a, name, provenance, np.asarray)
     text = _json_text(doc)
     destination = os.fspath(destination)

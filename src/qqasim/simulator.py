@@ -117,7 +117,8 @@ class QQA:
     (never booleans; numpy integers are stored as ``int``, in query gates
     too).  Errors name the field as a document does, such as
     ``steps[k].query[j]``, and the first failing step.  The stored gates are
-    read-only views of one ``(gates, m, m)`` complex array.  Loading, the
+    read-only views of one ``(gates, m, m)`` array, float64 when no gate has
+    an imaginary part other than +0.0 and complex otherwise.  Loading, the
     built-ins and ``dataclasses.replace`` come here, and every field is
     checked by :func:`_assembled`, as the combiners' and transforms' are.
     """
@@ -171,7 +172,7 @@ class QQA:
 
 def _assembled(arity: int, initial, gates: np.ndarray, trusted: int, steps, measurement,
                pending=None, m=None) -> QQA:
-    """An algorithm on ``gates``, a ``(k, m, m)`` complex stack, once every field is checked.
+    """An algorithm on ``gates``, a ``(k, m, m)`` stack, once every field is checked.
 
     The one check of every algorithm; errors name the field as a document
     does, and the first failing step.  The first ``trusted`` gates must have
@@ -181,8 +182,12 @@ def _assembled(arity: int, initial, gates: np.ndarray, trusted: int, steps, meas
     the error of the step after ``steps``, which :class:`QQA` could not
     stack, raised once every step before it has passed.  Each entry of
     ``steps`` that is not a :class:`QueryGate` stands for the next gate of
-    ``gates`` and becomes a read-only view of it.  The stack is kept frozen,
-    not copied; the initial state is a read-only copy.
+    ``gates`` and becomes a read-only view of it.  A float64 stack is kept
+    frozen, not copied.  A complex one whose imaginary parts are all +0.0,
+    bit for bit, is stored as a float64 copy of its real parts; any other
+    imaginary part (-0.0, NaN or nonzero) keeps it complex and uncopied, so
+    a document saves as it was loaded.  The initial state is a read-only
+    copy.
     """
     if not 0 <= arity <= MAX_ARITY:
         raise ValueError(f"arity must be between 0 and {MAX_ARITY}, got {arity}")
@@ -194,6 +199,8 @@ def _assembled(arity: int, initial, gates: np.ndarray, trusted: int, steps, meas
         raise ValueError(f"initial state must have shape ({m},), got {initial.shape}")
     if not abs(float(np.square(initial.view(float)).sum()) - 1.0) <= NORM_TOL:
         raise ValueError("initial: state is not unit-norm")
+    if gates.dtype == complex and not gates.imag.view(np.uint64).any():
+        gates = gates.real.copy()
     views = iter(_freeze(gates))
     checked, malformed = [], None
     for k, step in enumerate(steps):
@@ -324,10 +331,10 @@ def run_all(a: QQA) -> np.ndarray:
     after them once per distinct state (:func:`_block_states`); its rows
     are gathered from those states, bit-identical to the whole batch.  When
     the initial state and every gate have zero imaginary part, as in every
-    built-in and constructed algorithm, the batch runs in float64 and the
-    result is float64; otherwise the same code runs in complex.  A row
-    whose norm drifts from 1 by more than ``NORM_TOL`` is an error that
-    names the first such input.
+    built-in and constructed algorithm, the batch runs in float64 on the
+    stored float64 gates and the result is float64; otherwise the same code
+    runs in complex.  A row whose norm drifts from 1 by more than
+    ``NORM_TOL`` is an error that names the first such input.
     """
     return _per_input(*_simulate(a))
 
@@ -382,8 +389,12 @@ def _final_states(a: QQA) -> tuple:
     costs are more than they save.
     """
     n = a.arity
-    real = not (a.initial.imag.any() or a._gates.imag.any())
-    gates = iter(np.ascontiguousarray(a._gates.real) if real else a._gates)
+    gates = a._gates
+    real = not a.initial.imag.any()
+    if gates.dtype == complex:  # an imaginary part other than +0.0; all may still be ±0
+        real = real and not gates.imag.any()
+        gates = np.ascontiguousarray(gates.real) if real else gates
+    gates = iter(gates)
     steps = [step if isinstance(step, QueryGate) else next(gates) for step in a.steps]
     initial = a.initial.real if real else a.initial
     split = _blocks(a) if 1 << n >= _BLOCK_ROWS else None
@@ -608,6 +619,36 @@ def _answers(a: QQA) -> _Answers:
     )
     object.__setattr__(a, "_memo", answers)
     return answers
+
+
+#: The values each accepting discipline allows, as its errors name them.
+_ALLOWED = {
+    StructuralProperty.ACCEPT_PLUS_ONE: "{0, +1}",
+    StructuralProperty.ACCEPT_MINUS_ONE: "{0, -1}",
+    StructuralProperty.ACCEPT_SIGNED_UNIT: "{-1, 0, +1}",
+}
+
+
+def _where_broken(a: QQA, *disciplines: StructuralProperty) -> str:
+    """Where ``a`` breaks accepting ``disciplines``, for an error message.
+
+    Names, for each, the first input in row order on which the accepting
+    amplitude is furthest from its allowed values; with other than one
+    accepting output, the number of them.
+    """
+    answers = _answers(a)
+    if not answers.spread:
+        return f"it has {a.measurement.count(1)} accepting outputs"
+    return "its accepting amplitude leaves " + " and ".join(
+        f"{_ALLOWED[which]} on input {bit_string(answers.spread_at[which], a.arity)}"
+        for which in disciplines
+    )
+
+
+def _where_uncertain(a: QQA) -> str:
+    """Where ``a`` has no certain outcome, for an error message: the first
+    input in row order whose largest basis-state probability is smallest."""
+    return f"no outcome is certain on input {bit_string(_answers(a).peak_at, a.arity)}"
 
 
 def verify(a: QQA, f: TruthTable, tol: float = NORM_TOL) -> VerificationReport:

@@ -2,10 +2,12 @@
 
 Each transform returns a new algorithm; none of them adds a query, so
 complexity is preserved.  Inputs are validated against the precondition each
-transform needs for the output to stay exact.  The one checker takes the
+transform needs for the output to stay exact; an error names the first input,
+in row order, on which the source breaks it.  The one checker takes the
 source's gates as checked (:func:`qqasim.simulator._assembled`): relabelling
 the outputs or the variables shares its read-only gate stack and checks no
-gate, and the sign flip copies the stack and checks only the gate it adds.
+gate, and the sign flip copies the stack, in its own dtype, and checks only
+the gate it adds.
 """
 from __future__ import annotations
 
@@ -18,6 +20,8 @@ from .simulator import (
     QueryGate,
     StructuralProperty,
     _assembled,
+    _where_broken,
+    _where_uncertain,
     check_property,
     computed_function,
     is_exact,
@@ -59,7 +63,8 @@ def permute_outputs(a: QQA, sigma: Sequence[int]) -> QQA:
     sigma = _check_permutation(sigma, a.amplitudes, "output permutation")
     if not check_property(a, StructuralProperty.CERTAIN_OUTCOME):
         raise ValueError(
-            "output permutation requires all probability on one basis state for every input"
+            "output permutation requires all probability on one basis state for every input; "
+            + _where_uncertain(a)
         )
     values = list(a.measurement)
     for i, j in enumerate(sigma):
@@ -90,8 +95,11 @@ def normalize_accepting_sign(a: QQA) -> QQA:
     untouched while the stricter {0, +1} discipline now holds.
     """
     if not check_property(a, StructuralProperty.ACCEPT_MINUS_ONE):
-        raise ValueError("sign normalization requires an accepting amplitude in {0, -1}")
+        raise ValueError(
+            "sign normalization requires an accepting amplitude in {0, -1}; "
+            + _where_broken(a, StructuralProperty.ACCEPT_MINUS_ONE)
+        )
     acc = a.accepting_outputs()[0]
-    gates = np.concatenate([a._gates, np.eye(a.amplitudes, dtype=complex)[np.newaxis]])
+    gates = np.concatenate([a._gates, np.eye(a.amplitudes, dtype=a._gates.dtype)[np.newaxis]])
     gates[-1, acc, acc] = -1.0
     return _assembled(a.arity, a.initial, gates, len(a._gates), a.steps + (None,), a.measurement)

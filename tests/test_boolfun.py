@@ -207,6 +207,20 @@ class TestMajorityCompose:
             for pad in "01":
                 assert with_filler.evaluate(x + pad) == odd.evaluate(x)
 
+    @pytest.mark.parametrize(
+        "arities, even", [((2, 3), True), ((1, 3, 2), False), ((3, 1, 2, 3), True)]
+    )
+    def test_matches_brute_force_count_on_random_tables(self, arities, even):
+        rng = random.Random(len(arities))
+        starts = list(itertools.accumulate(arities, initial=0))
+        for _ in range(5):
+            fs = [TruthTable(a, bytes(rng.randint(0, 1) for _ in range(1 << a))) for a in arities]
+            expected = bytearray()
+            for x in all_inputs(sum(arities)):
+                count = sum(f.evaluate(x[s:s + f.arity]) for f, s in zip(fs, starts))
+                expected.append(1 if 2 * count > len(fs) else 0)
+            assert majority_compose(fs, even=even).bits == bytes(expected)
+
     def test_exact_tie_rejected(self):
         single = named_function("constant1", 1)
         f = majority_compose([single, single.complement()], even=True)

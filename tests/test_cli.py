@@ -199,6 +199,24 @@ class TestTransformCommand:
         assert result.exit_code != 0
         assert "permutation" in result.output
 
+    def test_permute_outputs_error_names_an_uncertain_input(self, tmp_path):
+        bounded = tmp_path / "and.json"
+        invoke(
+            "construct", "--method", "and",
+            "--inputs", "builtin:equality3,builtin:equality3", "--out", str(bounded),
+        )
+        out = tmp_path / "moved.json"
+        result = invoke(
+            "transform", "--algorithm", str(bounded),
+            "--method", "permute-outputs", "--sigma", "2,1,3,4,5,6,7,8", "--out", str(out),
+        )
+        assert result.exit_code == 1
+        assert result.output == (
+            "Error: output permutation requires all probability on one basis state for every "
+            "input; no outcome is certain on input 000001\n"
+        )
+        assert not out.exists()
+
 
 class TestConstructCommand:
     def test_and_reports_probabilities(self, tmp_path):

@@ -95,7 +95,7 @@ class TestParallelGates:
             if isinstance(reference, QueryGate):
                 assert step.assignments == reference.assignments
             else:
-                assert step.dtype == reference.dtype == complex
+                assert step.dtype == reference.dtype == np.float64
                 assert np.array_equal(step, reference)
 
 
@@ -377,7 +377,7 @@ class TestAssembledFromCheckedParts:
         for a in algorithms:
             assert (_unitarity_errors(a._gates) <= UNITARY_TOL).all()
             rebuilt = QQA(a.arity, a.amplitudes, a.initial, a.steps, a.measurement)
-            assert rebuilt._gates.dtype == a._gates.dtype == complex
+            assert rebuilt._gates.dtype == a._gates.dtype == np.float64
             assert rebuilt._gates.tobytes() == a._gates.tobytes()
             assert [getattr(step, "assignments", None) for step in rebuilt.steps] == [
                 getattr(step, "assignments", None) for step in a.steps

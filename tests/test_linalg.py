@@ -56,6 +56,8 @@ class TestIsUnitary:
         with np.errstate(invalid="ignore"):
             verdicts = list(~(_unitarity_errors(real) <= 1e-10))
             assert list(~(_unitarity_errors(mixed) <= 1e-10)) == verdicts + [False]
+            stored = _unitarity_errors(np.ascontiguousarray(real.real))  # as an algorithm keeps it
+            assert stored.tobytes() == _unitarity_errors(real).tobytes()
             direct = np.abs(real @ real.conj().swapaxes(-1, -2) - np.eye(4)).max(axis=(-2, -1))
         assert verdicts == list(~(direct <= 1e-10))
         assert verdicts == [False, False, True, True, False, True, True, True, True]

@@ -796,6 +796,81 @@ class TestQueryCount:
             assert verify(padded, f_eq3).exact
 
 
+def _with_imaginary_zeros(a, imag=-0.0):
+    """``a`` with every gate complex, each imaginary part ``imag``."""
+    steps = []
+    for step in a.steps:
+        if not isinstance(step, QueryGate):
+            step = step.astype(complex)
+            step.imag = imag
+        steps.append(step)
+    return QQA(a.arity, a.amplitudes, a.initial, tuple(steps), a.measurement)
+
+
+class TestGateStorage:
+    """A stack is float64 unless a gate has an imaginary part other than +0.0, bit for bit."""
+
+    def test_catalog_gates_are_float64(self, full_catalog):
+        algorithms = [e.algorithm for s in full_catalog.values() for e in s.entries]
+        stacks = {id(a._gates): a._gates for a in algorithms}
+        assert {stack.dtype for stack in stacks.values()} == {np.dtype(np.float64)}
+        assert len(stacks) == 594
+        assert sum(stack.nbytes for stack in stacks.values()) == 6_282_432  # 12,564,864 as complex
+
+    def test_plus_zero_imaginary_parts_are_dropped(self, eq3):
+        a = _with_imaginary_zeros(eq3, imag=0.0)
+        assert a._gates.dtype == np.float64
+        assert a._gates.tobytes() == eq3._gates.tobytes()
+
+    @pytest.mark.parametrize("which", ["complex phase", "-0.0 in a document"])
+    def test_kept_complex(self, eq3, tmp_path, which):
+        if which == "complex phase":
+            a = _with_phase_gate(eq3)
+        else:
+            save(_with_imaginary_zeros(eq3), tmp_path / "a.json")
+            a = load(tmp_path / "a.json")
+            assert np.signbit(a._gates.imag).all()
+        assert a._gates.dtype == complex
+        assert all(step.base is a._gates for step in a.steps if not isinstance(step, QueryGate))
+
+    @pytest.mark.parametrize("imag", [np.nan, np.inf, -np.inf])
+    def test_non_finite_imaginary_part_is_checked(self, imag):
+        # The real part alone is the identity, which is unitary.
+        gate = np.eye(2, dtype=complex)
+        gate[0, 1] = complex(0.0, imag)
+        with pytest.raises(ValueError, match=r"^steps\[1\]\.unitary: matrix is not unitary"):
+            with np.errstate(invalid="ignore"):
+                QQA(1, 2, [1, 0], (np.eye(2), gate), (1, 0))
+
+    @pytest.mark.parametrize("build", ["built-in", "block path"])
+    def test_negative_zero_imaginary_parts_simulate_in_float64(self, eq3, build):
+        part = _with_imaginary_zeros(eq3)
+        if build == "built-in":
+            a, real = part, eq3
+        else:  # the combined stack keeps the part's -0.0 parts
+            a = majority_even4_construct(eq3, part, eq3, eq3).algorithm
+            real = majority_even4_construct(eq3, eq3, eq3, eq3).algorithm
+            assert simulator._blocks(a) is not None
+        assert a._gates.dtype == complex
+        states = run_all(a)
+        assert states.dtype == np.float64
+        _assert_bit_identical(a)
+        assert states.tobytes() == run_all(real).tobytes()
+
+    def test_float64_gates_are_simulated_as_stored(self, eq3, monkeypatch):
+        seen = []
+        evolve = simulator._evolve_rows
+
+        def recording(states, signs, steps):
+            seen.extend(steps)
+            return evolve(states, signs, steps)
+
+        monkeypatch.setattr(simulator, "_evolve_rows", recording)
+        run_all(eq3)
+        gates = [step for step in seen if not isinstance(step, QueryGate)]
+        assert len(gates) == 3 and all(gate.base is eq3._gates for gate in gates)
+
+
 class TestValidation:
     def test_non_unitary_step(self):
         with pytest.raises(ValueError, match="not unitary"):

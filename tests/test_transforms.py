@@ -81,6 +81,15 @@ class TestPermuteOutputs:
         with pytest.raises(ValueError, match="basis state"):
             permute_outputs(bounded, range(8))
 
+    def test_error_names_the_first_uncertain_input(self, eq3):
+        bounded = and_construct(eq3, eq3).algorithm  # 000000 is certain, 000001 is not
+        with pytest.raises(ValueError) as error:
+            permute_outputs(bounded, range(8))
+        assert str(error.value) == (
+            "output permutation requires all probability on one basis state for every input; "
+            "no outcome is certain on input 000001"
+        )
+
     def test_requires_bijection(self, eq3):
         with pytest.raises(ValueError, match="permutation"):
             permute_outputs(eq3, [0, 0, 1, 2])
@@ -142,6 +151,22 @@ class TestNormalizeAcceptingSign:
         with pytest.raises(ValueError, match="sign normalization"):
             normalize_accepting_sign(eq3)
 
+    @pytest.mark.parametrize(
+        "source, why",
+        [
+            ("eq3", "its accepting amplitude leaves {0, -1} on input 000"),
+            ("pe4", "its accepting amplitude leaves {0, -1} on input 0000"),  # +1 there, -1 on 0011
+            ("inverted eq3", "it has 3 accepting outputs"),
+        ],
+    )
+    def test_error_names_a_witness(self, eq3, pe4, source, why):
+        a = {"eq3": eq3, "pe4": pe4, "inverted eq3": invert_outputs(eq3)}[source]
+        with pytest.raises(ValueError) as error:
+            normalize_accepting_sign(a)
+        assert str(error.value) == (
+            "sign normalization requires an accepting amplitude in {0, -1}; " + why
+        )
+
 
 class TestQueryCountPreservation:
     def test_all_transforms_keep_two_queries(self, eq3):
@@ -176,5 +201,6 @@ class TestGatesChecked:
         checked = count_checks()
         fixed = normalize_accepting_sign(moved)
         assert checked == [1]
+        assert fixed._gates.dtype == moved._gates.dtype == np.float64
         assert fixed._gates[:-1].tobytes() == moved._gates.tobytes()
         assert fixed.steps[-1].base is fixed._gates and not fixed._gates.flags.writeable
