@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from .boolfun import _integer
 from .linalg import block_diag
 from .simulator import QQA, QueryGate
 
@@ -83,6 +84,8 @@ def constant_one_algorithm(num_amplitudes: int = 1, arity: int = 0, queries: int
     no-op query steps make it schedulable alongside real algorithms when
     composing; ``arity`` fixes how many input variables it nominally reads.
     """
+    num_amplitudes = _integer(num_amplitudes, "num_amplitudes")
+    queries = _integer(queries, "queries")
     if num_amplitudes < 1:
         raise ValueError("need at least one amplitude")
     if queries < 0:

@@ -7,6 +7,7 @@ matches row order everywhere (tables, CSV files, witness reporting).
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -46,6 +47,13 @@ def all_inputs(arity: int) -> Iterator[str]:
         yield bit_string(i, arity)
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an ``int``, once it is an integer (a numpy one too) and not a boolean."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_input(input_bits: str, arity: int) -> None:
     if len(input_bits) != arity or any(c not in "01" for c in input_bits):
         raise ValueError(f"expected a {arity}-bit input of 0s and 1s, got {input_bits!r}")
@@ -59,6 +67,7 @@ class TruthTable:
     bits: bytes
 
     def __post_init__(self):
+        object.__setattr__(self, "arity", _integer(self.arity, "arity"))
         if not 1 <= self.arity <= MAX_ARITY:
             raise ValueError(f"arity must be between 1 and {MAX_ARITY}, got {self.arity}")
         if not isinstance(self.bits, bytes):
@@ -115,6 +124,7 @@ def named_function(name: str, n: int | None = None) -> TruthTable:
         return from_accepting(4, ["0000", "0011", "1100", "1111"])
     if n is None:
         raise ValueError(f"{name} needs an arity parameter")
+    n = _integer(n, "arity")
     if not 1 <= n <= MAX_ARITY:
         raise ValueError(f"arity must be between 1 and {MAX_ARITY}, got {n}")
     if name == "majority" and n % 2 == 0:
@@ -194,27 +204,29 @@ def majority_compose(fs: Sequence[TruthTable], even: bool) -> TruthTable:
 CSV_HEADER = ["input", "value"]
 
 
+@contextlib.contextmanager
+def _opened(target, mode: str, newline: str | None = None):
+    """``target`` itself if it is a file object, else the file at path ``target``
+    opened in ``mode`` (``"r"`` or ``"w"``) and closed on leaving."""
+    if hasattr(target, "read" if mode == "r" else "write"):
+        yield target
+    else:
+        with open(target, mode, newline=newline) as handle:
+            yield handle
+
+
 def table_to_csv(f: TruthTable, destination) -> None:
     """Write ``input,value`` rows for every input in ascending order."""
-    if hasattr(destination, "write"):
-        _write_csv(f, destination)
-    else:
-        with open(destination, "w", newline="") as handle:
-            _write_csv(f, handle)
-
-
-def _write_csv(f: TruthTable, handle) -> None:
-    writer = csv.writer(handle)
-    writer.writerow(CSV_HEADER)
-    for i, b in enumerate(f.bits):
-        writer.writerow([bit_string(i, f.arity), b])
+    with _opened(destination, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(CSV_HEADER)
+        for i, b in enumerate(f.bits):
+            writer.writerow([bit_string(i, f.arity), b])
 
 
 def table_from_csv(source) -> TruthTable:
     """Read a table written by :func:`table_to_csv`; every input must appear once."""
-    if hasattr(source, "read"):
-        return _read_csv(source)
-    with open(source, newline="") as handle:
+    with _opened(source, "r", newline="") as handle:
         return _read_csv(handle)
 
 
@@ -248,7 +260,7 @@ def _read_csv(handle) -> TruthTable:
             bits[indices] = np.frombuffer("".join(values).encode(), dtype=np.uint8) - ord("0")
             if bits.max() <= 1:  # every input is there, so none is there twice
                 return TruthTable(arity, bits.tobytes())
-    seen: dict[int, int] = {}
+    seen = set()
     for row in body:
         if len(row) != 2:
             raise ValueError(f"malformed row {row!r}")
@@ -259,6 +271,4 @@ def _read_csv(handle) -> TruthTable:
         idx = input_index(input_bits)
         if idx in seen:
             raise ValueError(f"duplicate input {input_bits!r}")
-        seen[idx] = int(value)
-    bits = bytes(seen[i] for i in range(1 << arity))
-    return TruthTable(arity, bits)
+        seen.add(idx)

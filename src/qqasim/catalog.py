@@ -21,31 +21,19 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .algorithms import equality3_algorithm, pair_equality4_algorithm
-from .boolfun import TruthTable
+from .boolfun import TruthTable, _opened
 from .constructors import (
+    _accept_plus,
     and_construct,
     majority3_construct,
     majority_even4_construct,
     or_construct,
 )
+from .linalg import NORM_TOL
 from .simulator import QQA, StructuralProperty, check_property, computed_function, verify
-from .transforms import (
-    invert_outputs,
-    normalize_accepting_sign,
-    permute_outputs,
-    permute_variables,
-)
+from .transforms import invert_outputs, permute_outputs, permute_variables
 
 SET_NAMES = ("qfunc3", "qfunc4", "and", "or", "maj_even4", "majority3")
-
-_PROBABILITY = {
-    "qfunc3": 1.0,
-    "qfunc4": 1.0,
-    "and": 3 / 4,
-    "or": 5 / 8,
-    "maj_even4": 9 / 16,
-    "majority3": 9 / 16,
-}
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,15 +104,15 @@ def _dedup(entries: Iterable[CatalogEntry]) -> tuple:
     return tuple(seen.values())
 
 
-def _verified_set(name: str, candidates: Sequence[CatalogEntry]) -> FunctionSet:
+def _verified_set(name: str, candidates: Sequence[CatalogEntry], floor: float) -> FunctionSet:
+    """The distinct ``candidates``, each verified to succeed with probability ``floor`` or more."""
     entries = _dedup(candidates)
-    floor = _PROBABILITY[name]
     queries = {entry.algorithm.query_count for entry in entries}
     if len(queries) != 1:
         raise RuntimeError(f"{name}: inconsistent query counts {queries}")
     for entry in entries:
         report = verify(entry.algorithm, entry.function)
-        if report.worst_case_p < floor - 1e-9:
+        if report.worst_case_p < floor - NORM_TOL:
             raise RuntimeError(
                 f"{name}: entry {entry.provenance} verified at {report.worst_case_p} "
                 f"on input {report.witness}, below the {floor} floor"
@@ -139,13 +127,8 @@ def _mixing_pool(entries: Iterable[CatalogEntry]) -> list:
     Normalising here, once per pool, lets every combination share the pool's
     algorithms instead of sign-flipping a fresh copy for each one.
     """
-    pool = []
-    for e in entries:
-        if check_property(e.algorithm, StructuralProperty.ACCEPT_PLUS_ONE):
-            pool.append(e)
-        elif check_property(e.algorithm, StructuralProperty.ACCEPT_MINUS_ONE):
-            pool.append(replace(e, algorithm=normalize_accepting_sign(e.algorithm)))
-    return pool
+    coerced = ((e, _accept_plus(e.algorithm)) for e in entries)
+    return [replace(e, algorithm=a) for e, a in coerced if a is not None]
 
 
 def _routing_pool(entries: Iterable[CatalogEntry]) -> list:
@@ -171,10 +154,10 @@ def generate_set(kind: str, bases: dict | None = None) -> FunctionSet:
     ``bases``, or from freshly generated ones where ``bases`` lacks them.
     """
     if kind == "qfunc3":
-        return _verified_set(kind, _transform_variants("equality3", equality3_algorithm()))
+        return _verified_set(kind, _transform_variants("equality3", equality3_algorithm()), 1.0)
     if kind == "qfunc4":
         return _verified_set(
-            kind, _transform_variants("pair_equality4", pair_equality4_algorithm())
+            kind, _transform_variants("pair_equality4", pair_equality4_algorithm()), 1.0
         )
 
     # Per combined set: its base sets, the pool they feed, the combiner and
@@ -191,12 +174,14 @@ def generate_set(kind: str, bases: dict | None = None) -> FunctionSet:
         raise ValueError(f"unknown set {kind!r} (expected one of {SET_NAMES})")
     base_names, pool_of, combine, picks_per_combination = combined[kind]
     pool = pool_of(e for name in base_names for e in _base_entries(name, bases))
-    candidates = []
+    candidates, floors = [], set()
     for picks in itertools.product(pool, repeat=picks_per_combination):
         result = combine(*(e.algorithm for e in picks))
         provenance = "{}({})".format(kind, ",".join(e.provenance for e in picks))
         candidates.append(CatalogEntry(result.target, result.algorithm, provenance))
-    return _verified_set(kind, candidates)
+        floors.add(result.guaranteed_p)
+    # An empty pool has no floor; _verified_set rejects its empty set.
+    return _verified_set(kind, candidates, min(floors, default=0.0))
 
 
 def generate_all() -> dict:
@@ -209,26 +194,19 @@ def generate_all() -> dict:
 
 def export_csv(sets: dict, destination) -> None:
     """Write ``set,arity,queries,probability,truth_table_hex,provenance`` rows."""
-    if hasattr(destination, "write"):
-        _write_csv(sets, destination)
-    else:
-        with open(destination, "w", newline="") as handle:
-            _write_csv(sets, handle)
-
-
-def _write_csv(sets: dict, handle) -> None:
-    writer = csv.writer(handle)
-    writer.writerow(["set", "arity", "queries", "probability", "truth_table_hex", "provenance"])
-    for function_set in sets.values():
-        label = function_set.probability_label
-        for entry in function_set.entries:
-            writer.writerow(
-                [
-                    function_set.name,
-                    entry.function.arity,
-                    function_set.queries,
-                    label,
-                    entry.function.as_hex(),
-                    entry.provenance,
-                ]
-            )
+    with _opened(destination, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["set", "arity", "queries", "probability", "truth_table_hex", "provenance"])
+        for function_set in sets.values():
+            label = function_set.probability_label
+            for entry in function_set.entries:
+                writer.writerow(
+                    [
+                        function_set.name,
+                        entry.function.arity,
+                        function_set.queries,
+                        label,
+                        entry.function.as_hex(),
+                        entry.provenance,
+                    ]
+                )

@@ -17,10 +17,10 @@ every amplitude, auxiliary ones included, so no gate is padded twice.  The
 stack is float64 when the parts' stacks and the mixing gates are, as they
 are for every built-in part, and complex otherwise.  A
 combination goes through the one check of every algorithm,
-:func:`qqasim.simulator._assembled`, with its gates marked as checked: the
-parts' gates were checked when the parts were made, and the mixing gates
-are unitary by construction once their builder's first gate has passed.
-Its query variables, arity, initial state and measurement are checked.
+:func:`qqasim.simulator._assembled`, with its parallel gates marked as
+checked, since the parts' gates were checked when the parts were made.  Its
+one or two mixing gates are checked in one batch by every construction, as
+are its query variables, arity, initial state and measurement.
 
 A combined algorithm carries nothing but its fields:
 :func:`qqasim.simulator.run_all` finds the parts' blocks in its gates, as it
@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algorithms import constant_one_algorithm
+from .algorithms import H2, _S, constant_one_algorithm
 from .boolfun import TruthTable, combine_disjoint, majority_compose
 from .linalg import block_diag, permutation_matrix
 from .simulator import (
@@ -52,9 +52,6 @@ from .simulator import (
 )
 from .transforms import normalize_accepting_sign
 
-_S = 1.0 / math.sqrt(2.0)
-
-
 @dataclass(frozen=True, eq=False)
 class ConstructionResult:
     """A constructed algorithm with its target function and probability floor."""
@@ -65,23 +62,25 @@ class ConstructionResult:
     queries: int
 
 
-def _as_accept_plus(a: QQA, label: str) -> QQA:
-    """Coerce to the {0, +1} accepting discipline, flipping a {0, -1} sign if needed."""
+def _accept_plus(a: QQA) -> QQA | None:
+    """``a`` in the {0, +1} accepting discipline, its sign flipped if it holds {0, -1};
+    ``None`` if it holds neither."""
     if check_property(a, StructuralProperty.ACCEPT_PLUS_ONE):
         return a
     if check_property(a, StructuralProperty.ACCEPT_MINUS_ONE):
         return normalize_accepting_sign(a)
+    return None
+
+
+def _as_accept_plus(a: QQA, label: str) -> QQA:
+    """:func:`_accept_plus` of ``a``, or an error naming input ``label`` and where it fails."""
+    coerced = _accept_plus(a)
+    if coerced is not None:
+        return coerced
     raise ValueError(
         f"{label}: accepting amplitude must stay in {{0, +1}} or {{0, -1}} on every input; "
         + _where_broken(a, StructuralProperty.ACCEPT_PLUS_ONE, StructuralProperty.ACCEPT_MINUS_ONE)
     )
-
-
-def _accepting_index(a: QQA) -> int:
-    accepting = a.measurement.count(1)
-    if accepting != 1:
-        raise ValueError(f"expected exactly one accepting output, found {accepting}")
-    return a.measurement.index(1)
 
 
 def _accepting_at(amplitudes: int, index: int) -> tuple:
@@ -101,16 +100,8 @@ def _schedule(a: QQA) -> tuple:
     return runs, queries
 
 
-#: The builders of the combiners' mixing gates that a construction has
-#: checked.  Each builds a unitary gate from any arguments it accepts, once
-#: its own constants are right: a permutation, Hadamard blocks on disjoint
-#: pairs of positions and the identity elsewhere, or one fixed gate.  So the
-#: first construction that uses a builder checks its gates, and no later one.
-_CHECKED: set = set()
-
-
 def _combined(
-    algs: Sequence[QQA], widths: Sequence[int], amplitudes: int, tail: Sequence[tuple],
+    algs: Sequence[QQA], widths: Sequence[int], amplitudes: int, tail: Sequence[np.ndarray],
     initial: np.ndarray, measurement: tuple,
 ) -> QQA:
     """All ``algs`` side by side on disjoint variables over ``amplitudes`` states, then ``tail``.
@@ -127,9 +118,8 @@ def _combined(
     gates.  Variable indices of later blocks are shifted past the
     arities of earlier ones, matching the convention of
     :func:`qqasim.boolfun.combine_disjoint`.  ``tail`` lists the mixing
-    gates that follow as ``(builder, arguments)`` pairs.  The parts' gates
-    were checked when the parts were made, so only the mixing gates of a
-    builder used for the first time are checked here (see ``_CHECKED``).
+    gates that follow.  The parts' gates were checked when the parts were
+    made, so only the mixing gates are checked here, by every construction.
     """
     schedules = [_schedule(a) for a in algs]
     rounds = max(len(queries) for _, queries in schedules)
@@ -138,11 +128,10 @@ def _combined(
     lengths = [max(column) for column in zip(*(runs for runs, _ in schedules))]
     starts = list(itertools.accumulate(lengths, initial=0))
     parallel = starts[-1]
-    mixing = [build(*args) for build, args in tail]
-    dtype = np.result_type(*(a._gates for a in algs), *mixing)
+    dtype = np.result_type(*(a._gates for a in algs), *tail)
     stack = np.zeros((parallel + len(tail), amplitudes, amplitudes), dtype=dtype)
     stack.reshape(len(stack), -1)[:parallel, ::amplitudes + 1] = 1.0  # the diagonals
-    for slot, gate in enumerate(mixing, parallel):
+    for slot, gate in enumerate(tail, parallel):
         stack[slot] = gate
     offsets = list(itertools.accumulate(widths, initial=0))
     for a, offset, (runs, _) in zip(algs, offsets, schedules):
@@ -165,12 +154,7 @@ def _combined(
                     ]
             steps.append(QueryGate(assignments))
     steps += [None] * len(tail)
-    known = all(build in _CHECKED for build, _ in tail)
-    algorithm = _assembled(
-        shifts[-1], initial, stack, len(stack) if known else parallel, steps, measurement
-    )
-    _CHECKED.update(build for build, _ in tail)
-    return algorithm
+    return _assembled(shifts[-1], initial, stack, parallel, steps, measurement)
 
 
 def _hadamard_pairs(dim: int, pairs: tuple) -> np.ndarray:
@@ -203,13 +187,13 @@ def and_construct(a1: QQA, a2: QQA) -> ConstructionResult:
     a2 = _as_accept_plus(a2, "second input")
     f1, f2 = computed_function(a1), computed_function(a2)
     m = max(a1.amplitudes, a2.amplitudes)
-    acc1 = _accepting_index(a1)
-    acc2 = m + _accepting_index(a2)
+    acc1 = a1.measurement.index(1)
+    acc2 = m + a2.measurement.index(1)
     initial = np.zeros(2 * m, dtype=complex)
     initial[:a1.amplitudes] = a1.initial
     initial[m:m + a2.amplitudes] = a2.initial
     initial /= math.sqrt(2.0)
-    mix = (_hadamard_pairs, (2 * m, ((acc1, acc2),)))
+    mix = _hadamard_pairs(2 * m, ((acc1, acc2),))
     algorithm = _combined([a1, a2], [m, m], 2 * m, [mix], initial, _accepting_at(2 * m, acc1))
     target = combine_disjoint(f1, f2, "and")
     return ConstructionResult(algorithm, target, guaranteed_p=3 / 4, queries=algorithm.query_count)
@@ -246,15 +230,12 @@ def _or_routing(acc1: int, acc2: int) -> np.ndarray:
     return _freeze(permutation_matrix(sigma))
 
 
-_H2 = np.array([[_S, _S], [_S, -_S]])
-
-
 @functools.cache
 def _or_mix() -> np.ndarray:
     """The last gate of every ``or`` construction, built once and kept read-only: a
     Hadamard block on the accepting pair (slots 0-1) and a 4x4 one on each side's
     group (2-5, 6-9)."""
-    return _freeze(block_diag([_H2, np.kron(_H2, _H2), np.kron(_H2, _H2), np.eye(6)]))
+    return _freeze(block_diag([H2, np.kron(H2, H2), np.kron(H2, H2), np.eye(6)]))
 
 
 _OR_MEASUREMENT = tuple(1 if i in (0, 1, 2, 6) else 0 for i in range(16))
@@ -285,7 +266,7 @@ def or_construct(a1: QQA, a2: QQA) -> ConstructionResult:
     f1, f2 = computed_function(a1), computed_function(a2)
     initial = np.concatenate([a1.initial, a2.initial]) / math.sqrt(2.0)
     initial = np.concatenate([initial, np.zeros(8)])
-    tail = [(_or_routing, (_accepting_index(a1), _accepting_index(a2))), (_or_mix, ())]
+    tail = [_or_routing(a1.measurement.index(1), a2.measurement.index(1)), _or_mix()]
     algorithm = _combined([a1, a2], [4, 4], 16, tail, initial, _OR_MEASUREMENT)
     target = combine_disjoint(f1, f2, "or")
     return ConstructionResult(algorithm, target, guaranteed_p=5 / 8, queries=algorithm.query_count)
@@ -301,11 +282,11 @@ def _majority_pipeline(algs: Sequence[QQA]) -> QQA:
     algs = [_as_accept_plus(a, f"input {i + 1}") for i, a in enumerate(algs)]
     widths = [a.amplitudes for a in algs]
     offsets = itertools.accumulate(widths, initial=0)
-    acc = [offset + _accepting_index(a) for offset, a in zip(offsets, algs)]
+    acc = [offset + a.measurement.index(1) for offset, a in zip(offsets, algs)]
     total = sum(widths)
     tail = [
-        (_hadamard_pairs, (total, ((acc[0], acc[1]), (acc[2], acc[3])))),
-        (_hadamard_pairs, (total, ((acc[0], acc[2]),))),
+        _hadamard_pairs(total, ((acc[0], acc[1]), (acc[2], acc[3]))),
+        _hadamard_pairs(total, ((acc[0], acc[2]),)),
     ]
     initial = np.concatenate([a.initial for a in algs]) / 2.0
     return _combined(algs, widths, total, tail, initial, _accepting_at(total, acc[0]))

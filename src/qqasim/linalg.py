@@ -65,16 +65,29 @@ def block_diag(blocks: Sequence) -> np.ndarray:
     return out
 
 
+def _check_permutation(sigma: Sequence[int], size: int, what: str) -> tuple:
+    """``sigma`` as a tuple of ``int``, once it is a permutation of ``0..size-1``.
+
+    Every entry must be an integer, a numpy integer included, and never a
+    boolean; an error names ``what`` and the entries given.
+    """
+    sigma = tuple(sigma)
+    integers = not any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in sigma)
+    if not integers or sorted(sigma) != list(range(size)):
+        raise ValueError(f"{what} must be a permutation of 0..{size - 1}, got {sigma}")
+    return tuple(map(int, sigma))
+
+
 def permutation_matrix(sigma: Sequence[int]) -> np.ndarray:
     """Matrix that routes the amplitude at position ``i`` to position ``sigma[i]``.
 
     For a row vector ``s``, ``(s @ P)[sigma[i]] == s[i]``.  ``sigma`` must be a
-    permutation of ``0..len(sigma)-1``; the result, float64, is always unitary.
+    permutation of ``0..len(sigma)-1`` in integers, never booleans (see
+    :func:`_check_permutation`); the result, float64, is always unitary.
     """
-    targets = list(sigma)
+    sigma = tuple(sigma)
+    targets = _check_permutation(sigma, len(sigma), "sigma")
     n = len(targets)
-    if sorted(targets) != list(range(n)):
-        raise ValueError(f"sigma is not a permutation of 0..{n - 1}: {targets}")
     out = np.zeros((n, n))
     for i, j in enumerate(targets):
         out[i, j] = 1.0

@@ -29,6 +29,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from .boolfun import _opened
 from .simulator import QQA, QueryGate
 
 FORMAT_VERSION = 1
@@ -232,9 +233,6 @@ def save(a: QQA, destination, name: str | None = None, provenance: str | None = 
 
 def load(source) -> QQA:
     """Read an algorithm document from a path or file object."""
-    if hasattr(source, "read"):
-        doc = json.load(source)
-    else:
-        with open(source) as handle:
-            doc = json.load(handle)
+    with _opened(source, "r") as handle:
+        doc = json.load(handle)
     return from_document(doc)

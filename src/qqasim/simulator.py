@@ -44,7 +44,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .boolfun import MAX_ARITY, TruthTable, all_inputs, bit_string, _check_input
+from .boolfun import MAX_ARITY, TruthTable, _check_input, _integer, all_inputs, bit_string
 from .linalg import NORM_TOL, UNITARY_TOL, _check_tol, _unitarity_errors
 
 
@@ -135,10 +135,7 @@ class QQA:
 
     def __post_init__(self):
         for name in ("arity", "amplitudes"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         m = self.amplitudes
         # Stack the gates before the first wrongly shaped step; _assembled raises its error in turn.
         steps, gates, pending = tuple(self.steps), [], None
@@ -177,17 +174,16 @@ def _assembled(arity: int, initial, gates: np.ndarray, trusted: int, steps, meas
     The one check of every algorithm; errors name the field as a document
     does, and the first failing step.  The first ``trusted`` gates must have
     passed it already (the combiners and transforms take them from validated
-    algorithms, or from a table a construction checked); the rest are
-    checked in one batch.  ``m`` is the stack's unless given.  ``pending`` is
-    the error of the step after ``steps``, which :class:`QQA` could not
-    stack, raised once every step before it has passed.  Each entry of
-    ``steps`` that is not a :class:`QueryGate` stands for the next gate of
-    ``gates`` and becomes a read-only view of it.  A float64 stack is kept
-    frozen, not copied.  A complex one whose imaginary parts are all +0.0,
-    bit for bit, is stored as a float64 copy of its real parts; any other
-    imaginary part (-0.0, NaN or nonzero) keeps it complex and uncopied, so
-    a document saves as it was loaded.  The initial state is a read-only
-    copy.
+    algorithms); the rest are checked in one batch.  ``m`` is the stack's
+    unless given.  ``pending`` is the error of the step after ``steps``,
+    which :class:`QQA` could not stack, raised once every step before it has
+    passed.  Each entry of ``steps`` that is not a :class:`QueryGate` stands
+    for the next gate of ``gates`` and becomes a read-only view of it.  A
+    float64 stack is kept frozen, not copied.  A complex one whose imaginary
+    parts are all +0.0, bit for bit, is stored as a float64 copy of its real
+    parts; any other imaginary part (-0.0, NaN or nonzero) keeps it complex
+    and uncopied, so a document saves as it was loaded.  The initial state
+    is a read-only copy.
     """
     if not 0 <= arity <= MAX_ARITY:
         raise ValueError(f"arity must be between 0 and {MAX_ARITY}, got {arity}")

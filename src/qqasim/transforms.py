@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .linalg import _check_permutation
 from .simulator import (
     QQA,
     QueryGate,
@@ -27,13 +28,6 @@ from .simulator import (
     is_exact,
     verify,  # noqa: F401  unused here; perfbench's wrapper test looks it up on this module
 )
-
-
-def _check_permutation(sigma: Sequence[int], size: int, what: str) -> tuple:
-    sigma = tuple(sigma)
-    if sorted(sigma) != list(range(size)):
-        raise ValueError(f"{what} must be a permutation of 0..{size - 1}, got {sigma}")
-    return sigma
 
 
 def _relabelled(a: QQA, steps: tuple, measurement: tuple) -> QQA:

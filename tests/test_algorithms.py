@@ -88,6 +88,20 @@ class TestConstantOne:
         with pytest.raises(ValueError):
             constant_one_algorithm(queries=-1)
 
+    @pytest.mark.parametrize(
+        "size, value",
+        [("num_amplitudes", True), ("num_amplitudes", 2.0), ("queries", 1.5),
+         ("queries", False), ("arity", True)],
+    )
+    def test_sizes_must_be_integers(self, size, value):
+        with pytest.raises(ValueError, match=f"^{size} must be an integer, got {value!r}$"):
+            constant_one_algorithm(**{size: value})
+
+    def test_numpy_integer_sizes_are_taken(self):
+        a = constant_one_algorithm(np.int64(2), np.int32(3), np.uint8(1))
+        assert (a.amplitudes, a.arity, a.query_count) == (2, 3, 1)
+        assert type(a.amplitudes) is int and type(a.arity) is int
+
 
 @pytest.mark.parametrize("name", sorted(BUILTINS))
 def test_builtin_computes_the_function_of_its_name(name):

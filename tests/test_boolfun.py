@@ -2,7 +2,9 @@ import csv
 import io
 import itertools
 import random
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -81,6 +83,26 @@ class TestNamedFunctions:
             named_function("majority_even", 3)
         with pytest.raises(ValueError):
             named_function("constant1")
+
+
+class TestArity:
+    @pytest.mark.parametrize("arity", [True, False, 3.0, 1.5, "1", None, np.float64(1.0)])
+    def test_table_arity_must_be_an_integer(self, arity):
+        message = f"arity must be an integer, got {arity!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TruthTable(arity, b"\x00\x01")
+
+    @pytest.mark.parametrize("name", ["constant0", "constant1", "majority", "majority_even"])
+    @pytest.mark.parametrize("n", [True, 3.0])
+    def test_named_function_arity_must_be_an_integer(self, name, n):
+        with pytest.raises(ValueError, match=f"^arity must be an integer, got {n!r}$"):
+            named_function(name, n)
+
+    def test_numpy_integer_arity_is_stored_as_int(self):
+        f = TruthTable(np.int64(1), b"\x00\x01")
+        assert type(f.arity) is int
+        assert f == TruthTable(1, b"\x00\x01") and hash(f) == hash(TruthTable(1, b"\x00\x01"))
+        assert type(named_function("majority", np.uint8(3)).arity) is int
 
 
 class TestSensitivity:

@@ -10,6 +10,12 @@ from qqasim.catalog import (
     export_csv,
     generate_set,
 )
+from qqasim.constructors import (
+    and_construct,
+    majority3_construct,
+    majority_even4_construct,
+    or_construct,
+)
 from qqasim.simulator import StructuralProperty, check_property, verify
 
 EXPECTED_SIZES = {
@@ -124,7 +130,20 @@ def test_floor_failure_names_the_witness(eq3, f_eq3):
     bits[5] = 1
     wrong = CatalogEntry(TruthTable(3, bytes(bits)), eq3, "equality3")
     with pytest.raises(RuntimeError, match="on input 101, below the 0.75 floor"):
-        _verified_set("and", [wrong])
+        _verified_set("and", [wrong], 0.75)
+
+
+@pytest.mark.parametrize(
+    "name, combine, parts",
+    [
+        ("and", and_construct, 2),
+        ("or", or_construct, 2),
+        ("maj_even4", majority_even4_construct, 4),
+        ("majority3", majority3_construct, 3),
+    ],
+)
+def test_a_combined_sets_floor_is_its_combiners(full_catalog, eq3, name, combine, parts):
+    assert full_catalog[name].guaranteed_p == combine(*[eq3] * parts).guaranteed_p
 
 
 def test_unknown_set_rejected():

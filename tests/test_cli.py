@@ -199,6 +199,36 @@ class TestTransformCommand:
         assert result.exit_code != 0
         assert "permutation" in result.output
 
+    def test_non_integer_sigma(self, tmp_path):
+        out = tmp_path / "x.json"
+        result = invoke(
+            "transform", "--algorithm", "builtin:equality3",
+            "--method", "permute-vars", "--sigma", "1,x,2", "--out", str(out),
+        )
+        assert result.exit_code == 1
+        assert result.output == "Error: --sigma must be comma-separated integers, got '1,x,2'\n"
+        assert not out.exists()
+
+    def test_permutation_needs_sigma(self, tmp_path):
+        out = tmp_path / "x.json"
+        result = invoke(
+            "transform", "--algorithm", "builtin:equality3",
+            "--method", "permute-vars", "--out", str(out),
+        )
+        assert result.exit_code == 1
+        assert result.output == "Error: permute-vars needs --sigma\n"
+        assert not out.exists()
+
+    def test_json_format(self, tmp_path):
+        out = tmp_path / "inverted.json"
+        result = invoke(
+            "--format", "json", "transform", "--algorithm", "builtin:equality3",
+            "--method", "invert", "--out", str(out),
+        )
+        assert result.exit_code == 0
+        assert result.output == json.dumps({"method": "invert", "out": str(out)}) + "\n"
+        assert computed_function(load(out)) == named_function("equality3").complement()
+
     def test_permute_outputs_error_names_an_uncertain_input(self, tmp_path):
         bounded = tmp_path / "and.json"
         invoke(
@@ -239,6 +269,25 @@ class TestConstructCommand:
         )
         assert result.exit_code == 0
         assert "p = 0.562500" in result.output
+
+    def test_json_format(self, tmp_path):
+        out = tmp_path / "and.json"
+        result = invoke(
+            "--format", "json", "construct", "--method", "and",
+            "--inputs", "builtin:equality3,builtin:equality3", "--out", str(out),
+        )
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert list(payload) == [
+            "method", "out", "guaranteed_p", "worst_case_p", "queries", "target_hex"
+        ]
+        assert payload["method"] == "and" and payload["out"] == str(out)
+        assert payload["guaranteed_p"] == 0.75
+        assert payload["worst_case_p"] == pytest.approx(0.75, abs=1e-9)
+        assert payload["queries"] == 2
+        assert payload["target_hex"] == "8100000000000081"
+        assert result.output == json.dumps(payload, indent=1) + "\n"
+        assert load(out).amplitudes == 8
 
     def test_wrong_input_count(self):
         result = invoke(
@@ -445,6 +494,22 @@ class TestErrorPaths:
         assert result.exit_code == 1
         assert result.stdout == ""
         assert result.stderr == f"Error: {spec}: {spec.split(':')[-2]} takes no parameter\n"
+
+    @pytest.mark.parametrize(
+        "option, spec, message",
+        [
+            ("--algorithm", "builtin:constant1:x",
+             "builtin:constant1:x: invalid literal for int() with base 10: 'x'"),
+            ("--function", "constant1", "constant1 needs an arity, e.g. constant1:3"),
+            ("--function", "majority:4", "majority:4: majority needs an odd number of arguments"),
+        ],
+    )
+    def test_bad_builtin_parameter(self, option, spec, message):
+        args = {"--algorithm": "builtin:equality3", "--function": "equality3", option: spec}
+        result = invoke("verify", *[part for pair in args.items() for part in pair])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == f"Error: {message}\n"
 
     def test_integer_too_large_for_a_float(self, tmp_path):
         document = tmp_path / "huge.json"

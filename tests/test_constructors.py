@@ -386,29 +386,27 @@ class TestAssembledFromCheckedParts:
             assert simulator._answers(rebuilt) == simulator._answers(a)
 
     @pytest.mark.parametrize(
-        "combine, parts, builders",
+        "combine, parts",
         [
-            (and_construct, ("eq3", "eq3"), 1),
-            (or_construct, ("pe4", "eq3"), 2),
-            (majority_even4_construct, ("eq3",) * 4, 1),
-            (majority3_construct, ("eq3",) * 3, 1),
+            (and_construct, ("eq3", "eq3")),
+            (or_construct, ("pe4", "eq3")),
+            (majority_even4_construct, ("eq3",) * 4),
+            (majority3_construct, ("eq3",) * 3),
         ],
     )
-    def test_mixing_gates_are_checked_by_the_first_construction_only(
-        self, eq3, pe4, monkeypatch, count_checks, combine, parts, builders
+    def test_mixing_gates_are_checked_by_every_construction(
+        self, eq3, pe4, count_checks, combine, parts
     ):
         algs = [{"eq3": eq3, "pe4": pe4}[name] for name in parts]
         # Another accepting output, so other mixing gates; in {0, +1}, so no sign flip.
         moved = normalize_accepting_sign(permute_outputs(eq3, [1, 0, 2, 3]))
-        monkeypatch.setattr(constructors, "_CHECKED", set())
         checked = count_checks()
         first = combine(*algs).algorithm
-        assert len(constructors._CHECKED) == builders
         tail = 1 if combine is and_construct else 2
         assert checked == [tail]  # the mixing gates, none of the parts' gates
         second = combine(*algs).algorithm
         other = combine(*[moved if a is eq3 else a for a in algs]).algorithm
-        assert checked == [tail]  # no gate of the later ones is checked
+        assert checked == [tail] * 3  # each later one checks its own mixing gates, and only them
         assert second._gates.tobytes() == first._gates.tobytes()
         assert other._gates[-tail:].tobytes() != first._gates[-tail:].tobytes()
 
@@ -425,13 +423,23 @@ class TestAssembledFromCheckedParts:
         self, eq3, pe4, monkeypatch, combine, parts, builder, at
     ):
         algs = [{"eq3": eq3, "pe4": pe4}[name] for name in parts]
-        combine(*algs)  # every real builder of this combiner is trusted now
+        combine(*algs)  # a construction with the real builder first
         build = getattr(constructors, builder)
         monkeypatch.setattr(constructors, builder, lambda *args: 2 * build(*args))
         for _ in range(2):
             with pytest.raises(ValueError, match=rf"^steps\[{at}\]\.unitary: matrix is not unitary"):
                 combine(*algs)
-        assert getattr(constructors, builder) not in constructors._CHECKED
+
+    def test_a_builder_wrong_for_some_arguments_only_is_caught(self, eq3, pe4, monkeypatch):
+        build = constructors._or_routing
+        monkeypatch.setattr(
+            constructors, "_or_routing",
+            lambda acc1, acc2: 2 * build(acc1, acc2) if acc2 == 1 else build(acc1, acc2),
+        )
+        or_construct(pe4, eq3)  # accepting outputs 0 and 0: a right gate
+        moved = permute_outputs(eq3, [1, 0, 2, 3])  # accepting output 1
+        with pytest.raises(ValueError, match=r"^steps\[5\]\.unitary: matrix is not unitary"):
+            or_construct(pe4, moved)
 
     def test_the_tables_are_read_only(self, pe4, eq3):
         or_construct(pe4, eq3)

@@ -168,6 +168,18 @@ class TestPermutationMatrix:
         with pytest.raises(ValueError, match="permutation"):
             permutation_matrix([0, 0, 1])
 
+    @pytest.mark.parametrize(
+        "sigma", [[True, False], [False, True], [1, True, 2, 0], [1.0, 0.0], [0, 1.5], ["0", "1"]]
+    )
+    def test_only_integers_form_a_permutation(self, sigma):
+        # Booleans index like 1 and 0: [True, False] would give [[1, 1], [0, 0]], not unitary.
+        with pytest.raises(ValueError, match="permutation"):
+            permutation_matrix(sigma)
+
+    def test_numpy_integers_are_taken(self):
+        sigma = np.array([2, 0, 1], dtype=np.int32)
+        assert permutation_matrix(sigma).tobytes() == permutation_matrix([2, 0, 1]).tobytes()
+
     @given(st.permutations(range(6)))
     def test_single_one_per_row_and_column(self, sigma):
         p = permutation_matrix(sigma).real

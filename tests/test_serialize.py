@@ -23,6 +23,15 @@ class TestRoundTrip:
         report = verify(loaded, f_eq3)
         assert report.exact and report.queries == 2
 
+    def test_load_from_a_file_object(self, tmp_path, eq3):
+        path = tmp_path / "eq3.json"
+        save(eq3, path)
+        with open(path) as handle:
+            loaded = load(handle)
+            assert not handle.closed  # a file object is read, not closed
+        assert loaded._gates.tobytes() == load(path)._gates.tobytes() == eq3._gates.tobytes()
+        assert loaded.steps[1].assignments == eq3.steps[1].assignments
+
     def test_document_round_trip_preserves_structure(self, eq3):
         loaded = from_document(to_document(eq3))
         assert loaded.arity == eq3.arity

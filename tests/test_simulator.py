@@ -490,6 +490,12 @@ class TestBlockPath:
         assert simulator._blocks(single) is None
         _assert_bit_identical(single)
 
+    def test_no_query_has_no_blocks(self):
+        a = constant_one_algorithm(num_amplitudes=3, arity=2, queries=0)
+        assert simulator._blocks(a) is None
+        assert run_all(a).tolist() == [[1.0, 0.0, 0.0]] * 4
+        _assert_bit_identical(a)
+
     def test_norm_guard_names_the_first_input_of_a_drifting_state(self, majority, monkeypatch):
         states, index = simulator._final_states(majority)
         assert len(states) == 4 ** 4  # each block's 8 rows hold 4 distinct states

@@ -94,6 +94,17 @@ class TestPermuteOutputs:
         with pytest.raises(ValueError, match="permutation"):
             permute_outputs(eq3, [0, 0, 1, 2])
 
+    @pytest.mark.parametrize("sigma", [(True, False, 2, 3), (1, 0, 2, True), (1.0, 0.0, 2.0, 3.0)])
+    def test_only_integers_form_a_permutation(self, eq3, sigma):
+        with pytest.raises(ValueError) as error:
+            permute_outputs(eq3, list(sigma))
+        assert str(error.value) == f"output permutation must be a permutation of 0..3, got {sigma}"
+
+    def test_numpy_integers_are_taken(self, eq3):
+        moved = permute_outputs(eq3, np.array([3, 1, 2, 0]))
+        assert moved.measurement == permute_outputs(eq3, [3, 1, 2, 0]).measurement == (0, 0, 0, 1)
+        assert set(map(type, moved.measurement)) == {int}
+
 
 class TestPermuteVariables:
     def test_symmetric_function_unchanged(self, eq3, f_eq3):
@@ -107,6 +118,23 @@ class TestPermuteVariables:
             [x for x in all_inputs(4) if x[0] == x[2] and x[1] == x[3]],
         )
         assert computed_function(swapped) == expected
+
+    @pytest.mark.parametrize(
+        "sigma", [(True, False, 2), (1, 0, True), (1.0, 0.0, 2.0), (0, 1, 2.5)]
+    )
+    def test_only_integers_form_a_permutation(self, eq3, sigma):
+        # QQA's own check would reject (True, False, 2) naming steps[1].query[0] instead.
+        with pytest.raises(ValueError) as error:
+            permute_variables(eq3, list(sigma))
+        expected = f"variable permutation must be a permutation of 0..2, got {sigma}"
+        assert str(error.value) == expected
+
+    def test_numpy_integers_are_taken(self, eq3):
+        moved = permute_variables(eq3, np.array([2, 0, 1], dtype=np.int8))
+        expected = permute_variables(eq3, [2, 0, 1])
+        queries = [s.assignments for s in moved.steps if isinstance(s, QueryGate)]
+        assert queries == [s.assignments for s in expected.steps if isinstance(s, QueryGate)]
+        assert {type(v) for q in queries for v in q if v is not None} == {int}
 
     def test_identity_is_noop(self, eq3):
         same = permute_variables(eq3, range(3))
