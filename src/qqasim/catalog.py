@@ -147,6 +147,15 @@ def _base_entries(name: str, bases: dict | None) -> tuple:
     return generate_set(name).entries
 
 
+#: The base sets each combined set is built from.
+_BASES_OF = {
+    "and": ("qfunc3",),
+    "or": ("qfunc3", "qfunc4"),
+    "maj_even4": ("qfunc3",),
+    "majority3": ("qfunc3",),
+}
+
+
 def generate_set(kind: str, bases: dict | None = None) -> FunctionSet:
     """Generate one of the six catalogued families; see ``SET_NAMES``.
 
@@ -160,20 +169,20 @@ def generate_set(kind: str, bases: dict | None = None) -> FunctionSet:
             kind, _transform_variants("pair_equality4", pair_equality4_algorithm()), 1.0
         )
 
-    # Per combined set: its base sets, the pool they feed, the combiner and
-    # the number of picks per combination.  Built on each call, so that a
+    # Per combined set: the pool its base sets feed, the combiner and the
+    # number of picks per combination.  Built on each call, so that a
     # combiner rebound on this module (as perfbench's traced run rebinds
     # them) is the one called.
     combined = {
-        "and": (("qfunc3",), _mixing_pool, and_construct, 2),
-        "or": (("qfunc3", "qfunc4"), _routing_pool, or_construct, 2),
-        "maj_even4": (("qfunc3",), _mixing_pool, majority_even4_construct, 4),
-        "majority3": (("qfunc3",), _mixing_pool, majority3_construct, 3),
+        "and": (_mixing_pool, and_construct, 2),
+        "or": (_routing_pool, or_construct, 2),
+        "maj_even4": (_mixing_pool, majority_even4_construct, 4),
+        "majority3": (_mixing_pool, majority3_construct, 3),
     }
     if kind not in combined:
         raise ValueError(f"unknown set {kind!r} (expected one of {SET_NAMES})")
-    base_names, pool_of, combine, picks_per_combination = combined[kind]
-    pool = pool_of(e for name in base_names for e in _base_entries(name, bases))
+    pool_of, combine, picks_per_combination = combined[kind]
+    pool = pool_of(e for name in _BASES_OF[kind] for e in _base_entries(name, bases))
     candidates, floors = [], set()
     for picks in itertools.product(pool, repeat=picks_per_combination):
         result = combine(*(e.algorithm for e in picks))
@@ -184,29 +193,54 @@ def generate_set(kind: str, bases: dict | None = None) -> FunctionSet:
     return _verified_set(kind, candidates, min(floors, default=0.0))
 
 
+def _families(names: Sequence[str]):
+    """The sets ``names``, in order, each built once and yielded as soon as it is built.
+
+    Between sets only the base sets that a later name reads are kept, so a
+    caller that drops each set before it asks for the next one holds at
+    most those and the set being built.
+    """
+    bases = {}
+    for i, name in enumerate(names):
+        family = generate_set(name, bases)
+        later = {base for kind in names[i + 1:] for base in _BASES_OF.get(kind, ())}
+        bases = {n: s for n, s in {**bases, name: family}.items() if n in later}
+        yield family
+        del family  # not held while the next set is built
+
+
 def generate_all() -> dict:
     """All six families, keyed by name, in ``SET_NAMES`` order; each built once."""
-    sets = {}
-    for name in SET_NAMES:
-        sets[name] = generate_set(name, sets)
-    return sets
+    return {family.name: family for family in _families(SET_NAMES)}
+
+
+_CSV_HEADER = ("set", "arity", "queries", "probability", "truth_table_hex", "provenance")
+
+
+def _csv_rows(function_set: FunctionSet) -> list:
+    """The CSV rows of one set's entries, in order."""
+    label = function_set.probability_label
+    return [
+        [
+            function_set.name,
+            entry.function.arity,
+            function_set.queries,
+            label,
+            entry.function.as_hex(),
+            entry.provenance,
+        ]
+        for entry in function_set.entries
+    ]
+
+
+def _write_csv(rows: Iterable[list], destination) -> None:
+    """The CSV header, then ``rows``."""
+    with _opened(destination, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(_CSV_HEADER)
+        writer.writerows(rows)
 
 
 def export_csv(sets: dict, destination) -> None:
     """Write ``set,arity,queries,probability,truth_table_hex,provenance`` rows."""
-    with _opened(destination, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["set", "arity", "queries", "probability", "truth_table_hex", "provenance"])
-        for function_set in sets.values():
-            label = function_set.probability_label
-            for entry in function_set.entries:
-                writer.writerow(
-                    [
-                        function_set.name,
-                        entry.function.arity,
-                        function_set.queries,
-                        label,
-                        entry.function.as_hex(),
-                        entry.provenance,
-                    ]
-                )
+    _write_csv((row for s in sets.values() for row in _csv_rows(s)), destination)

@@ -28,7 +28,8 @@ from .boolfun import (
     sensitivity,
     table_from_csv,
 )
-from .serialize import _json_text, load, save
+from .linalg import NORM_TOL, _check_permutation
+from .serialize import _json_chunks, _json_text, load, save
 from .simulator import QQA, QueryGate, SimulationTrace, _outcome, trace as run_trace, verify
 
 _SQRT2 = math.sqrt(2.0)
@@ -41,7 +42,7 @@ _NAMED_AMPLITUDES = (
 )
 
 
-def format_amplitude(value: complex, tol: float = 1e-9) -> str:
+def format_amplitude(value: complex, tol: float = NORM_TOL) -> str:
     """Exact-looking rendering for the small closed set of amplitudes seen here."""
     if abs(value.imag) > tol:
         return f"{value.real:.6f}{value.imag:+.6f}i"
@@ -98,7 +99,7 @@ def _step_labels(a: QQA) -> list:
     return labels
 
 
-def render_trace(a: QQA, t: SimulationTrace, tol: float = 1e-9) -> str:
+def render_trace(a: QQA, t: SimulationTrace, tol: float = NORM_TOL) -> str:
     """One table row: input, state after each step, and the outcome."""
     probs = _outcome(a, t.states[-1])
     if probs[1] >= 1.0 - tol:
@@ -169,18 +170,19 @@ def _load_function(spec: str) -> TruthTable:
     return _read(table_from_csv, spec, "no such function (not a known name or CSV file)")
 
 
-def _parse_sigma(text: str, size: int, what: str) -> list:
+def _parse_sigma(text: str, size: int, what: str) -> tuple:
     try:
         sigma = [int(part) - 1 for part in text.split(",")]
     except ValueError:
         raise click.ClickException(f"--sigma must be comma-separated integers, got {text!r}")
-    if sorted(sigma) != list(range(size)):
+    try:
+        return _check_permutation(sigma, size, "--sigma")
+    except ValueError:  # its message counts from 0; the option counts from 1
         raise click.ClickException(f"--sigma must be a permutation of 1..{size} ({what})")
-    return sigma
 
 
 @click.group()
-@click.option("--tolerance", type=float, default=1e-9, show_default=True,
+@click.option("--tolerance", type=float, default=NORM_TOL, show_default=True,
               help="Numerical tolerance for probability and exactness checks.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text",
               show_default=True, help="Output format.")
@@ -235,6 +237,16 @@ def verify_command(obj, algorithm_spec, function_spec, expect_p, expect_exact):
         sys.exit(1)
 
 
+def _trace_row(a: QQA, bits: str) -> dict:
+    """The JSON row of ``trace`` for one input."""
+    t = run_trace(a, bits)
+    return {
+        "input": bits,
+        "states": np.array(t.states),
+        "probabilities": {str(k): v for k, v in _outcome(a, t.states[-1]).items()},
+    }
+
+
 @main.command("trace")
 @click.option("--algorithm", "algorithm_spec", required=True)
 @click.option("--input", "input_bits", default=None, help="Input bit string, e.g. 110.")
@@ -244,7 +256,7 @@ def trace_command(obj, algorithm_spec, input_bits, every_input):
     """Print the state after every step for one input (or all of them)."""
     a = _load_algorithm(algorithm_spec)
     if every_input:
-        inputs = list(all_inputs(a.arity))
+        inputs = all_inputs(a.arity)
     elif input_bits is not None:
         try:
             _check_input(input_bits, a.arity)
@@ -255,15 +267,10 @@ def trace_command(obj, algorithm_spec, input_bits, every_input):
         raise click.ClickException("give --input BITS or --all-inputs")
 
     if obj["fmt"] == "json":
-        rows = []
-        for bits in inputs:
-            t = run_trace(a, bits)
-            rows.append({
-                "input": bits,
-                "states": np.array(t.states),
-                "probabilities": {str(k): v for k, v in _outcome(a, t.states[-1]).items()},
-            })
-        click.echo(_json_text(rows))
+        rows = (_trace_row(a, bits) for bits in inputs)
+        for chunk in _json_chunks(rows):  # one row at a time
+            click.echo(chunk, nl=False)
+        click.echo()
         return
     header = " | ".join(["input", *_step_labels(a), "result"])
     click.echo(header)
@@ -362,30 +369,35 @@ def construct_command(obj, method, inputs_spec, out_path):
 @click.pass_obj
 def catalog_command(obj, set_name, export_path):
     """Regenerate the catalogued function families and print their summary."""
-    if set_name == "all":
-        sets = catalog_module.generate_all()
-    else:
-        sets = {set_name: catalog_module.generate_set(set_name)}
+    # One family at a time: each is dropped, once its summary and CSV rows
+    # are taken, before the next is built.  The CSV is written at the end,
+    # so a run that fails leaves no file.
+    names = catalog_module.SET_NAMES if set_name == "all" else (set_name,)
+    sets, labels, rows = [], [], []
+    for s in catalog_module._families(names):
+        sets.append({"name": s.name, "size": len(s.entries), "arities": list(s.arities),
+                     "queries": s.queries, "probability": s.guaranteed_p,
+                     "applications": s.candidates})
+        labels.append(s.probability_label)
+        if export_path is not None:
+            rows += catalog_module._csv_rows(s)
+        del s  # not held while the next family is built
     if export_path is not None:
         with _writing(export_path):
-            catalog_module.export_csv(sets, export_path)
-    distinct = sum(len(s.entries) for s in sets.values())
-    applications = sum(s.candidates for s in sets.values())
+            catalog_module._write_csv(rows, export_path)
+    distinct = sum(s["size"] for s in sets)
+    applications = sum(s["applications"] for s in sets)
     if obj["fmt"] == "json":
         click.echo(json.dumps({
-            "sets": [{"name": s.name, "size": len(s.entries), "arities": list(s.arities),
-                      "queries": s.queries, "probability": s.guaranteed_p,
-                      "applications": s.candidates} for s in sets.values()],
+            "sets": sets,
             "distinct_functions": distinct,
             "total_applications": applications,
         }, indent=1))
         return
     click.echo(f"{'set':<12}{'size':>6}  {'arguments':<10}{'queries':>8}  probability")
-    for s in sets.values():
-        arities = ",".join(str(n) for n in s.arities)
-        click.echo(
-            f"{s.name:<12}{len(s.entries):>6}  {arities:<10}{s.queries:>8}  {s.probability_label}"
-        )
+    for s, label in zip(sets, labels):
+        arities = ",".join(str(n) for n in s["arities"])
+        click.echo(f"{s['name']:<12}{s['size']:>6}  {arities:<10}{s['queries']:>8}  {label}")
     click.echo(f"distinct functions: {distinct}")
     click.echo(f"Total {applications}")
 

@@ -5,10 +5,10 @@ gates over a shared superposition, then mix the accepting amplitudes with
 small Hadamard-type blocks so that the first accepting output collects a
 probability mass determined only by how many sub-functions are true:
 
-- ``and_construct``: P(1) = (b1 + b2)^2 / 4, worst case 3/4;
+- ``and_construct`` and ``majority_even4_construct``: the two- and the
+  four-part :func:`_hadamard_tree`, worst cases 3/4 and 9/16;
 - ``or_construct``: P(1) is 1, 5/8 or 1/4 for 2, 1 or 0 true sub-functions,
-  worst case 5/8;
-- ``majority_even4_construct``: P(1) = b^2 / 16, worst case 9/16.
+  worst case 5/8.
 
 Sub-algorithms with unequal query schedules are padded with no-op queries and
 identity gates, so a combination always costs max(queries) queries.  The
@@ -175,27 +175,42 @@ def _hadamard_pairs(dim: int, pairs: tuple) -> np.ndarray:
     return gate
 
 
+def _hadamard_tree(algs: Sequence[QQA], labels: Sequence[str], widths: Sequence[int]) -> QQA:
+    """Parallel run of k = 2 or 4 accept-plus algorithms, mixed by a tree of Hadamard pairs.
+
+    Part i, named ``labels[i]`` in errors, sits in its own block of
+    ``widths[i]`` amplitudes.  The run starts from the equal superposition
+    of the parts' initial states (each divided by sqrt(k)); each level of the
+    tree then halves the accepting amplitudes in play by mixing them in
+    pairs, so the first accepting output ends up holding b/k, where b counts
+    the true sub-functions, and P(1) = (b/k)^2.
+    """
+    algs = [_as_accept_plus(a, label) for a, label in zip(algs, labels)]
+    offsets = list(itertools.accumulate(widths, initial=0))
+    acc = [offset + a.measurement.index(1) for offset, a in zip(offsets, algs)]
+    total, k = offsets[-1], len(algs)
+    initial = np.zeros(total, dtype=complex)
+    for a, offset in zip(algs, offsets):
+        initial[offset:offset + a.amplitudes] = a.initial
+    initial /= math.sqrt(k)
+    tail, stride = [], 1
+    while stride < k:
+        pairs = tuple((acc[i], acc[i + stride]) for i in range(0, k, 2 * stride))
+        tail.append(_hadamard_pairs(total, pairs))
+        stride *= 2
+    return _combined(algs, widths, total, tail, initial, _accepting_at(total, acc[0]))
+
+
 def and_construct(a1: QQA, a2: QQA) -> ConstructionResult:
     """Bounded-error algorithm for f1(X1) AND f2(X2), success at least 3/4.
 
     Both inputs must hold the {0, +1} (or, after a sign flip, {0, -1})
-    accepting discipline.  A final Hadamard block mixes the two accepting
-    amplitudes of the equal-superposition parallel run, leaving probability
-    (b1 + b2)^2 / 4 on the first accepting output.
+    accepting discipline.  The two-part :func:`_hadamard_tree`, each part in
+    a block as wide as the wider one.
     """
-    a1 = _as_accept_plus(a1, "first input")
-    a2 = _as_accept_plus(a2, "second input")
-    f1, f2 = computed_function(a1), computed_function(a2)
     m = max(a1.amplitudes, a2.amplitudes)
-    acc1 = a1.measurement.index(1)
-    acc2 = m + a2.measurement.index(1)
-    initial = np.zeros(2 * m, dtype=complex)
-    initial[:a1.amplitudes] = a1.initial
-    initial[m:m + a2.amplitudes] = a2.initial
-    initial /= math.sqrt(2.0)
-    mix = _hadamard_pairs(2 * m, ((acc1, acc2),))
-    algorithm = _combined([a1, a2], [m, m], 2 * m, [mix], initial, _accepting_at(2 * m, acc1))
-    target = combine_disjoint(f1, f2, "and")
+    algorithm = _hadamard_tree((a1, a2), ("first input", "second input"), (m, m))
+    target = combine_disjoint(computed_function(a1), computed_function(a2), "and")
     return ConstructionResult(algorithm, target, guaranteed_p=3 / 4, queries=algorithm.query_count)
 
 
@@ -272,35 +287,21 @@ def or_construct(a1: QQA, a2: QQA) -> ConstructionResult:
     return ConstructionResult(algorithm, target, guaranteed_p=5 / 8, queries=algorithm.query_count)
 
 
-def _majority_pipeline(algs: Sequence[QQA]) -> QQA:
-    """Parallel run of four accept-plus algorithms with the two mixing stages.
-
-    Starting from the equal 1/2 superposition of the four initial states, the
-    accepting amplitudes end up holding b/4 at the first accepting output,
-    where b counts the true sub-functions.
-    """
-    algs = [_as_accept_plus(a, f"input {i + 1}") for i, a in enumerate(algs)]
-    widths = [a.amplitudes for a in algs]
-    offsets = itertools.accumulate(widths, initial=0)
-    acc = [offset + a.measurement.index(1) for offset, a in zip(offsets, algs)]
-    total = sum(widths)
-    tail = [
-        _hadamard_pairs(total, ((acc[0], acc[1]), (acc[2], acc[3]))),
-        _hadamard_pairs(total, ((acc[0], acc[2]),)),
-    ]
-    initial = np.concatenate([a.initial for a in algs]) / 2.0
-    return _combined(algs, widths, total, tail, initial, _accepting_at(total, acc[0]))
+def _majority_tree(algs: Sequence[QQA]) -> QQA:
+    """The four-part :func:`_hadamard_tree`, each part in a block of its own width."""
+    labels = [f"input {i + 1}" for i in range(len(algs))]
+    return _hadamard_tree(algs, labels, [a.amplitudes for a in algs])
 
 
 def majority_even4_construct(a1: QQA, a2: QQA, a3: QQA, a4: QQA) -> ConstructionResult:
     """Bounded-error algorithm accepting iff at least 3 of 4 sub-functions accept.
 
     Ties (exactly 2 true) are rejected.  Inputs need the same accepting
-    discipline as :func:`and_construct`; success probability is b^2/16 for b
-    true sub-functions, so the worst case over inputs is 9/16.
+    discipline as :func:`and_construct`; the four-part :func:`_hadamard_tree`,
+    whose worst case is 9/16.
     """
     algs = (a1, a2, a3, a4)
-    algorithm = _majority_pipeline(algs)
+    algorithm = _majority_tree(algs)
     target = majority_compose([computed_function(a) for a in algs], even=True)
     return ConstructionResult(algorithm, target, guaranteed_p=9 / 16, queries=algorithm.query_count)
 
@@ -319,6 +320,6 @@ def majority3_construct(a1: QQA, a2: QQA, a3: QQA) -> ConstructionResult:
     majority into the odd three-way one at the same 9/16 floor.
     """
     algs = (a1, a2, a3)
-    algorithm = _majority_pipeline((*algs, _filler()))
+    algorithm = _majority_tree((*algs, _filler()))
     target = majority_compose([computed_function(a) for a in algs], even=False)
     return ConstructionResult(algorithm, target, guaranteed_p=9 / 16, queries=algorithm.query_count)

@@ -134,6 +134,16 @@ def _json_text(value, level: int = 0) -> str:
     return json.dumps(value)  # a string, a boolean, or a float that is not finite
 
 
+def _json_chunks(items):
+    """``_json_text(list(items))`` in pieces, one per item, so that only one
+    item is held at a time."""
+    opening = "["
+    for item in items:
+        yield opening + "\n " + _json_text(item, 1)
+        opening = ","
+    yield "[]" if opening == "[" else "\n]"
+
+
 def _complex_pair(value, field: str) -> complex:
     if (
         not isinstance(value, (list, tuple))

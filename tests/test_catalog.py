@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import pytest
@@ -6,6 +7,7 @@ from qqasim.boolfun import TruthTable, named_function
 from qqasim.catalog import (
     SET_NAMES,
     CatalogEntry,
+    FunctionSet,
     _verified_set,
     export_csv,
     generate_set,
@@ -163,3 +165,13 @@ def test_csv_export(full_catalog, tmp_path):
     export_csv(full_catalog, path)
     content = path.read_text().splitlines()
     assert len(content) == 1 + 624
+
+
+def test_generate_all_returns_every_set_and_the_golden_csv(full_catalog):
+    assert tuple(full_catalog) == SET_NAMES
+    # ``full_catalog`` is ``generate_all()``.
+    assert all(isinstance(s, FunctionSet) for s in full_catalog.values())
+    buffer = io.StringIO()
+    export_csv(full_catalog, buffer)
+    digest = hashlib.sha256(buffer.getvalue().encode()).hexdigest()
+    assert digest == "e343079ffb64c6be6fd319b47afc39c0c8ac67dc5c7424fb8993903ca0b31361"

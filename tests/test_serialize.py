@@ -414,6 +414,11 @@ def test_json_text_writes_complex_arrays_as_pairs():
     assert serialize._json_text(value) == json.dumps(nested, indent=1)
 
 
+@pytest.mark.parametrize("items", [[], [{"states": np.eye(2) * 1j}], [None, "a", [1, {"b": []}]]])
+def test_json_chunks_join_to_json_text(items):
+    assert "".join(serialize._json_chunks(iter(items))) == serialize._json_text(items)
+
+
 class TestDecoderAgainstThePairLoop:
     def test_every_catalog_document(self, full_catalog):
         entries = [e for s in full_catalog.values() for e in s.entries]
