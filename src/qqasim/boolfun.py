@@ -70,8 +70,7 @@ class TruthTable:
         object.__setattr__(self, "arity", _integer(self.arity, "arity"))
         if not 1 <= self.arity <= MAX_ARITY:
             raise ValueError(f"arity must be between 1 and {MAX_ARITY}, got {self.arity}")
-        if not isinstance(self.bits, bytes):
-            object.__setattr__(self, "bits", bytes(self.bits))
+        object.__setattr__(self, "bits", bytes(self.bits))  # the object itself if it is bytes
         if len(self.bits) != 1 << self.arity:
             raise ValueError(
                 f"table for arity {self.arity} needs {1 << self.arity} bits, got {len(self.bits)}"

@@ -29,7 +29,7 @@ from .constructors import (
     majority_even4_construct,
     or_construct,
 )
-from .linalg import NORM_TOL
+from .linalg import NORM_TOL, _within
 from .simulator import QQA, StructuralProperty, check_property, computed_function, verify
 from .transforms import invert_outputs, permute_outputs, permute_variables
 
@@ -112,7 +112,7 @@ def _verified_set(name: str, candidates: Sequence[CatalogEntry], floor: float) -
         raise RuntimeError(f"{name}: inconsistent query counts {queries}")
     for entry in entries:
         report = verify(entry.algorithm, entry.function)
-        if report.worst_case_p < floor - NORM_TOL:
+        if not _within(floor - report.worst_case_p, NORM_TOL):
             raise RuntimeError(
                 f"{name}: entry {entry.provenance} verified at {report.worst_case_p} "
                 f"on input {report.witness}, below the {floor} floor"

@@ -28,7 +28,7 @@ from .boolfun import (
     sensitivity,
     table_from_csv,
 )
-from .linalg import NORM_TOL, _check_permutation
+from .linalg import NORM_TOL, _check_permutation, _check_tol, _within
 from .serialize import _json_chunks, _json_text, load, save
 from .simulator import QQA, QueryGate, SimulationTrace, _outcome, trace as run_trace, verify
 
@@ -44,18 +44,10 @@ _NAMED_AMPLITUDES = (
 
 def format_amplitude(value: complex, tol: float = NORM_TOL) -> str:
     """Exact-looking rendering for the small closed set of amplitudes seen here."""
-    if abs(value.imag) > tol:
-        return f"{value.real:.6f}{value.imag:+.6f}i"
-    x = value.real
-    for magnitude, label in _NAMED_AMPLITUDES:
-        if abs(x - magnitude) <= tol:
-            return label
-        if magnitude and abs(x + magnitude) <= tol:
-            return "-" + label
-    return f"{x:.6f}"
+    return _amplitude_labels([value], tol)[0]
 
 
-#: The real values :func:`format_amplitude` names, with their labels, in the order it tries them.
+#: The real values :func:`_amplitude_labels` names, with their labels, in the order it tries them.
 _NAMED_VALUES = tuple(
     (sign * magnitude, ("-" if sign < 0 else "") + label)
     for magnitude, label in _NAMED_AMPLITUDES
@@ -64,23 +56,23 @@ _NAMED_VALUES = tuple(
 
 
 def _amplitude_labels(values, tol: float) -> list:
-    """:func:`format_amplitude` of every value of an array, in order, flattened.
+    """The label of every value of an array, in order, flattened.
 
-    Each rule of :func:`format_amplitude` runs as one pass over the whole
-    array, the imaginary check first and then the named values in its order;
-    a value that no rule names is formatted by :func:`format_amplitude`
-    itself, one at a time.
+    A value whose imaginary part is within ``tol`` of 0 takes the first
+    named value in ``_NAMED_VALUES`` within ``tol`` of its real part; each
+    rule runs as one pass over the whole array.  Any other value is written
+    with 6 decimals, its imaginary part too unless that is within ``tol``.
     """
     z = np.asarray(values, dtype=complex).ravel()
     labels = np.empty(len(z), dtype=object)
-    imaginary = np.abs(z.imag) > tol
-    left = ~imaginary
+    real = _within(np.abs(z.imag), tol)
+    left = real.copy()
     for value, label in _NAMED_VALUES:
-        hit = left & (np.abs(z.real - value) <= tol)
+        hit = left & _within(np.abs(z.real - value), tol)
         labels[hit] = label
         left &= ~hit
-    for i in np.flatnonzero(imaginary | left).tolist():
-        labels[i] = format_amplitude(z[i], tol)
+    for i in np.flatnonzero(~real | left).tolist():
+        labels[i] = f"{z[i].real:.6f}" if real[i] else f"{z[i].real:.6f}{z[i].imag:+.6f}i"
     return labels.tolist()
 
 
@@ -102,12 +94,8 @@ def _step_labels(a: QQA) -> list:
 def render_trace(a: QQA, t: SimulationTrace, tol: float = NORM_TOL) -> str:
     """One table row: input, state after each step, and the outcome."""
     probs = _outcome(a, t.states[-1])
-    if probs[1] >= 1.0 - tol:
-        outcome = "1"
-    elif probs[0] >= 1.0 - tol:
-        outcome = "0"
-    else:
-        outcome = f"P(0)={probs[0]:.6f} P(1)={probs[1]:.6f}"
+    certain = [str(k) for k in (1, 0) if _within(1.0 - probs[k], tol)]
+    outcome = certain[0] if certain else f"P(0)={probs[0]:.6f} P(1)={probs[1]:.6f}"
     cells = [t.input or "(empty)"]
     labels = _amplitude_labels(t.states[1:], tol)  # every state of the row in one pass
     m = a.amplitudes
@@ -189,7 +177,9 @@ def _parse_sigma(text: str, size: int, what: str) -> tuple:
 @click.pass_context
 def main(ctx, tolerance, fmt):
     """Simulate, verify, transform, and compose quantum query algorithms."""
-    if not tolerance > 0:
+    try:
+        _check_tol(tolerance)
+    except ValueError:
         raise click.ClickException("--tolerance must be positive")
     ctx.obj = {"tol": tolerance, "fmt": fmt}
 
@@ -213,11 +203,11 @@ def verify_command(obj, algorithm_spec, function_spec, expect_p, expect_exact):
         raise click.ClickException(str(error))
     worst = f"{report.worst_case_p:.6f} on input {report.witness}"
     failures = []
-    if report.worst_case_p <= 0.5 + obj["tol"]:
+    if _within(report.worst_case_p - 0.5, obj["tol"]):
         failures.append(f"worst-case success probability {worst} is not above 1/2")
     if expect_exact and not report.exact:
         failures.append(f"expected exact, got worst-case p = {worst}")
-    if expect_p is not None and not abs(report.worst_case_p - expect_p) <= obj["tol"]:
+    if expect_p is not None and not _within(abs(report.worst_case_p - expect_p), obj["tol"]):
         failures.append(f"expected p = {expect_p:.6f}, got {worst}")
 
     if obj["fmt"] == "json":
@@ -340,7 +330,7 @@ def construct_command(obj, method, inputs_spec, out_path):
     report = verify(result.algorithm, result.target, tol=obj["tol"])
     with _writing(out_path):
         save(result.algorithm, out_path, provenance=f"{method}({inputs_spec})")
-    ok = report.worst_case_p >= result.guaranteed_p - obj["tol"]
+    ok = _within(result.guaranteed_p - report.worst_case_p, obj["tol"])
     if obj["fmt"] == "json":
         click.echo(json.dumps({
             "method": method,

@@ -21,19 +21,30 @@ def _check_tol(tol: float) -> None:
         raise ValueError("tol must be positive")
 
 
+def _within(miss, tol: float):
+    """The one tolerance rule: whether ``miss`` is at most ``tol``, for a scalar or elementwise.
+
+    ``miss`` is how far a value falls from its bound, or short of it, such
+    as ``abs(norm - 1)`` or ``1 - p``: a value within ``tol`` of its bound
+    passes, the bound included, and NaN never passes.  A scalar gives a ``bool``.
+    """
+    held = miss <= tol
+    return held if isinstance(held, np.ndarray) else bool(held)
+
+
 def is_unitary(matrix, tol: float = UNITARY_TOL) -> bool:
     """True iff ``matrix @ matrix†`` matches the identity entrywise within ``tol``."""
     _check_tol(tol)
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    return float(_unitarity_errors(m[np.newaxis])[0]) <= tol
+    return _within(float(_unitarity_errors(m[np.newaxis])[0]), tol)
 
 
 def _unitarity_errors(stack: np.ndarray) -> np.ndarray:
     """Largest entrywise ``|G @ G† - I|`` of each gate ``G`` in a ``(k, m, m)`` stack.
 
-    A gate that is not finite gets NaN or inf, so a guard reads ``not err <= tol``.
+    A gate that is not finite gets NaN or inf, which :func:`_within` never passes.
     A float64 stack, as every built-in and constructed algorithm keeps, is
     checked as it is; a complex one with no imaginary part is checked in
     float64 too, which is faster.

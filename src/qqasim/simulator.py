@@ -45,7 +45,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .boolfun import MAX_ARITY, TruthTable, _check_input, _integer, all_inputs, bit_string
-from .linalg import NORM_TOL, UNITARY_TOL, _check_tol, _unitarity_errors
+from .linalg import NORM_TOL, UNITARY_TOL, _check_tol, _unitarity_errors, _within
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,7 @@ def _assembled(arity: int, initial, gates: np.ndarray, trusted: int, steps, meas
     initial = np.array(initial, dtype=complex)
     if initial.shape != (m,):
         raise ValueError(f"initial state must have shape ({m},), got {initial.shape}")
-    if not abs(float(np.square(initial.view(float)).sum()) - 1.0) <= NORM_TOL:
+    if not _within(abs(float(np.square(initial.view(float)).sum()) - 1.0), NORM_TOL):
         raise ValueError("initial: state is not unit-norm")
     if gates.dtype == complex and not gates.imag.view(np.uint64).any():
         gates = gates.real.copy()
@@ -209,7 +209,7 @@ def _assembled(arity: int, initial, gates: np.ndarray, trusted: int, steps, meas
         checked.append(step)
     if len(gates) > trusted:  # the gates before a malformed step; a failing one is named first
         at = [k for k, step in enumerate(checked) if not isinstance(step, QueryGate)]
-        failing = np.flatnonzero(~(_unitarity_errors(gates[trusted:len(at)]) <= UNITARY_TOL))
+        failing = np.flatnonzero(~_within(_unitarity_errors(gates[trusted:len(at)]), UNITARY_TOL))
         if failing.size:
             k = at[trusted + failing[0]]
             raise ValueError(f"steps[{k}].unitary: matrix is not unitary within {UNITARY_TOL}")
@@ -356,9 +356,9 @@ def _unit_norm(states: np.ndarray, input_of, index=None) -> np.ndarray:
     named ``input_of(i)``; the error names the first input that drifts.
     """
     norms = np.einsum("ij,ij->i", states, states.conj()).real
-    drift = np.abs(norms - 1.0)
-    if not float(drift.max()) <= NORM_TOL:
-        at = int(np.flatnonzero(_per_input(~(drift <= NORM_TOL), index))[0])
+    held = _within(np.abs(norms - 1.0), NORM_TOL)
+    if not held.all():
+        at = int(np.flatnonzero(~_per_input(held, index))[0])
         raise RuntimeError(
             f"state norm drifted to {_per_input(norms, index)[at]} on input {input_of(at)!r}"
         )
@@ -665,7 +665,7 @@ def verify(a: QQA, f: TruthTable, tol: float = NORM_TOL) -> VerificationReport:
     worst_at = int(success.argmin())
     worst = float(success[worst_at])
     return VerificationReport(
-        success, worst >= 1.0 - tol, worst, a.query_count, bit_string(worst_at, a.arity)
+        success, _within(1.0 - worst, tol), worst, a.query_count, bit_string(worst_at, a.arity)
     )
 
 
@@ -680,7 +680,7 @@ def computed_function(a: QQA, tol: float = NORM_TOL) -> TruthTable:
     if a.arity < 1:
         raise ValueError("algorithm must read at least one variable to define a truth table")
     answers = _answers(a)
-    if answers.margin <= tol:
+    if _within(answers.margin, tol):
         raise ValueError(
             f"no outcome has probability above 1/2 on input {bit_string(answers.closest, a.arity)}"
         )
@@ -690,20 +690,20 @@ def computed_function(a: QQA, tol: float = NORM_TOL) -> TruthTable:
 def is_exact(a: QQA, tol: float = NORM_TOL) -> bool:
     """Whether ``verify(a, computed_function(a), tol).exact`` holds, without simulating twice."""
     _check_tol(tol)
-    return _answers(a).agreement >= 1.0 - tol
+    return _within(1.0 - _answers(a).agreement, tol)
 
 
 def check_property(a: QQA, which: StructuralProperty, tol: float = NORM_TOL) -> bool:
     """Whether one of the pre-measurement amplitude disciplines holds on every input."""
     _check_tol(tol)
     answers = _answers(a)
-    certain = answers.peak >= 1.0 - tol
+    certain = _within(1.0 - answers.peak, tol)
     if which is StructuralProperty.CERTAIN_OUTCOME:
         return certain
     if which not in _ACCEPTING:
         raise ValueError(f"unknown property {which!r}")
     spread = answers.spread.get(which)
-    held = spread is not None and spread <= tol
+    held = spread is not None and _within(spread, tol)
     if which is StructuralProperty.ACCEPT_SIGNED_UNIT:
         return held and certain
     return held

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -93,3 +94,23 @@ def count_checks(monkeypatch):
         return batches
 
     return start
+
+
+#: Half a 4x4 Hadamard matrix: every entry is exactly +1/2 or -1/2.
+QUARTER_GATE = 0.5 * np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
+
+
+@pytest.fixture
+def quarters():
+    """Build a 1-variable, 4-amplitude algorithm: ``queries`` no-op queries, then ``QUARTER_GATE``.
+
+    From e0 every output has probability exactly 1/4 on both inputs, so each
+    answer is exact in float and can sit exactly on a tolerance bound: with
+    outputs (1, 1, 1, 0), P(1) is 3/4.
+    """
+
+    def build(measurement, initial=(1, 0, 0, 0), queries=1):
+        steps = (simulator.QueryGate((None,) * 4),) * queries + (QUARTER_GATE,)
+        return simulator.QQA(1, 4, initial, steps, measurement)
+
+    return build

@@ -77,6 +77,8 @@ class TestNamedFunctions:
             assert named_function(name) == named_function(name, 5)  # the arity is fixed
 
     def test_bad_parameters(self):
+        with pytest.raises(ValueError, match=f"^arity must be between 1 and {MAX_ARITY}, got 64$"):
+            named_function("constant1", 64)  # before a table of 2**64 entries is made
         with pytest.raises(ValueError):
             named_function("majority", 4)
         with pytest.raises(ValueError):
@@ -248,6 +250,15 @@ class TestMajorityCompose:
         f = majority_compose([single, single.complement()], even=True)
         assert f.accepting_inputs() == []
 
+    def test_no_functions_rejected(self):
+        with pytest.raises(ValueError, match="^need at least one function$"):
+            majority_compose([], even=True)
+
+    def test_combined_arity_above_the_limit_rejected(self):
+        six = named_function("constant1", 6)
+        with pytest.raises(ValueError, match=f"^combined arity 18 exceeds the {MAX_ARITY}-variable"):
+            majority_compose([six] * 3, even=False)
+
     def test_parity_validation(self, f_eq3):
         with pytest.raises(ValueError, match="even"):
             majority_compose([f_eq3] * 3, even=True)
@@ -356,6 +367,8 @@ def _table_cases():
         "non-ASCII digit": edited(40, "\u0661" + body[40][1:]),
         "character below 0": edited(40, "/" + body[40][1:]),
         "two bad rows": edited(5, "0000000x,1")[:150] + ["00000011,7"] + body[150:],
+        "header only": [rows[0]],
+        "header and blank lines": [rows[0], "", ""],
     }
 
 
@@ -379,6 +392,12 @@ class TestHex:
 
 def test_from_accepting_matches_named(f_eq3):
     assert from_accepting(3, ["111", "000"]) == f_eq3
+
+
+@pytest.mark.parametrize("bits", [[0, 1], bytearray(b"\x00\x01"), memoryview(b"\x00\x01")])
+def test_table_bits_are_stored_as_bytes(bits):
+    f = TruthTable(1, bits)
+    assert type(f.bits) is bytes and f == TruthTable(1, b"\x00\x01")
 
 
 def test_table_validation():

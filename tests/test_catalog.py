@@ -3,6 +3,7 @@ import io
 
 import pytest
 
+from qqasim import catalog
 from qqasim.boolfun import TruthTable, named_function
 from qqasim.catalog import (
     SET_NAMES,
@@ -13,6 +14,7 @@ from qqasim.catalog import (
     generate_set,
 )
 from qqasim.constructors import (
+    ConstructionResult,
     and_construct,
     majority3_construct,
     majority_even4_construct,
@@ -146,6 +148,17 @@ def test_floor_failure_names_the_witness(eq3, f_eq3):
 )
 def test_a_combined_sets_floor_is_its_combiners(full_catalog, eq3, name, combine, parts):
     assert full_catalog[name].guaranteed_p == combine(*[eq3] * parts).guaranteed_p
+
+
+def test_inconsistent_query_counts_rejected(monkeypatch, quarters):
+    """A combiner whose results differ in query count; the two compute different functions."""
+    first = [ConstructionResult(quarters((1, 1, 1, 0)), TruthTable(1, b"\x01\x01"), 0.75, 1)]
+    later = ConstructionResult(
+        quarters((1, 0, 0, 0), queries=2), TruthTable(1, b"\x00\x00"), 0.75, 2
+    )
+    monkeypatch.setattr(catalog, "and_construct", lambda *parts: first.pop() if first else later)
+    with pytest.raises(RuntimeError, match=r"^and: inconsistent query counts \{1, 2\}$"):
+        generate_set("and")
 
 
 def test_unknown_set_rejected():

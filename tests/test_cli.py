@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qqasim import catalog, cli, simulator
+from qqasim import catalog, cli, constructors, simulator
 from qqasim.algorithms import BUILTINS
 from qqasim.boolfun import (
     TruthTable,
@@ -19,7 +19,7 @@ from qqasim.boolfun import (
     table_to_csv,
 )
 from qqasim.cli import format_amplitude, main, render_trace
-from qqasim.constructors import or_construct
+from qqasim.constructors import ConstructionResult, or_construct
 from qqasim.serialize import load, save
 from qqasim.simulator import computed_function
 
@@ -751,15 +751,36 @@ class TestFormatting:
     def test_state_rendering(self):
         assert _state_labels([0.5, -(2**-0.5), 0.0, 1.0], 1e-9) == "(1/2, -1/√2, 0, 1)"
 
+    def test_bounds_are_inclusive_and_nan_never_passes(self):
+        assert format_amplitude(0.75, 0.25) == "1"  # 1 is tried before the nearer 1/√2
+        assert format_amplitude(0.75, np.nextafter(0.25, 0.0)) == "1/√2"
+        assert format_amplitude(complex(0.5, 0.25), 0.25) == "1/2"
+        assert format_amplitude(complex(0.5, 0.25), np.nextafter(0.25, 0.0)) == "0.500000+0.250000i"
+        assert format_amplitude(complex(0.0, np.nan)) == "0.000000+nani"
+        assert format_amplitude(np.nan) == "nan"
+
 
 def _state_labels(state, tol):
     """A state as a trace cell renders it, labelled by the whole-array pass."""
     return "(" + ", ".join(cli._amplitude_labels(state, tol)) + ")"
 
 
+def _format_one(value, tol):
+    """The labelling rule on one value in scalar arithmetic: the reference of the array pass."""
+    value = complex(value)
+    if not abs(value.imag) <= tol:  # NaN too
+        return f"{value.real:.6f}{value.imag:+.6f}i"
+    for magnitude, label in cli._NAMED_AMPLITUDES:
+        if abs(value.real - magnitude) <= tol:
+            return label
+        if magnitude and abs(value.real + magnitude) <= tol:
+            return "-" + label
+    return f"{value.real:.6f}"
+
+
 def _state_one_value_at_a_time(state, tol):
     """The reference for :func:`_state_labels`: every amplitude formatted on its own."""
-    return "(" + ", ".join(format_amplitude(z, tol) for z in state) + ")"
+    return "(" + ", ".join(_format_one(z, tol) for z in state) + ")"
 
 
 def test_trace_rendering_equals_the_per_value_function(full_catalog):
@@ -785,3 +806,64 @@ def test_edge_values_equal_the_per_value_function(tol):
     values = [complex(x, y) for x in reals for y in imaginary]
     for state in (reals, values, np.array(values)):
         assert _state_labels(state, tol) == _state_one_value_at_a_time(state, tol)
+
+
+_BELOW = {tol: repr(float(np.nextafter(tol, 0.0))) for tol in (0.125, 0.25)}  # one float less
+
+
+class TestToleranceBounds:
+    """Each check of the CLI passes a value exactly ``--tolerance`` from its bound."""
+
+    @pytest.mark.parametrize("tol, flags, lines", [
+        ("0.25", ("--expect-exact",), [
+            "exact, p = 0.750000, queries = 1",
+            "FAIL: worst-case success probability 0.750000 on input 0 is not above 1/2"]),
+        (_BELOW[0.25], ("--expect-exact",), [
+            "bounded-error, p = 0.750000, queries = 1",
+            "FAIL: expected exact, got worst-case p = 0.750000 on input 0"]),
+        ("0.125", ("--expect-p", "0.875"), ["bounded-error, p = 0.750000, queries = 1"]),
+        (_BELOW[0.125], ("--expect-p", "0.875"), [
+            "bounded-error, p = 0.750000, queries = 1",
+            "FAIL: expected p = 0.875000, got 0.750000 on input 0"]),
+    ])
+    def test_verify(self, tmp_path, quarters, tol, flags, lines):
+        path = str(tmp_path / "a.json")
+        save(quarters((1, 1, 1, 0)), path)  # P(1) = 3/4 on both inputs
+        result = invoke("--tolerance", tol, "verify", "--algorithm", path,
+                        "--function", "constant1:1", *flags)
+        assert result.stdout.splitlines() == lines
+        assert result.exit_code == (1 if len(lines) > 1 else 0)
+
+    @pytest.mark.parametrize("measurement, tol, outcome", [
+        ((1, 1, 1, 0), 0.25, "1"),
+        ((1, 0, 0, 0), 0.25, "0"),
+        ((1, 1, 1, 0), np.nextafter(0.25, 0.0), "P(0)=0.250000 P(1)=0.750000"),
+        ((1, 0, 0, 0), np.nextafter(0.25, 0.0), "P(0)=0.750000 P(1)=0.250000"),
+    ])
+    def test_trace_outcome(self, quarters, measurement, tol, outcome):
+        a = quarters(measurement)
+        row = render_trace(a, simulator.trace(a, "0"), tol)
+        assert row == f"0 | (1, 0, 0, 0) | (1/2, 1/2, 1/2, 1/2) | {outcome}"
+
+    @pytest.mark.parametrize("tol, holds", [("0.25", True), (_BELOW[0.25], False)])
+    def test_construct_and_the_catalog_share_the_floor_check(
+            self, tmp_path, monkeypatch, quarters, tol, holds):
+        """A combiner that promises 1 and delivers 3/4 meets its floor within 1/4 only."""
+        promised = ConstructionResult(quarters((1, 1, 1, 0)), TruthTable(1, b"\x01\x01"), 1.0, 1)
+        monkeypatch.setattr(constructors, "and_construct", lambda *parts: promised)
+        monkeypatch.setattr(catalog, "and_construct", lambda *parts: promised)
+        out = str(tmp_path / "and.json")
+        result = invoke("--tolerance", tol, "construct", "--method", "and",
+                        "--inputs", "builtin:equality3,builtin:equality3", "--out", out)
+        lines = [f"and: guaranteed p = 1.000000, verified worst-case p = 0.750000, "
+                 f"queries = 1; written to {out}"]
+        if not holds:
+            lines.append("FAIL: verified probability fell below the guarantee")
+        assert result.stdout.splitlines() == lines
+        assert result.exit_code == (0 if holds else 1)
+        monkeypatch.setattr(catalog, "NORM_TOL", float(tol))  # the catalog's fixed tolerance
+        if holds:
+            assert catalog.generate_set("and").guaranteed_p == 1.0
+        else:
+            with pytest.raises(RuntimeError, match=r"verified at 0.75 on input 0, below the 1.0 floor$"):
+                catalog.generate_set("and")

@@ -27,6 +27,12 @@ class TestIsUnitary:
     def test_non_square(self):
         assert not is_unitary(np.ones((2, 3)))
 
+    def test_bound_is_inclusive(self):
+        gate = np.array([[1.0, -0.25], [-0.25, 1.0]])  # |G Gᵀ - I| is 0.5 at most, exactly
+        assert is_unitary(gate, tol=0.5) is True
+        assert is_unitary(gate, tol=np.nextafter(0.5, 0.0)) is False
+        assert is_unitary(np.array([[np.nan]]), tol=1e300) is False
+
     def test_requires_positive_tol(self):
         with pytest.raises(ValueError):
             is_unitary(np.eye(2), tol=0.0)
@@ -138,6 +144,10 @@ class TestBlockDiag:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             block_diag([])
+
+    def test_non_square_block_rejected(self):
+        with pytest.raises(ValueError, match="^every block must be a square matrix$"):
+            block_diag([np.eye(2), np.ones((2, 3))])
 
     def test_unitary_blocks_make_unitary(self):
         rng = np.random.default_rng(7)

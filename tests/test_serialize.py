@@ -90,6 +90,13 @@ class TestValidation:
     def _document(self, eq3):
         return to_document(eq3)
 
+    @pytest.mark.parametrize("text", ["[]", "null", "7", '"format_version"'])
+    def test_document_must_be_an_object(self, tmp_path, text):
+        path = tmp_path / "a.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^document must be a JSON object$"):
+            load(path)
+
     def test_missing_field_named(self, eq3):
         doc = self._document(eq3)
         del doc["arity"]
@@ -186,6 +193,13 @@ class TestAtomicWrite:
         path = tmp_path / "a.json"
         save(eq3, path)
         assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
+
+    def test_failed_write_removes_its_temp_file(self, tmp_path, eq3):
+        (tmp_path / "a.json").mkdir()  # the final rename onto a directory fails
+        with pytest.raises(IsADirectoryError):
+            save(eq3, tmp_path / "a.json")
+        assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
+        assert list((tmp_path / "a.json").iterdir()) == []
 
     def test_json_is_plain_and_loadable(self, tmp_path, eq3):
         path = tmp_path / "a.json"

@@ -789,6 +789,72 @@ class TestCheckProperty:
             probs = np.abs(run_all(a)) ** 2
             assert np.all(probs.max(axis=1) >= 1.0 - 1e-9)
 
+    def test_unknown_property_is_an_error(self, eq3):
+        with pytest.raises(ValueError, match="^unknown property 'accepting-in-zero-plus-one'$"):
+            check_property(eq3, StructuralProperty.ACCEPT_PLUS_ONE.value)
+
+
+def _ties(a, tol):
+    """Whether :func:`computed_function` finds no outcome above 1/2 on input 0."""
+    try:
+        computed_function(a, tol)
+    except ValueError as error:
+        return str(error) == "no outcome has probability above 1/2 on input 0"
+    return False
+
+
+#: Per question: the outputs of a ``quarters`` algorithm, the question, and
+#: the tolerance at which its answer is exactly on the bound.
+_AT_THE_BOUND = {
+    "verify exact": (
+        (1, 1, 1, 0), lambda a, tol: verify(a, TruthTable(1, b"\x01\x01"), tol).exact, 0.25),
+    "is_exact": ((1, 1, 1, 0), is_exact, 0.25),
+    "computed_function tie": ((1, 1, 1, 0), _ties, 0.25),
+    "certain outcome": (
+        (1, 1, 1, 0), lambda a, tol: check_property(a, StructuralProperty.CERTAIN_OUTCOME, tol),
+        0.75),
+    "accept plus one": (
+        (1, 0, 0, 0), lambda a, tol: check_property(a, StructuralProperty.ACCEPT_PLUS_ONE, tol),
+        0.5),
+    "accept minus one": (
+        (1, 0, 0, 0), lambda a, tol: check_property(a, StructuralProperty.ACCEPT_MINUS_ONE, tol),
+        0.5),
+    "accept signed unit": (  # the accepting amplitude is within 0.5, the peak only at 0.75
+        (1, 0, 0, 0),
+        lambda a, tol: check_property(a, StructuralProperty.ACCEPT_SIGNED_UNIT, tol), 0.75),
+}
+
+
+class TestToleranceBounds:
+    """A value exactly ``tol`` from its bound passes; one float less of ``tol`` does not."""
+
+    @pytest.mark.parametrize("case", sorted(_AT_THE_BOUND))
+    def test_a_value_on_its_bound_passes(self, quarters, case):
+        measurement, holds, tol = _AT_THE_BOUND[case]
+        assert holds(quarters(measurement), tol) is True
+        assert holds(quarters(measurement), np.nextafter(tol, 0.0)) is False
+
+    def test_norm_bounds_are_inclusive(self, quarters, monkeypatch):
+        monkeypatch.setattr(simulator, "NORM_TOL", 0.25)
+        a = quarters((1, 1, 1, 0), initial=(1, 0.5, 0, 0))  # norm 1.25, and so every state
+        assert np.array_equal(run_all(a), [[0.75, 0.25, 0.75, 0.25]] * 2)
+        monkeypatch.setattr(simulator, "NORM_TOL", np.nextafter(0.25, 0.0))
+        with pytest.raises(ValueError, match="^initial: state is not unit-norm$"):
+            quarters((1, 1, 1, 0), initial=(1, 0.5, 0, 0))
+        with pytest.raises(RuntimeError, match="^state norm drifted to 1.25 on input '0'$"):
+            run_all(a)
+
+    def test_norm_guard_names_the_first_input_beyond_its_bound(self, monkeypatch):
+        # A gate 0.5 from unitary; input 0 ends 0.12109375 from norm 1, input 1 further.
+        monkeypatch.setattr(simulator, "UNITARY_TOL", 0.5)
+        monkeypatch.setattr(simulator, "NORM_TOL", 0.12109375)
+        a = QQA(1, 2, [1, 0.25], (QueryGate((0, None)), [[1, -0.25], [-0.25, 1]]), (1, 0))
+        with pytest.raises(RuntimeError, match="^state norm drifted to 1.37890625 on input '1'$"):
+            run_all(a)
+        monkeypatch.setattr(simulator, "UNITARY_TOL", np.nextafter(0.5, 0.0))
+        with pytest.raises(ValueError, match="^steps\\[1\\].unitary: matrix is not unitary"):
+            QQA(1, 2, [1, 0.25], (QueryGate((0, None)), [[1, -0.25], [-0.25, 1]]), (1, 0))
+
 
 class TestQueryCount:
     def test_counts_only_queries(self, eq3):
