@@ -27,10 +27,6 @@ NAMED_FUNCTIONS = {
 }
 
 
-#: Table entries as the ASCII digits ``0`` and ``1``, for :meth:`TruthTable.as_hex`.
-_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
 def bit_string(index: int, arity: int) -> str:
     """The ``arity``-bit input string for a table row index."""
     return format(index, "b").zfill(arity) if arity else ""
@@ -93,8 +89,9 @@ class TruthTable:
 
     def as_hex(self) -> str:
         """Table packed as hex, first row as the most significant bit."""
-        value = int(self.bits.translate(_BINARY_DIGITS), 2)
-        return format(value, f"0{(len(self.bits) + 3) // 4}x")
+        padded = bytes(-len(self.bits) % 8) + self.bits  # zeros ahead, up to whole bytes
+        packed = np.packbits(np.frombuffer(padded, dtype=np.uint8)).tobytes().hex()
+        return packed[-((len(self.bits) + 3) // 4):]
 
 
 def from_accepting(arity: int, accepting: Iterable[str]) -> TruthTable:

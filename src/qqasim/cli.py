@@ -359,19 +359,19 @@ def construct_command(obj, method, inputs_spec, out_path):
 @click.pass_obj
 def catalog_command(obj, set_name, export_path):
     """Regenerate the catalogued function families and print their summary."""
-    # One family at a time: each is dropped, once its summary and CSV rows
-    # are taken, before the next is built.  The CSV is written at the end,
-    # so a run that fails leaves no file.
+    # One entry at a time: of each entry only its CSV fields (with --export)
+    # are kept, and of each family its summary.  The CSV is written at the
+    # end, so a run that fails leaves no file.
     names = catalog_module.SET_NAMES if set_name == "all" else (set_name,)
+    keep = catalog_module._csv_fields if export_path is not None else (lambda entry, table: None)
     sets, labels, rows = [], [], []
-    for s in catalog_module._families(names):
-        sets.append({"name": s.name, "size": len(s.entries), "arities": list(s.arities),
+    for s, kept in catalog_module._families(names, keep):
+        sets.append({"name": s.name, "size": len(kept), "arities": list(s.arities),
                      "queries": s.queries, "probability": s.guaranteed_p,
                      "applications": s.candidates})
         labels.append(s.probability_label)
         if export_path is not None:
-            rows += catalog_module._csv_rows(s)
-        del s  # not held while the next family is built
+            rows += catalog_module._csv_rows(s, kept)
     if export_path is not None:
         with _writing(export_path):
             catalog_module._write_csv(rows, export_path)

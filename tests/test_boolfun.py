@@ -389,6 +389,14 @@ class TestHex:
     def test_width_scales_with_arity(self):
         assert named_function("constant1", 4).as_hex() == "ffff"
 
+    @pytest.mark.parametrize("arity", range(1, MAX_ARITY + 1))
+    def test_matches_the_table_read_as_one_binary_number(self, arity):
+        # Arities 1 and 2 fill less than a byte: the packing must not shift their digits.
+        rng = random.Random(arity)
+        for bits in ([rng.getrandbits(1) for _ in range(1 << arity)], [1] * (1 << arity)):
+            value, digits = int("".join(map(str, bits)), 2), -(-len(bits) // 4)
+            assert TruthTable(arity, bytes(bits)).as_hex() == format(value, f"0{digits}x")
+
 
 def test_from_accepting_matches_named(f_eq3):
     assert from_accepting(3, ["111", "000"]) == f_eq3

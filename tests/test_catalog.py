@@ -2,6 +2,7 @@ import hashlib
 import io
 
 import pytest
+from click.testing import CliRunner
 
 from qqasim import catalog
 from qqasim.boolfun import TruthTable, named_function
@@ -9,10 +10,11 @@ from qqasim.catalog import (
     SET_NAMES,
     CatalogEntry,
     FunctionSet,
-    _verified_set,
+    _verified,
     export_csv,
     generate_set,
 )
+from qqasim.cli import main
 from qqasim.constructors import (
     ConstructionResult,
     and_construct,
@@ -134,7 +136,40 @@ def test_floor_failure_names_the_witness(eq3, f_eq3):
     bits[5] = 1
     wrong = CatalogEntry(TruthTable(3, bytes(bits)), eq3, "equality3")
     with pytest.raises(RuntimeError, match="on input 101, below the 0.75 floor"):
-        _verified_set("and", [wrong], 0.75)
+        list(_verified("and", [(wrong, 0.75)]))
+
+
+def test_an_empty_family_is_reported_as_such(monkeypatch):
+    monkeypatch.setattr(catalog, "_mixing_pool", lambda entries: [])
+    with pytest.raises(RuntimeError, match=r"^and: no candidates$"):
+        generate_set("and")
+
+
+@pytest.fixture
+def verified(monkeypatch):
+    """The (arity, bits) of every function the catalog verifies, in order."""
+    functions = []
+
+    def counting(a, f, *args, **kwargs):
+        functions.append((f.arity, f.bits))
+        return verify(a, f, *args, **kwargs)
+
+    monkeypatch.setattr(catalog, "verify", counting)
+    return functions
+
+
+@pytest.mark.parametrize("name, candidates, distinct", [("qfunc3", 48, 8), ("qfunc4", 192, 24)])
+def test_each_distinct_function_is_verified_once(verified, name, candidates, distinct):
+    s = generate_set(name)
+    assert s.candidates == candidates
+    assert len(verified) == len(set(verified)) == len(s.entries) == distinct
+
+
+def test_the_catalog_command_verifies_each_distinct_function_once(verified):
+    result = CliRunner().invoke(main, ["catalog", "--set", "all"])
+    assert result.exit_code == 0
+    assert result.output.endswith("distinct functions: 624\nTotal 832\n")
+    assert len(verified) == len(set(verified)) == 624
 
 
 @pytest.mark.parametrize(

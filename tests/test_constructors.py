@@ -371,7 +371,7 @@ class TestAssembledFromCheckedParts:
         # The checks that the combiners and transforms skip would have passed.
         algorithms = [e.algorithm for s in full_catalog.values() for e in s.entries]
         for name, base in (("e", equality3_algorithm()), ("p", pair_equality4_algorithm())):
-            algorithms += [e.algorithm for e in catalog._transform_variants(name, base)]
+            algorithms += [e.algorithm for e, _ in catalog._transform_variants(name, base)]
         algorithms += [e.algorithm for e in catalog._mixing_pool(full_catalog["qfunc3"].entries)]
         assert len(algorithms) == 624 + 240 + 4
         for a in algorithms:

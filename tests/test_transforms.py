@@ -232,3 +232,60 @@ class TestGatesChecked:
         assert fixed._gates.dtype == moved._gates.dtype == np.float64
         assert fixed._gates[:-1].tobytes() == moved._gates.tobytes()
         assert fixed.steps[-1].base is fixed._gates and not fixed._gates.flags.writeable
+
+
+def _draw_exact_entry(data, catalog):
+    """One of the 32 exact catalog entries (``qfunc3`` and ``qfunc4``), as (algorithm, function)."""
+    entry = data.draw(st.sampled_from(catalog["qfunc3"].entries + catalog["qfunc4"].entries))
+    return entry.algorithm, entry.function
+
+
+class TestTransformLaws:
+    """What each transform computes, on the exact catalog entries under random permutations."""
+
+    @given(st.data())
+    def test_permute_variables_computes_f_after_sigma(self, full_catalog, data):
+        a, f = _draw_exact_entry(data, full_catalog)
+        sigma = data.draw(st.permutations(range(a.arity)))
+        # g(x_0, x_1, ..) = f(x_sigma[0], x_sigma[1], ..)
+        expected = bytes(f.evaluate("".join(x[v] for v in sigma)) for x in all_inputs(a.arity))
+        assert computed_function(permute_variables(a, sigma)).bits == expected
+
+    @given(st.data())
+    def test_invert_outputs_computes_the_complement(self, full_catalog, data):
+        a, _ = _draw_exact_entry(data, full_catalog)
+        a = permute_variables(a, data.draw(st.permutations(range(a.arity))))
+        assert computed_function(invert_outputs(a)) == computed_function(a).complement()
+
+    @given(st.data())
+    def test_permute_outputs_keeps_f_when_each_output_keeps_its_value(self, full_catalog, data):
+        a, f = _draw_exact_entry(data, full_catalog)
+        sigma = list(range(a.amplitudes))
+        for value in (0, 1):
+            outputs = [i for i, v in enumerate(a.measurement) if v == value]
+            for i, j in zip(outputs, data.draw(st.permutations(outputs))):
+                sigma[i] = j
+        assert computed_function(permute_outputs(a, sigma)) == f
+
+    @given(st.data())
+    def test_normalize_accepting_sign_keeps_f(self, full_catalog, data):
+        # Two of the 32 hold the {0, -1} discipline; relabelling variables keeps it.
+        entries = full_catalog["qfunc3"].entries + full_catalog["qfunc4"].entries
+        minus = [e for e in entries
+                 if check_property(e.algorithm, StructuralProperty.ACCEPT_MINUS_ONE)]
+        a = data.draw(st.sampled_from(minus)).algorithm
+        a = permute_variables(a, data.draw(st.permutations(range(a.arity))))
+        assert computed_function(normalize_accepting_sign(a)) == computed_function(a)
+
+    @given(st.data())
+    def test_every_transform_keeps_the_query_count(self, full_catalog, data):
+        a, _ = _draw_exact_entry(data, full_catalog)
+        placed = permute_outputs(a, data.draw(st.permutations(range(a.amplitudes))))
+        transformed = [
+            placed,
+            permute_variables(a, data.draw(st.permutations(range(a.arity)))),
+            invert_outputs(a),
+        ]
+        if check_property(placed, StructuralProperty.ACCEPT_MINUS_ONE):
+            transformed.append(normalize_accepting_sign(placed))
+        assert [t.query_count for t in transformed] == [a.query_count] * len(transformed)
