@@ -3,9 +3,10 @@
 The two base algorithms are run through the full closure of transformations
 (every variable permutation x every single-accepting output placement x
 optional inversion) and deduplicated by truth table; the resulting exact
-sets feed the and/or/majority combiners.  Every family is built, deduplicated
-and verified a few candidates at a time, so a caller that keeps only part of
-each entry holds no more than ``_BUILT_AHEAD`` algorithms.
+sets feed the and/or/majority combiners.  Every family is built by
+``_families``, deduplicated and verified a few candidates at a time, so a
+caller that keeps only part of each entry holds no more than ``_BUILT_AHEAD``
+algorithms.
 
 Eligibility for a combiner is decided by the structural property checks, not
 hard-coded lists: the accept-plus pool (equality3 family) has 4 algorithms
@@ -105,18 +106,18 @@ def _transform_variants(base_name: str, base: QQA):
 _BUILT_AHEAD = 32
 
 
-def _verified(name: str, candidates: Iterable[tuple]):
-    """Yield ``(entry, table)`` for each entry of the ``(entry, floor)`` ``candidates`` as soon
-    as it is verified; ``table`` is its packed truth table, ``as_hex()``.
+def _verified(name: str, candidates: Iterable[tuple], keep) -> tuple:
+    """The summary of family ``name`` and ``keep(entry, table)`` of each entry of the
+    ``(entry, floor)`` ``candidates``, kept as soon as it is verified; ``table`` is its
+    packed truth table, ``as_hex()``.
 
     Candidates are built ``_BUILT_AHEAD`` at a time.  A candidate whose
     function an earlier one computes is dropped before it is verified;
-    every other must succeed with its own floor or more.  Returns the
-    family's summary: a ``FunctionSet`` without entries, whose
-    ``guaranteed_p`` is the least floor of every candidate, duplicates
-    included.
+    every other must succeed with its own floor or more.  The summary is a
+    ``FunctionSet`` without entries, whose ``guaranteed_p`` is the least
+    floor of every candidate, duplicates included.
     """
-    seen, arities, queries, floor, count = set(), set(), set(), math.inf, 0
+    seen, arities, queries, floor, count, kept = set(), set(), set(), math.inf, 0, []
     candidates = iter(candidates)
     batches = iter(lambda: list(itertools.islice(candidates, _BUILT_AHEAD)), [])
     for entry, entry_floor in itertools.chain.from_iterable(batches):
@@ -137,22 +138,10 @@ def _verified(name: str, candidates: Iterable[tuple]):
                 f"on input {report.witness}, below the {entry_floor} floor"
             )
         arities.add(entry.function.arity)
-        yield entry, table
+        kept.append(keep(entry, table))
     if not count:
         raise RuntimeError(f"{name}: no candidates")
-    return FunctionSet(name, (), tuple(sorted(arities)), queries.pop(), floor, count)
-
-
-def _drained(family, keep) -> tuple:
-    """The summary the generator ``family`` returns, and ``keep(entry, table)`` of each
-    ``(entry, table)`` it yields."""
-    kept = []
-    while True:
-        try:
-            entry, table = next(family)
-        except StopIteration as end:
-            return end.value, kept
-        kept.append(keep(entry, table))
+    return FunctionSet(name, (), tuple(sorted(arities)), queries.pop(), floor, count), kept
 
 
 def _mixing_pool(entries: Iterable[CatalogEntry]) -> list:
@@ -174,13 +163,6 @@ def _routing_pool(entries: Iterable[CatalogEntry]) -> list:
     ]
 
 
-def _base_entries(name: str, bases: dict | None) -> tuple:
-    """Entries of base set ``name``, taken from ``bases`` when it holds the set."""
-    if bases and name in bases:
-        return bases[name].entries
-    return generate_set(name).entries
-
-
 #: The base sets each combined set is built from.
 _BASES_OF = {
     "and": ("qfunc3",),
@@ -189,11 +171,16 @@ _BASES_OF = {
     "majority3": ("qfunc3",),
 }
 
-#: The sets some combined set is built from.
-_BASE_SETS = {base for names in _BASES_OF.values() for base in names}
+
+def _base(name: str, bases: dict) -> tuple:
+    """Base set ``name``'s summary and ``(entry, table)`` of each entry, built into ``bases``
+    the first time it is asked for."""
+    if name not in bases:
+        bases[name] = _verified(name, _candidates(name, bases), lambda *pair: pair)
+    return bases[name]
 
 
-def _candidates(kind: str, bases: dict | None):
+def _candidates(kind: str, bases: dict):
     """The ``(entry, floor)`` candidates of family ``kind``, each built when it is asked for."""
     if kind == "qfunc3":
         return _transform_variants("equality3", equality3_algorithm())
@@ -213,7 +200,7 @@ def _candidates(kind: str, bases: dict | None):
     if kind not in combined:
         raise ValueError(f"unknown set {kind!r} (expected one of {SET_NAMES})")
     pool_of, combine, picks_per_combination = combined[kind]
-    pool = pool_of(e for name in _BASES_OF[kind] for e in _base_entries(name, bases))
+    pool = pool_of(e for name in _BASES_OF[kind] for e, _ in _base(name, bases)[1])
     return _combinations(kind, pool, combine, picks_per_combination)
 
 
@@ -225,39 +212,38 @@ def _combinations(kind: str, pool: list, combine, picks_per_combination: int):
         yield CatalogEntry(result.target, result.algorithm, provenance), result.guaranteed_p
 
 
-def generate_set(kind: str, bases: dict | None = None) -> FunctionSet:
-    """Generate one of the six catalogued families; see ``SET_NAMES``.
-
-    A combined family is built from the ``qfunc3``/``qfunc4`` sets in
-    ``bases``, or from freshly generated ones where ``bases`` lacks them.
-    """
-    summary, entries = _drained(_verified(kind, _candidates(kind, bases)), lambda e, table: e)
-    return replace(summary, entries=tuple(entries))
-
-
 def _families(names: Sequence[str], keep):
     """Each family of ``names``, in order, as its summary and ``keep(entry, table)`` of each
     entry, ``table`` being its packed truth table.
 
     A family is built, deduplicated and verified ``_BUILT_AHEAD`` candidates
     at a time, and of each entry only what ``keep`` returns is held.  The base sets are
-    the exception: they are held whole, to feed the families built from them.
+    the exception: each is built once, when first asked for, and held whole, to feed the
+    families built from it.
     """
     bases = {}
     for name in names:
-        if name in _BASE_SETS:
-            family = bases[name] = generate_set(name, bases)
-            yield family, [keep(e, e.function.as_hex()) for e in family.entries]
+        if name in _BASES_OF:
+            yield _verified(name, _candidates(name, bases), keep)
         else:
-            yield _drained(_verified(name, _candidates(name, bases)), keep)
+            summary, built = _base(name, bases)
+            yield summary, [keep(entry, table) for entry, table in built]
+
+
+def _sets(names: Sequence[str]) -> dict:
+    """Each family of ``names`` with its entries, keyed by name, in order."""
+    families = _families(names, lambda entry, table: entry)
+    return {s.name: replace(s, entries=tuple(entries)) for s, entries in families}
+
+
+def generate_set(kind: str) -> FunctionSet:
+    """Generate one of the six catalogued families; see ``SET_NAMES``."""
+    return _sets((kind,))[kind]
 
 
 def generate_all() -> dict:
     """All six families, keyed by name, in ``SET_NAMES`` order; each built once."""
-    sets = {}
-    for name in SET_NAMES:
-        sets[name] = generate_set(name, sets)
-    return sets
+    return _sets(SET_NAMES)
 
 
 _CSV_HEADER = ("set", "arity", "queries", "probability", "truth_table_hex", "provenance")
@@ -268,24 +254,18 @@ def _csv_fields(entry: CatalogEntry, table: str) -> tuple:
     return entry.function.arity, table, entry.provenance
 
 
-def _csv_rows(function_set: FunctionSet, fields: Iterable[tuple]) -> list:
-    """The CSV rows of a set whose entries' own fields are ``fields``, in order."""
-    label = function_set.probability_label
-    return [
-        [function_set.name, arity, function_set.queries, label, table, provenance]
-        for arity, table, provenance in fields
-    ]
-
-
-def _write_csv(rows: Iterable[list], destination) -> None:
-    """The CSV header, then ``rows``."""
+def _write_csv(families: Iterable[tuple], destination) -> None:
+    """The CSV header, then a row for each ``_csv_fields`` of each ``(summary, fields)`` family."""
     with _opened(destination, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(_CSV_HEADER)
-        writer.writerows(rows)
+        for s, fields in families:
+            label = s.probability_label
+            writer.writerows([s.name, arity, s.queries, label, table, provenance]
+                             for arity, table, provenance in fields)
 
 
 def export_csv(sets: dict, destination) -> None:
     """Write ``set,arity,queries,probability,truth_table_hex,provenance`` rows."""
     fields = ((s, [_csv_fields(e, e.function.as_hex()) for e in s.entries]) for s in sets.values())
-    _write_csv((row for s, kept in fields for row in _csv_rows(s, kept)), destination)
+    _write_csv(fields, destination)

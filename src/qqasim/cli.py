@@ -125,6 +125,15 @@ def _writing(path: str):
         raise click.ClickException(f"cannot write {path}: {error.strerror or error}")
 
 
+@contextlib.contextmanager
+def _reported():
+    """Report a rejected argument, or a simulation whose state norm drifts, as a one-line error."""
+    try:
+        yield
+    except (ValueError, RuntimeError) as error:
+        raise click.ClickException(str(error))
+
+
 def _load_algorithm(spec: str) -> QQA:
     if spec.startswith("builtin:"):
         name, separator, param = spec[len("builtin:"):].partition(":")
@@ -197,10 +206,8 @@ def verify_command(obj, algorithm_spec, function_spec, expect_p, expect_exact):
     """Exhaustively verify an algorithm against a Boolean function."""
     a = _load_algorithm(algorithm_spec)
     f = _load_function(function_spec)
-    try:
+    with _reported():
         report = verify(a, f, tol=obj["tol"])
-    except ValueError as error:
-        raise click.ClickException(str(error))
     worst = f"{report.worst_case_p:.6f} on input {report.witness}"
     failures = []
     if _within(report.worst_case_p - 0.5, obj["tol"]):
@@ -245,27 +252,21 @@ def _trace_row(a: QQA, bits: str) -> dict:
 def trace_command(obj, algorithm_spec, input_bits, every_input):
     """Print the state after every step for one input (or all of them)."""
     a = _load_algorithm(algorithm_spec)
-    if every_input:
-        inputs = all_inputs(a.arity)
-    elif input_bits is not None:
-        try:
-            _check_input(input_bits, a.arity)
-        except ValueError as error:
-            raise click.ClickException(str(error))
-        inputs = [input_bits]
-    else:
+    if not every_input and input_bits is None:
         raise click.ClickException("give --input BITS or --all-inputs")
-
-    if obj["fmt"] == "json":
-        rows = (_trace_row(a, bits) for bits in inputs)
-        for chunk in _json_chunks(rows):  # one row at a time
-            click.echo(chunk, nl=False)
-        click.echo()
-        return
-    header = " | ".join(["input", *_step_labels(a), "result"])
-    click.echo(header)
-    for bits in inputs:
-        click.echo(render_trace(a, run_trace(a, bits), obj["tol"]))
+    with _reported():  # a bad input, or a state norm that drifts as its row is written
+        if not every_input:
+            _check_input(input_bits, a.arity)
+        inputs = all_inputs(a.arity) if every_input else [input_bits]
+        if obj["fmt"] == "json":
+            rows = (_trace_row(a, bits) for bits in inputs)
+            for chunk in _json_chunks(rows):  # one row at a time
+                click.echo(chunk, nl=False)
+            click.echo()
+            return
+        click.echo(" | ".join(["input", *_step_labels(a), "result"]))
+        for bits in inputs:
+            click.echo(render_trace(a, run_trace(a, bits), obj["tol"]))
 
 
 #: Per method: the name of its :mod:`qqasim.transforms` function and, if it takes
@@ -290,10 +291,8 @@ def transform_command(obj, algorithm_spec, method, sigma, out_path):
     if size and sigma is None:
         raise click.ClickException(f"{method} needs --sigma")
     args = (_parse_sigma(sigma, getattr(a, size), what),) if size else ()
-    try:
+    with _reported():
         result = getattr(transforms, function_name)(a, *args)
-    except ValueError as error:
-        raise click.ClickException(str(error))
     with _writing(out_path):
         save(result, out_path, provenance=f"{method}({algorithm_spec})")
     if obj["fmt"] == "json":
@@ -323,11 +322,9 @@ def construct_command(obj, method, inputs_spec, out_path):
     if len(specs) != count:
         raise click.ClickException(f"{method} needs exactly {count} inputs, got {len(specs)}")
     algorithms = [_load_algorithm(spec) for spec in specs]
-    try:
+    with _reported():
         result = getattr(constructors, function_name)(*algorithms)
-    except ValueError as error:
-        raise click.ClickException(str(error))
-    report = verify(result.algorithm, result.target, tol=obj["tol"])
+        report = verify(result.algorithm, result.target, tol=obj["tol"])
     with _writing(out_path):
         save(result.algorithm, out_path, provenance=f"{method}({inputs_spec})")
     ok = _within(result.guaranteed_p - report.worst_case_p, obj["tol"])
@@ -364,30 +361,25 @@ def catalog_command(obj, set_name, export_path):
     # end, so a run that fails leaves no file.
     names = catalog_module.SET_NAMES if set_name == "all" else (set_name,)
     keep = catalog_module._csv_fields if export_path is not None else (lambda entry, table: None)
-    sets, labels, rows = [], [], []
-    for s, kept in catalog_module._families(names, keep):
-        sets.append({"name": s.name, "size": len(kept), "arities": list(s.arities),
-                     "queries": s.queries, "probability": s.guaranteed_p,
-                     "applications": s.candidates})
-        labels.append(s.probability_label)
-        if export_path is not None:
-            rows += catalog_module._csv_rows(s, kept)
+    families = list(catalog_module._families(names, keep))
     if export_path is not None:
         with _writing(export_path):
-            catalog_module._write_csv(rows, export_path)
-    distinct = sum(s["size"] for s in sets)
-    applications = sum(s["applications"] for s in sets)
+            catalog_module._write_csv(families, export_path)
+    distinct = sum(len(kept) for _, kept in families)
+    applications = sum(s.candidates for s, _ in families)
     if obj["fmt"] == "json":
         click.echo(json.dumps({
-            "sets": sets,
+            "sets": [{"name": s.name, "size": len(kept), "arities": list(s.arities),
+                      "queries": s.queries, "probability": s.guaranteed_p,
+                      "applications": s.candidates} for s, kept in families],
             "distinct_functions": distinct,
             "total_applications": applications,
         }, indent=1))
         return
     click.echo(f"{'set':<12}{'size':>6}  {'arguments':<10}{'queries':>8}  probability")
-    for s, label in zip(sets, labels):
-        arities = ",".join(str(n) for n in s["arities"])
-        click.echo(f"{s['name']:<12}{s['size']:>6}  {arities:<10}{s['queries']:>8}  {label}")
+    for s, kept in families:
+        arities, label = ",".join(str(n) for n in s.arities), s.probability_label
+        click.echo(f"{s.name:<12}{len(kept):>6}  {arities:<10}{s.queries:>8}  {label}")
     click.echo(f"distinct functions: {distinct}")
     click.echo(f"Total {applications}")
 

@@ -21,7 +21,7 @@ from qqasim.boolfun import (
 from qqasim.cli import format_amplitude, main, render_trace
 from qqasim.constructors import ConstructionResult, or_construct
 from qqasim.serialize import load, save
-from qqasim.simulator import computed_function
+from qqasim.simulator import QQA, QueryGate, computed_function, run_all
 
 
 def invoke(*args):
@@ -434,6 +434,19 @@ class TestCatalogCommand:
         assert lines[0].startswith("set,arity,queries")
         assert len(lines) == 9
 
+    def test_export_of_one_set_is_its_rows_of_the_full_csv(self, full_catalog, tmp_path):
+        # ``or`` is built from both base sets, neither of which it exports.
+        buffer = io.StringIO()
+        catalog.export_csv(full_catalog, buffer)
+        assert hashlib.sha256(buffer.getvalue().encode()).hexdigest() == CATALOG_CSV_SHA256
+        header, *rows = buffer.getvalue().splitlines(keepends=True)
+        path = tmp_path / "or.csv"
+        result = invoke("catalog", "--set", "or", "--export", str(path))
+        assert result.exit_code == 0
+        expected = [header] + [row for row in rows if row.startswith("or,")]
+        assert len(expected) == 1 + 256
+        assert path.read_bytes().decode() == "".join(expected)
+
 
 #: sha256 of ``qqasim catalog --set all --export``, as first recorded.
 CATALOG_CSV_SHA256 = "e343079ffb64c6be6fd319b47afc39c0c8ac67dc5c7424fb8993903ca0b31361"
@@ -625,6 +638,30 @@ class TestErrorPaths:
         assert result.stdout == ""
         assert result.stderr == f"Error: cannot write {args[-1]}: No such file or directory\n"
         assert not (tmp_path / "no").exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("verify", "--algorithm", "{doc}", "--function", "constant1:1"),
+            ("trace", "--algorithm", "{doc}", "--input", "0"),
+            ("--format", "json", "trace", "--algorithm", "{doc}", "--all-inputs"),
+            ("transform", "--algorithm", "{doc}", "--method", "invert", "--out", "{out}"),
+            ("construct", "--method", "and", "--inputs", "{doc},{doc}", "--out", "{out}"),
+        ],
+    )
+    def test_a_drifting_state_norm_is_one_line(self, tmp_path, command):
+        # Each gate passes the unitarity check; thirty of them drift the norm past NORM_TOL.
+        gate = (1 + 4.9e-11) * np.eye(2)
+        a = QQA(1, 2, [1, 0], (QueryGate((0, None)),) + (gate,) * 30, (1, 0))
+        with pytest.raises(RuntimeError, match="^state norm drifted to .* on input '0'$") as drift:
+            run_all(a)
+        document, out = tmp_path / "drift.json", tmp_path / "out.json"
+        save(a, str(document))
+        result = invoke(*[part.format(doc=document, out=out) for part in command])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.stderr == f"Error: {drift.value}\n"
+        assert not out.exists()
 
 
 #: sha256 of standard output, recorded before ``run``, ``trace`` and the batch
