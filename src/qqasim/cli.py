@@ -42,11 +42,6 @@ _NAMED_AMPLITUDES = (
 )
 
 
-def format_amplitude(value: complex, tol: float = NORM_TOL) -> str:
-    """Exact-looking rendering for the small closed set of amplitudes seen here."""
-    return _amplitude_labels([value], tol)[0]
-
-
 #: The real values :func:`_amplitude_labels` names, with their labels, in the order it tries them.
 _NAMED_VALUES = tuple(
     (sign * magnitude, ("-" if sign < 0 else "") + label)
@@ -264,9 +259,12 @@ def trace_command(obj, algorithm_spec, input_bits, every_input):
                 click.echo(chunk, nl=False)
             click.echo()
             return
+        rows = (render_trace(a, run_trace(a, bits), obj["tol"]) for bits in inputs)
+        first = next(rows)  # before the header, so a drift on it leaves stdout empty
         click.echo(" | ".join(["input", *_step_labels(a), "result"]))
-        for bits in inputs:
-            click.echo(render_trace(a, run_trace(a, bits), obj["tol"]))
+        click.echo(first)
+        for row in rows:
+            click.echo(row)
 
 
 #: Per method: the name of its :mod:`qqasim.transforms` function and, if it takes

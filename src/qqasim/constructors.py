@@ -45,8 +45,7 @@ from .simulator import (
     StructuralProperty,
     _assembled,
     _freeze,
-    _where_broken,
-    _where_uncertain,
+    _require,
     check_property,
     computed_function,
 )
@@ -73,14 +72,12 @@ def _accept_plus(a: QQA) -> QQA | None:
 
 
 def _as_accept_plus(a: QQA, label: str) -> QQA:
-    """:func:`_accept_plus` of ``a``, or an error naming input ``label`` and where it fails."""
+    """:func:`_accept_plus` of ``a``, or the refusal of part ``label`` if it holds neither."""
     coerced = _accept_plus(a)
-    if coerced is not None:
-        return coerced
-    raise ValueError(
-        f"{label}: accepting amplitude must stay in {{0, +1}} or {{0, -1}} on every input; "
-        + _where_broken(a, StructuralProperty.ACCEPT_PLUS_ONE, StructuralProperty.ACCEPT_MINUS_ONE)
-    )
+    if coerced is None:  # neither discipline holds, so this raises
+        need = f"{label}: accepting amplitude must stay in {{0, +1}} or {{0, -1}} on every input"
+        _require(a, need, StructuralProperty.ACCEPT_PLUS_ONE, StructuralProperty.ACCEPT_MINUS_ONE)
+    return coerced
 
 
 def _accepting_at(amplitudes: int, index: int) -> tuple:
@@ -102,13 +99,15 @@ def _schedule(a: QQA) -> tuple:
 
 def _combined(
     algs: Sequence[QQA], widths: Sequence[int], amplitudes: int, tail: Sequence[np.ndarray],
-    initial: np.ndarray, measurement: tuple,
+    measurement: tuple,
 ) -> QQA:
     """All ``algs`` side by side on disjoint variables over ``amplitudes`` states, then ``tail``.
 
     Algorithm i acts on the first amplitudes of its own block of
     ``widths[i]``, in order; the rest of a block, and the amplitudes past
-    the last block, are auxiliary, and every step leaves them alone.
+    the last block, are auxiliary, and every step leaves them alone.  The
+    run starts from the equal superposition of the parts' initial states,
+    each in its block and divided by sqrt(k) for k parts.
     Short query schedules gain no-op queries just before their final unitary
     run, and unitary runs are identity-padded to a common length per slot, so
     the steps share one step-kind pattern; padding never changes what an
@@ -134,6 +133,7 @@ def _combined(
     for slot, gate in enumerate(tail, parallel):
         stack[slot] = gate
     offsets = list(itertools.accumulate(widths, initial=0))
+    initial = np.zeros(amplitudes, dtype=complex)
     for a, offset, (runs, _) in zip(algs, offsets, schedules):
         if runs == lengths:  # a gate in every slot: a slice, which is faster to write
             slots = slice(0, parallel)
@@ -141,6 +141,8 @@ def _combined(
             slots = [k for start, run in zip(starts, runs) for k in range(start, start + run)]
         block = slice(offset, offset + a.amplitudes)
         stack[slots, block, block] = a._gates
+        initial[block] = a.initial
+    initial /= math.sqrt(len(algs))
     shifts = list(itertools.accumulate((a.arity for a in algs), initial=0))
     steps: list = []
     for i, length in enumerate(lengths):
@@ -179,26 +181,21 @@ def _hadamard_tree(algs: Sequence[QQA], labels: Sequence[str], widths: Sequence[
     """Parallel run of k = 2 or 4 accept-plus algorithms, mixed by a tree of Hadamard pairs.
 
     Part i, named ``labels[i]`` in errors, sits in its own block of
-    ``widths[i]`` amplitudes.  The run starts from the equal superposition
-    of the parts' initial states (each divided by sqrt(k)); each level of the
-    tree then halves the accepting amplitudes in play by mixing them in
-    pairs, so the first accepting output ends up holding b/k, where b counts
-    the true sub-functions, and P(1) = (b/k)^2.
+    ``widths[i]`` amplitudes.  Each level of the tree halves the accepting
+    amplitudes in play by mixing them in pairs, so the first accepting
+    output ends up holding b/k, where b counts the true sub-functions, and
+    P(1) = (b/k)^2.
     """
     algs = [_as_accept_plus(a, label) for a, label in zip(algs, labels)]
     offsets = list(itertools.accumulate(widths, initial=0))
     acc = [offset + a.measurement.index(1) for offset, a in zip(offsets, algs)]
     total, k = offsets[-1], len(algs)
-    initial = np.zeros(total, dtype=complex)
-    for a, offset in zip(algs, offsets):
-        initial[offset:offset + a.amplitudes] = a.initial
-    initial /= math.sqrt(k)
     tail, stride = [], 1
     while stride < k:
         pairs = tuple((acc[i], acc[i + stride]) for i in range(0, k, 2 * stride))
         tail.append(_hadamard_pairs(total, pairs))
         stride *= 2
-    return _combined(algs, widths, total, tail, initial, _accepting_at(total, acc[0]))
+    return _combined(algs, widths, total, tail, _accepting_at(total, acc[0]))
 
 
 def and_construct(a1: QQA, a2: QQA) -> ConstructionResult:
@@ -269,20 +266,11 @@ def or_construct(a1: QQA, a2: QQA) -> ConstructionResult:
     for label, a in (("first input", a1), ("second input", a2)):
         if a.amplitudes != 4:
             raise ValueError(f"{label}: the or-combiner needs 4-amplitude sub-algorithms")
-        if not check_property(a, StructuralProperty.ACCEPT_SIGNED_UNIT):
-            if check_property(a, StructuralProperty.CERTAIN_OUTCOME):
-                why = _where_broken(a, StructuralProperty.ACCEPT_SIGNED_UNIT)
-            else:
-                why = _where_uncertain(a)
-            raise ValueError(
-                f"{label}: needs a certain outcome with one accepting amplitude in {{-1, 0, +1}}; "
-                + why
-            )
+        need = f"{label}: needs a certain outcome with one accepting amplitude in {{-1, 0, +1}}"
+        _require(a, need, StructuralProperty.ACCEPT_SIGNED_UNIT)
     f1, f2 = computed_function(a1), computed_function(a2)
-    initial = np.concatenate([a1.initial, a2.initial]) / math.sqrt(2.0)
-    initial = np.concatenate([initial, np.zeros(8)])
     tail = [_or_routing(a1.measurement.index(1), a2.measurement.index(1)), _or_mix()]
-    algorithm = _combined([a1, a2], [4, 4], 16, tail, initial, _OR_MEASUREMENT)
+    algorithm = _combined([a1, a2], [4, 4], 16, tail, _OR_MEASUREMENT)
     target = combine_disjoint(f1, f2, "or")
     return ConstructionResult(algorithm, target, guaranteed_p=5 / 8, queries=algorithm.query_count)
 

@@ -552,8 +552,9 @@ class _Answers:
     #: Smallest ``|P(1) - 1/2|`` over the inputs, and the first input reaching it.
     margin: float
     closest: int
-    #: Worst-case success probability against ``bits``.
+    #: Worst-case success probability against ``bits``, and the first input reaching it.
     agreement: float
+    agreement_at: int
     #: Smallest, over the inputs, of the largest basis-state probability, and
     #: the first input reaching it.
     peak: float
@@ -592,6 +593,8 @@ def _answers(a: QQA) -> _Answers:
     top *= top  # each state's largest basis-state probability
     top = _per_input(top, index)
     peak_at = int(top.argmin())
+    success = np.where(bits == 1, p_one, 1.0 - p_one)
+    agreement_at = int(success.argmin())
     spread, spread_at = {}, {}
     accepting = a.accepting_outputs()
     if len(accepting) == 1:
@@ -607,7 +610,8 @@ def _answers(a: QQA) -> _Answers:
         bits=bits.tobytes(),
         margin=float(margins[closest]),
         closest=closest,
-        agreement=float(np.where(bits == 1, p_one, 1.0 - p_one).min()),
+        agreement=float(success[agreement_at]),
+        agreement_at=agreement_at,
         peak=float(top[peak_at]),
         peak_at=peak_at,
         spread=spread,
@@ -615,36 +619,6 @@ def _answers(a: QQA) -> _Answers:
     )
     object.__setattr__(a, "_memo", answers)
     return answers
-
-
-#: The values each accepting discipline allows, as its errors name them.
-_ALLOWED = {
-    StructuralProperty.ACCEPT_PLUS_ONE: "{0, +1}",
-    StructuralProperty.ACCEPT_MINUS_ONE: "{0, -1}",
-    StructuralProperty.ACCEPT_SIGNED_UNIT: "{-1, 0, +1}",
-}
-
-
-def _where_broken(a: QQA, *disciplines: StructuralProperty) -> str:
-    """Where ``a`` breaks accepting ``disciplines``, for an error message.
-
-    Names, for each, the first input in row order on which the accepting
-    amplitude is furthest from its allowed values; with other than one
-    accepting output, the number of them.
-    """
-    answers = _answers(a)
-    if not answers.spread:
-        return f"it has {a.measurement.count(1)} accepting outputs"
-    return "its accepting amplitude leaves " + " and ".join(
-        f"{_ALLOWED[which]} on input {bit_string(answers.spread_at[which], a.arity)}"
-        for which in disciplines
-    )
-
-
-def _where_uncertain(a: QQA) -> str:
-    """Where ``a`` has no certain outcome, for an error message: the first
-    input in row order whose largest basis-state probability is smallest."""
-    return f"no outcome is certain on input {bit_string(_answers(a).peak_at, a.arity)}"
 
 
 def verify(a: QQA, f: TruthTable, tol: float = NORM_TOL) -> VerificationReport:
@@ -707,3 +681,44 @@ def check_property(a: QQA, which: StructuralProperty, tol: float = NORM_TOL) -> 
     if which is StructuralProperty.ACCEPT_SIGNED_UNIT:
         return held and certain
     return held
+
+
+#: The precondition of output inversion, which :func:`_require` takes beside the disciplines.
+_EXACT = "exact"
+
+#: The values each accepting discipline allows, as refusals name them.
+_ALLOWED = {
+    StructuralProperty.ACCEPT_PLUS_ONE: "{0, +1}",
+    StructuralProperty.ACCEPT_MINUS_ONE: "{0, -1}",
+    StructuralProperty.ACCEPT_SIGNED_UNIT: "{-1, 0, +1}",
+}
+
+
+def _require(a: QQA, need: str, *properties: StructuralProperty | str) -> StructuralProperty | str:
+    """The first of ``properties`` that ``a`` holds, else ``ValueError("{need}; {why}")``.
+
+    The one wording of a transform's or combiner's refusal.  ``properties``
+    are disciplines, or ``_EXACT`` alone; ``why`` names the first input, in
+    row order, that witnesses the refusal: the worst case if exactness is
+    asked for; else the least certain input if certainty is asked for and
+    fails; else the number of accepting outputs if it is not one; else,
+    per discipline, where the accepting amplitude is furthest from it.
+    """
+    for which in properties:
+        if is_exact(a) if which is _EXACT else check_property(a, which):
+            return which
+    answers = _answers(a)
+    certainty = {StructuralProperty.CERTAIN_OUTCOME, StructuralProperty.ACCEPT_SIGNED_UNIT}
+    if _EXACT in properties:
+        why = (f"worst-case p = {answers.agreement:.6f} "
+               f"on input {bit_string(answers.agreement_at, a.arity)}")
+    elif certainty & set(properties) and not check_property(a, StructuralProperty.CERTAIN_OUTCOME):
+        why = f"no outcome is certain on input {bit_string(answers.peak_at, a.arity)}"
+    elif not answers.spread:
+        why = f"it has {a.measurement.count(1)} accepting outputs"
+    else:
+        why = "its accepting amplitude leaves " + " and ".join(
+            f"{_ALLOWED[which]} on input {bit_string(answers.spread_at[which], a.arity)}"
+            for which in properties
+        )
+    raise ValueError(f"{need}; {why}")

@@ -2,12 +2,12 @@
 
 Each transform returns a new algorithm; none of them adds a query, so
 complexity is preserved.  Inputs are validated against the precondition each
-transform needs for the output to stay exact; an error names the first input,
-in row order, on which the source breaks it.  The one checker takes the
-source's gates as checked (:func:`qqasim.simulator._assembled`): relabelling
-the outputs or the variables shares its read-only gate stack and checks no
-gate, and the sign flip copies the stack, in its own dtype, and checks only
-the gate it adds.
+transform needs for the output to stay exact; every refusal, worded by
+:func:`qqasim.simulator._require`, names the first input, in row order, that
+witnesses it.  The one checker takes the source's gates as checked
+(:func:`qqasim.simulator._assembled`): relabelling the outputs or the
+variables shares its read-only gate stack and checks no gate, and the sign
+flip copies the stack, in its own dtype, and checks only the gate it adds.
 """
 from __future__ import annotations
 
@@ -20,12 +20,10 @@ from .simulator import (
     QQA,
     QueryGate,
     StructuralProperty,
+    _EXACT,
     _assembled,
-    _where_broken,
-    _where_uncertain,
-    check_property,
+    _require,
     computed_function,
-    is_exact,
     verify,  # noqa: F401  unused here; perfbench's wrapper test looks it up on this module
 )
 
@@ -42,8 +40,7 @@ def invert_outputs(a: QQA) -> QQA:
     would silently turn success probability p into 1 - p.
     """
     computed_function(a)  # fails on an input where neither value wins
-    if not is_exact(a):
-        raise ValueError("output inversion requires an exact algorithm")
+    _require(a, "output inversion requires an exact algorithm", _EXACT)
     return _relabelled(a, a.steps, tuple(1 - v for v in a.measurement))
 
 
@@ -55,11 +52,8 @@ def permute_outputs(a: QQA, sigma: Sequence[int]) -> QQA:
     yields an exact algorithm for some (re-derivable) function.
     """
     sigma = _check_permutation(sigma, a.amplitudes, "output permutation")
-    if not check_property(a, StructuralProperty.CERTAIN_OUTCOME):
-        raise ValueError(
-            "output permutation requires all probability on one basis state for every input; "
-            + _where_uncertain(a)
-        )
+    need = "output permutation requires all probability on one basis state for every input"
+    _require(a, need, StructuralProperty.CERTAIN_OUTCOME)
     values = list(a.measurement)
     for i, j in enumerate(sigma):
         values[j] = a.measurement[i]
@@ -88,11 +82,8 @@ def normalize_accepting_sign(a: QQA) -> QQA:
     gate is diagonal ±1, so the computed function and query count are
     untouched while the stricter {0, +1} discipline now holds.
     """
-    if not check_property(a, StructuralProperty.ACCEPT_MINUS_ONE):
-        raise ValueError(
-            "sign normalization requires an accepting amplitude in {0, -1}; "
-            + _where_broken(a, StructuralProperty.ACCEPT_MINUS_ONE)
-        )
+    need = "sign normalization requires an accepting amplitude in {0, -1}"
+    _require(a, need, StructuralProperty.ACCEPT_MINUS_ONE)
     acc = a.accepting_outputs()[0]
     gates = np.concatenate([a._gates, np.eye(a.amplitudes, dtype=a._gates.dtype)[np.newaxis]])
     gates[-1, acc, acc] = -1.0

@@ -18,8 +18,9 @@ from qqasim.boolfun import (
     named_function,
     table_to_csv,
 )
-from qqasim.cli import format_amplitude, main, render_trace
+from qqasim.cli import main, render_trace
 from qqasim.constructors import ConstructionResult, or_construct
+from qqasim.linalg import NORM_TOL
 from qqasim.serialize import load, save
 from qqasim.simulator import QQA, QueryGate, computed_function, run_all
 
@@ -248,6 +249,23 @@ class TestTransformCommand:
         assert result.output == (
             "Error: output permutation requires all probability on one basis state for every "
             "input; no outcome is certain on input 000001\n"
+        )
+        assert not out.exists()
+
+    def test_invert_error_names_the_worst_input(self, tmp_path):
+        bounded = tmp_path / "and.json"
+        invoke(
+            "construct", "--method", "and",
+            "--inputs", "builtin:equality3,builtin:equality3", "--out", str(bounded),
+        )
+        out = tmp_path / "inverted.json"
+        result = invoke("transform", "--algorithm", str(bounded), "--method", "invert",
+                        "--out", str(out))
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == (
+            "Error: output inversion requires an exact algorithm; "
+            "worst-case p = 0.750000 on input 000001\n"
         )
         assert not out.exists()
 
@@ -660,6 +678,7 @@ class TestErrorPaths:
         result = invoke(*[part.format(doc=document, out=out) for part in command])
         assert result.exit_code == 1
         assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
         assert result.stderr == f"Error: {drift.value}\n"
         assert not out.exists()
 
@@ -776,26 +795,31 @@ def test_text_trace_and_saved_document_are_pinned(tmp_path):
 
 class TestFormatting:
     def test_named_amplitudes(self):
-        assert format_amplitude(0.0) == "0"
-        assert format_amplitude(-0.5) == "-1/2"
-        assert format_amplitude(2**-0.5) == "1/√2"
-        assert format_amplitude(-(2**-1.5)) == "-1/(2√2)"
-        assert format_amplitude(1.0) == "1"
+        assert _label(0.0) == "0"
+        assert _label(-0.5) == "-1/2"
+        assert _label(2**-0.5) == "1/√2"
+        assert _label(-(2**-1.5)) == "-1/(2√2)"
+        assert _label(1.0) == "1"
 
     def test_fallback_to_float(self):
-        assert format_amplitude(0.75) == "0.750000"
-        assert format_amplitude(complex(0, 0.5)) == "0.000000+0.500000i"
+        assert _label(0.75) == "0.750000"
+        assert _label(complex(0, 0.5)) == "0.000000+0.500000i"
 
     def test_state_rendering(self):
         assert _state_labels([0.5, -(2**-0.5), 0.0, 1.0], 1e-9) == "(1/2, -1/√2, 0, 1)"
 
     def test_bounds_are_inclusive_and_nan_never_passes(self):
-        assert format_amplitude(0.75, 0.25) == "1"  # 1 is tried before the nearer 1/√2
-        assert format_amplitude(0.75, np.nextafter(0.25, 0.0)) == "1/√2"
-        assert format_amplitude(complex(0.5, 0.25), 0.25) == "1/2"
-        assert format_amplitude(complex(0.5, 0.25), np.nextafter(0.25, 0.0)) == "0.500000+0.250000i"
-        assert format_amplitude(complex(0.0, np.nan)) == "0.000000+nani"
-        assert format_amplitude(np.nan) == "nan"
+        assert _label(0.75, 0.25) == "1"  # 1 is tried before the nearer 1/√2
+        assert _label(0.75, np.nextafter(0.25, 0.0)) == "1/√2"
+        assert _label(complex(0.5, 0.25), 0.25) == "1/2"
+        assert _label(complex(0.5, 0.25), np.nextafter(0.25, 0.0)) == "0.500000+0.250000i"
+        assert _label(complex(0.0, np.nan)) == "0.000000+nani"
+        assert _label(np.nan) == "nan"
+
+
+def _label(value, tol=NORM_TOL):
+    """One value as a trace cell labels it."""
+    return cli._amplitude_labels([value], tol)[0]
 
 
 def _state_labels(state, tol):

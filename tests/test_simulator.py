@@ -647,6 +647,7 @@ def _reference_answers(a, states, p_one):
         StructuralProperty.ACCEPT_MINUS_ONE: (0.0, -1.0),
         StructuralProperty.ACCEPT_SIGNED_UNIT: (0.0, 1.0, -1.0),
     }
+    success = np.where(bits == 1, p_one, 1.0 - p_one)
     spread, spread_at = {}, {}
     accepting = a.accepting_outputs()
     if len(accepting) == 1:
@@ -659,7 +660,8 @@ def _reference_answers(a, states, p_one):
         bits=bits.tobytes(),
         margin=float(margins[closest]),
         closest=closest,
-        agreement=float(np.where(bits == 1, p_one, 1.0 - p_one).min()),
+        agreement=float(success.min()),
+        agreement_at=int(np.flatnonzero(success == success.min())[0]),
         peak=float(peaks.min()),
         peak_at=int(np.flatnonzero(peaks == peaks.min())[0]),
         spread=spread,

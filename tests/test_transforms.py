@@ -43,6 +43,14 @@ class TestInvertOutputs:
         with pytest.raises(ValueError, match="exact"):
             invert_outputs(bounded)
 
+    def test_error_names_the_worst_input(self, eq3):
+        bounded = and_construct(eq3, eq3).algorithm  # verify's witness is 000001
+        with pytest.raises(ValueError) as error:
+            invert_outputs(bounded)
+        assert str(error.value) == (
+            "output inversion requires an exact algorithm; worst-case p = 0.750000 on input 000001"
+        )
+
     def test_success_probabilities_mirror(self, eq3, f_eq3):
         bounded = and_construct(eq3, eq3)
         # invert_outputs refuses bounded-error algorithms, so check the mirror
