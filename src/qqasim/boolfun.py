@@ -227,7 +227,11 @@ def table_from_csv(source) -> TruthTable:
 
 
 def _read_csv(handle) -> TruthTable:
-    rows = list(csv.reader(handle))
+    reader = csv.reader(handle)
+    try:
+        rows = list(reader)
+    except csv.Error as error:  # such as a field over csv.field_size_limit()
+        raise ValueError(f"row {reader.line_num}: {error}") from None
     if not rows or rows[0] != CSV_HEADER:
         raise ValueError(f"expected header {','.join(CSV_HEADER)!r}")
     body = [r for r in rows[1:] if r]

@@ -8,11 +8,11 @@ sets feed the and/or/majority combiners.  Every family is built by
 caller that keeps only part of each entry holds no more than ``_BUILT_AHEAD``
 algorithms.
 
-Eligibility for a combiner is decided by the structural property checks, not
-hard-coded lists: the accept-plus pool (equality3 family) has 4 algorithms
-and the signed-unit pool has 4 + 12, which is what makes the constructed set
-sizes 16, 256, 256 and 64.  Per-set sizes count distinct functions after
-deduplication; a set's ``candidates`` counts method applications, i.e.
+A combined set is its row of ``constructors._COMBINERS``.  Eligibility for a
+combiner is decided by the structural property checks, not hard-coded lists:
+the accept-plus pool (equality3 family) has 4 algorithms and the signed-unit
+pool has 4 + 12, which is what makes the constructed set sizes 16, 256, 256
+and 64.  Per-set sizes count distinct functions after deduplication; a set's ``candidates`` counts method applications, i.e.
 generated algorithm instances before deduplication.
 """
 from __future__ import annotations
@@ -24,20 +24,17 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import constructors
 from .algorithms import equality3_algorithm, pair_equality4_algorithm
 from .boolfun import TruthTable, _opened
-from .constructors import (
-    _accept_plus,
-    and_construct,
-    majority3_construct,
-    majority_even4_construct,
-    or_construct,
-)
 from .linalg import NORM_TOL, _within
-from .simulator import QQA, StructuralProperty, check_property, computed_function, verify
+from .simulator import QQA, computed_function, verify
 from .transforms import invert_outputs, permute_outputs, permute_variables
 
-SET_NAMES = ("qfunc3", "qfunc4", "and", "or", "maj_even4", "majority3")
+#: The row of each combined set, by set name, in catalog order.
+_COMBINED = {row.set_name: row for row in constructors._COMBINERS}
+
+SET_NAMES = ("qfunc3", "qfunc4", *_COMBINED)
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,8 +63,9 @@ class FunctionSet:
 
     @property
     def probability_label(self) -> str:
-        """``guaranteed_p`` as a fraction, such as ``9/16``, for the summary and the CSV."""
-        return str(Fraction(self.guaranteed_p).limit_denominator(64))
+        """``guaranteed_p`` as an exact fraction, such as ``9/16``, for the summary and the
+        CSV; every floor is a dyadic fraction, which a float holds exactly."""
+        return str(Fraction(self.guaranteed_p))
 
 
 def _transposition(size: int, i: int, j: int) -> list:
@@ -144,32 +142,14 @@ def _verified(name: str, candidates: Iterable[tuple], keep) -> tuple:
     return FunctionSet(name, (), tuple(sorted(arities)), queries.pop(), floor, count), kept
 
 
-def _mixing_pool(entries: Iterable[CatalogEntry]) -> list:
-    """Entries whose accepting amplitude stays in {0, +1} or {0, -1}, all brought to {0, +1}.
+def _pool(entries: Iterable[CatalogEntry], rule) -> list:
+    """The entries that pool ``rule`` takes, each with its algorithm as the rule brings it.
 
-    Normalising here, once per pool, lets every combination share the pool's
-    algorithms instead of sign-flipping a fresh copy for each one.
+    Bringing them here, once per pool, lets every combination share the
+    pool's algorithms instead of sign-flipping a fresh copy for each one.
     """
-    coerced = ((e, _accept_plus(e.algorithm)) for e in entries)
-    return [replace(e, algorithm=a) for e, a in coerced if a is not None]
-
-
-def _routing_pool(entries: Iterable[CatalogEntry]) -> list:
-    """Entries with a certain outcome and one accepting amplitude in {-1, 0, +1}."""
-    return [
-        e
-        for e in entries
-        if check_property(e.algorithm, StructuralProperty.ACCEPT_SIGNED_UNIT)
-    ]
-
-
-#: The base sets each combined set is built from.
-_BASES_OF = {
-    "and": ("qfunc3",),
-    "or": ("qfunc3", "qfunc4"),
-    "maj_even4": ("qfunc3",),
-    "majority3": ("qfunc3",),
-}
+    taken = ((e, rule(e.algorithm)) for e in entries)
+    return [replace(e, algorithm=a) for e, a in taken if a is not None]
 
 
 def _base(name: str, bases: dict) -> tuple:
@@ -186,22 +166,11 @@ def _candidates(kind: str, bases: dict):
         return _transform_variants("equality3", equality3_algorithm())
     if kind == "qfunc4":
         return _transform_variants("pair_equality4", pair_equality4_algorithm())
-
-    # Per combined set: the pool its base sets feed, the combiner and the
-    # number of picks per combination.  Built on each call, so that a
-    # combiner rebound on this module (as perfbench's traced run rebinds
-    # them) is the one called.
-    combined = {
-        "and": (_mixing_pool, and_construct, 2),
-        "or": (_routing_pool, or_construct, 2),
-        "maj_even4": (_mixing_pool, majority_even4_construct, 4),
-        "majority3": (_mixing_pool, majority3_construct, 3),
-    }
-    if kind not in combined:
+    if kind not in _COMBINED:
         raise ValueError(f"unknown set {kind!r} (expected one of {SET_NAMES})")
-    pool_of, combine, picks_per_combination = combined[kind]
-    pool = pool_of(e for name in _BASES_OF[kind] for e, _ in _base(name, bases)[1])
-    return _combinations(kind, pool, combine, picks_per_combination)
+    row = _COMBINED[kind]
+    pool = _pool((e for name in row.bases for e, _ in _base(name, bases)[1]), row.pool)
+    return _combinations(kind, pool, getattr(constructors, row.function), row.parts)
 
 
 def _combinations(kind: str, pool: list, combine, picks_per_combination: int):
@@ -223,7 +192,7 @@ def _families(names: Sequence[str], keep):
     """
     bases = {}
     for name in names:
-        if name in _BASES_OF:
+        if name in _COMBINED:
             yield _verified(name, _candidates(name, bases), keep)
         else:
             summary, built = _base(name, bases)

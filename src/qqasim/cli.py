@@ -182,9 +182,9 @@ def _parse_sigma(text: str, size: int, what: str) -> tuple:
 def main(ctx, tolerance, fmt):
     """Simulate, verify, transform, and compose quantum query algorithms."""
     try:
-        _check_tol(tolerance)
+        _check_tol(tolerance, probability=True)
     except ValueError:
-        raise click.ClickException("--tolerance must be positive")
+        raise click.ClickException("--tolerance must be positive and below 1/2")
     ctx.obj = {"tol": tolerance, "fmt": fmt}
 
 
@@ -299,12 +299,8 @@ def transform_command(obj, algorithm_spec, method, sigma, out_path):
         click.echo(f"{method} applied; algorithm written to {out_path}")
 
 
-_CONSTRUCT_METHODS = {
-    "and": (2, "and_construct"),
-    "or": (2, "or_construct"),
-    "maj-even4": (4, "majority_even4_construct"),
-    "maj3": (3, "majority3_construct"),
-}
+#: Each combiner's row of the combiner table, by its ``--method``.
+_CONSTRUCT_METHODS = {row.method: row for row in constructors._COMBINERS}
 
 
 @main.command("construct")
@@ -315,13 +311,13 @@ _CONSTRUCT_METHODS = {
 @click.pass_obj
 def construct_command(obj, method, inputs_spec, out_path):
     """Combine exact algorithms into a bounded-error one and write it."""
-    count, function_name = _CONSTRUCT_METHODS[method]
+    row = _CONSTRUCT_METHODS[method]
     specs = [part.strip() for part in inputs_spec.split(",") if part.strip()]
-    if len(specs) != count:
-        raise click.ClickException(f"{method} needs exactly {count} inputs, got {len(specs)}")
+    if len(specs) != row.parts:
+        raise click.ClickException(f"{method} needs exactly {row.parts} inputs, got {len(specs)}")
     algorithms = [_load_algorithm(spec) for spec in specs]
     with _reported():
-        result = getattr(constructors, function_name)(*algorithms)
+        result = getattr(constructors, row.function)(*algorithms)
         report = verify(result.algorithm, result.target, tol=obj["tol"])
     with _writing(out_path):
         save(result.algorithm, out_path, provenance=f"{method}({inputs_spec})")
@@ -342,7 +338,8 @@ def construct_command(obj, method, inputs_spec, out_path):
             f"queries = {report.queries}; written to {out_path}"
         )
     if not ok:
-        click.echo("FAIL: verified probability fell below the guarantee")
+        click.echo(f"FAIL: verified probability {report.worst_case_p:.6f} "
+                   f"on input {report.witness} fell below the guarantee")
         sys.exit(1)
 
 

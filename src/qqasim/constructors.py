@@ -25,13 +25,18 @@ are its query variables, arity, initial state and measurement.
 A combined algorithm carries nothing but its fields:
 :func:`qqasim.simulator.run_all` finds the parts' blocks in its gates, as it
 does in a copy reloaded from a document.
+
+``_COMBINERS`` is the one place each combiner is stated; the combiners, the
+catalog and the CLI read it.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -69,6 +74,12 @@ def _accept_plus(a: QQA) -> QQA | None:
     if check_property(a, StructuralProperty.ACCEPT_MINUS_ONE):
         return normalize_accepting_sign(a)
     return None
+
+
+def _signed_unit(a: QQA) -> QQA | None:
+    """``a`` if it has a certain outcome and one accepting amplitude in {-1, 0, +1},
+    else ``None``."""
+    return a if check_property(a, StructuralProperty.ACCEPT_SIGNED_UNIT) else None
 
 
 def _as_accept_plus(a: QQA, label: str) -> QQA:
@@ -159,6 +170,12 @@ def _combined(
     return _assembled(shifts[-1], initial, stack, parallel, steps, measurement)
 
 
+def _result(function: str, algorithm: QQA, target: TruthTable) -> ConstructionResult:
+    """What combiner ``function`` returns for ``algorithm``: its ``target`` and its row's floor."""
+    floor = next(row.floor for row in _COMBINERS if row.function == function)
+    return ConstructionResult(algorithm, target, float(floor), algorithm.query_count)
+
+
 def _hadamard_pairs(dim: int, pairs: tuple) -> np.ndarray:
     """Identity with a ((s, s), (s, -s)) block on each (i, j) position pair.
 
@@ -208,7 +225,7 @@ def and_construct(a1: QQA, a2: QQA) -> ConstructionResult:
     m = max(a1.amplitudes, a2.amplitudes)
     algorithm = _hadamard_tree((a1, a2), ("first input", "second input"), (m, m))
     target = combine_disjoint(computed_function(a1), computed_function(a2), "and")
-    return ConstructionResult(algorithm, target, guaranteed_p=3 / 4, queries=algorithm.query_count)
+    return _result("and_construct", algorithm, target)
 
 
 def _route(sigma: list, sources: Sequence[int], targets: Sequence[int]) -> None:
@@ -272,7 +289,7 @@ def or_construct(a1: QQA, a2: QQA) -> ConstructionResult:
     tail = [_or_routing(a1.measurement.index(1), a2.measurement.index(1)), _or_mix()]
     algorithm = _combined([a1, a2], [4, 4], 16, tail, _OR_MEASUREMENT)
     target = combine_disjoint(f1, f2, "or")
-    return ConstructionResult(algorithm, target, guaranteed_p=5 / 8, queries=algorithm.query_count)
+    return _result("or_construct", algorithm, target)
 
 
 def _majority_tree(algs: Sequence[QQA]) -> QQA:
@@ -291,7 +308,7 @@ def majority_even4_construct(a1: QQA, a2: QQA, a3: QQA, a4: QQA) -> Construction
     algs = (a1, a2, a3, a4)
     algorithm = _majority_tree(algs)
     target = majority_compose([computed_function(a) for a in algs], even=True)
-    return ConstructionResult(algorithm, target, guaranteed_p=9 / 16, queries=algorithm.query_count)
+    return _result("majority_even4_construct", algorithm, target)
 
 
 @functools.cache
@@ -310,4 +327,20 @@ def majority3_construct(a1: QQA, a2: QQA, a3: QQA) -> ConstructionResult:
     algs = (a1, a2, a3)
     algorithm = _majority_tree((*algs, _filler()))
     target = majority_compose([computed_function(a) for a in algs], even=False)
-    return ConstructionResult(algorithm, target, guaranteed_p=9 / 16, queries=algorithm.query_count)
+    return _result("majority3_construct", algorithm, target)
+
+
+#: Each combiner, in catalog order: its ``qqasim construct --method``, its catalog set, its
+#: part count, its function's name, the rule that brings a base-set algorithm into its
+#: catalog pool (or gives ``None``), that pool's base sets, and its floor.  A function is
+#: looked up on this module when it is called, so that one rebound here (as perfbench's
+#: traced run rebinds them) is the one called.
+_Combiner = namedtuple("_Combiner", "method set_name parts function pool bases floor")
+_COMBINERS = (
+    _Combiner("and", "and", 2, "and_construct", _accept_plus, ("qfunc3",), Fraction(3, 4)),
+    _Combiner("or", "or", 2, "or_construct", _signed_unit, ("qfunc3", "qfunc4"), Fraction(5, 8)),
+    _Combiner("maj-even4", "maj_even4", 4, "majority_even4_construct", _accept_plus,
+              ("qfunc3",), Fraction(9, 16)),
+    _Combiner("maj3", "majority3", 3, "majority3_construct", _accept_plus, ("qfunc3",),
+              Fraction(9, 16)),
+)

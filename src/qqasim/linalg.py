@@ -16,9 +16,14 @@ UNITARY_TOL = 1e-10
 NORM_TOL = 1e-9
 
 
-def _check_tol(tol: float) -> None:
-    if not tol > 0:  # NaN too
+def _check_tol(tol: float, probability: bool = False) -> None:
+    """Refuse a ``tol`` that is not positive, NaN included, and a ``probability`` one that
+    is not below 1/2: at 1/2 every bounded-error worst case would count as exact, and an
+    accepting amplitude of 1/2 as both 0 and 1."""
+    if not tol > 0:
         raise ValueError("tol must be positive")
+    if probability and not tol < 0.5:
+        raise ValueError(f"tol must be below 1/2 for a probability, got {tol!r}")
 
 
 def _within(miss, tol: float):

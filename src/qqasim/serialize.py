@@ -244,5 +244,8 @@ def save(a: QQA, destination, name: str | None = None, provenance: str | None = 
 def load(source) -> QQA:
     """Read an algorithm document from a path or file object."""
     with _opened(source, "r") as handle:
-        doc = json.load(handle)
+        try:
+            doc = json.load(handle)
+        except RecursionError:  # the decoder recurses once per nested list or object
+            raise ValueError("JSON nested too deeply to decode") from None
     return from_document(doc)

@@ -627,7 +627,7 @@ def verify(a: QQA, f: TruthTable, tol: float = NORM_TOL) -> VerificationReport:
     ``exact`` means the worst-case success probability is within ``tol`` of 1.
     Each call simulates the algorithm once and keeps nothing on it.
     """
-    _check_tol(tol)
+    _check_tol(tol, probability=True)
     if a.arity != f.arity:
         raise ValueError(
             f"arity mismatch: algorithm reads {a.arity} variables, function has {f.arity}"
@@ -650,7 +650,7 @@ def computed_function(a: QQA, tol: float = NORM_TOL) -> TruthTable:
     case the algorithm computes nothing even under bounded error; the error
     names the input closest to a tie.
     """
-    _check_tol(tol)
+    _check_tol(tol, probability=True)
     if a.arity < 1:
         raise ValueError("algorithm must read at least one variable to define a truth table")
     answers = _answers(a)
@@ -663,13 +663,13 @@ def computed_function(a: QQA, tol: float = NORM_TOL) -> TruthTable:
 
 def is_exact(a: QQA, tol: float = NORM_TOL) -> bool:
     """Whether ``verify(a, computed_function(a), tol).exact`` holds, without simulating twice."""
-    _check_tol(tol)
+    _check_tol(tol, probability=True)
     return _within(1.0 - _answers(a).agreement, tol)
 
 
 def check_property(a: QQA, which: StructuralProperty, tol: float = NORM_TOL) -> bool:
     """Whether one of the pre-measurement amplitude disciplines holds on every input."""
-    _check_tol(tol)
+    _check_tol(tol, probability=True)
     answers = _answers(a)
     certain = _within(1.0 - answers.peak, tol)
     if which is StructuralProperty.CERTAIN_OUTCOME:

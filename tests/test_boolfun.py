@@ -288,6 +288,11 @@ class TestCsv:
         with pytest.raises(ValueError, match="rows"):
             table_from_csv(io.StringIO("input,value\n00,1\n01,0\n"))
 
+    def test_an_over_long_field_names_its_row(self):
+        text = "input,value\n0,1\n" + "1" * 200_000 + ",0\n"
+        with pytest.raises(ValueError, match=r"^row 3: field larger than field limit \(131072\)$"):
+            table_from_csv(io.StringIO(text))
+
     def test_rejects_duplicates(self):
         text = "input,value\n0,1\n0,0\n"
         with pytest.raises(ValueError, match="duplicate"):

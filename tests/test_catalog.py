@@ -4,7 +4,7 @@ import io
 import pytest
 from click.testing import CliRunner
 
-from qqasim import catalog
+from qqasim import catalog, constructors
 from qqasim.boolfun import TruthTable, named_function
 from qqasim.catalog import (
     SET_NAMES,
@@ -143,7 +143,7 @@ def test_floor_failure_names_the_witness(eq3, f_eq3):
 
 
 def test_an_empty_family_is_reported_as_such(monkeypatch):
-    monkeypatch.setattr(catalog, "_mixing_pool", lambda entries: [])
+    monkeypatch.setattr(catalog, "_pool", lambda entries, rule: [])
     with pytest.raises(RuntimeError, match=r"^and: no candidates$"):
         generate_set("and")
 
@@ -186,6 +186,10 @@ def test_the_catalog_command_verifies_each_distinct_function_once(verified):
 )
 def test_a_combined_sets_floor_is_its_combiners(full_catalog, eq3, name, combine, parts):
     assert full_catalog[name].guaranteed_p == combine(*[eq3] * parts).guaranteed_p
+    row = catalog._COMBINED[name]
+    assert (row.function, row.parts) == (combine.__name__, parts)
+    assert float(row.floor) == combine(*[eq3] * parts).guaranteed_p
+    assert full_catalog[name].probability_label == str(row.floor)  # full_catalog: generate_all()
 
 
 def test_inconsistent_query_counts_rejected(monkeypatch, quarters):
@@ -194,7 +198,8 @@ def test_inconsistent_query_counts_rejected(monkeypatch, quarters):
     later = ConstructionResult(
         quarters((1, 0, 0, 0), queries=2), TruthTable(1, b"\x00\x00"), 0.75, 2
     )
-    monkeypatch.setattr(catalog, "and_construct", lambda *parts: first.pop() if first else later)
+    monkeypatch.setattr(constructors, "and_construct",
+                        lambda *parts: first.pop() if first else later)
     with pytest.raises(RuntimeError, match=r"^and: inconsistent query counts \{1, 2\}$"):
         generate_set("and")
 
@@ -220,6 +225,7 @@ def test_csv_export(full_catalog, tmp_path):
 
 def test_generate_all_returns_every_set_and_the_golden_csv(full_catalog):
     assert tuple(full_catalog) == SET_NAMES
+    assert SET_NAMES[2:] == tuple(row.set_name for row in constructors._COMBINERS)
     # ``full_catalog`` is ``generate_all()``.
     assert all(isinstance(s, FunctionSet) for s in full_catalog.values())
     buffer = io.StringIO()

@@ -282,15 +282,24 @@ class TestConstructCommand:
         assert "verified worst-case p = 0.750000" in result.output
         assert load(out).amplitudes == 8
 
-    def test_maj3_from_builtin_inputs(self, tmp_path):
-        out = tmp_path / "maj3.json"
+    @pytest.mark.parametrize("row, printed", zip(
+        constructors._COMBINERS, ["0.750000", "0.625000", "0.562500", "0.562500"]),
+        ids=lambda value: getattr(value, "method", value))
+    def test_each_method_from_builtin_inputs(self, tmp_path, row, printed):
+        out = tmp_path / f"{row.method}.json"
         result = invoke(
-            "construct", "--method", "maj3",
-            "--inputs", "builtin:equality3,builtin:equality3,builtin:equality3",
-            "--out", str(out),
+            "construct", "--method", row.method,
+            "--inputs", ",".join(["builtin:equality3"] * row.parts), "--out", str(out),
         )
         assert result.exit_code == 0
-        assert "p = 0.562500" in result.output
+        assert f"{float(row.floor):.6f}" == printed
+        assert f"guaranteed p = {printed}, verified worst-case p = {printed}" in result.output
+
+    def test_method_choices_are_the_combiner_table(self):
+        option = next(p for p in cli.construct_command.params if p.name == "method")
+        choices = list(option.type.choices)
+        assert choices == sorted(row.method for row in constructors._COMBINERS)
+        assert choices == ["and", "maj-even4", "maj3", "or"]
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "and.json"
@@ -527,7 +536,7 @@ def test_a_failed_catalog_run_leaves_no_csv(tmp_path, monkeypatch):
     def failing(*parts):
         raise RuntimeError("no or set")
 
-    monkeypatch.setattr(catalog, "or_construct", failing)
+    monkeypatch.setattr(constructors, "or_construct", failing)
     path = tmp_path / "catalog.csv"
     result = invoke("catalog", "--set", "all", "--export", str(path))
     assert result.exit_code == 1
@@ -614,6 +623,38 @@ class TestErrorPaths:
         assert result.exit_code == 1
         assert result.stdout == ""
         assert result.stderr == f"Error: {message}\n"
+
+    @pytest.mark.parametrize("tol", ["0.5", "2", "inf"])
+    def test_tolerance_must_be_below_one_half(self, tol):
+        result = invoke("--tolerance", tol, "verify", "--algorithm", "builtin:equality3",
+                        "--function", "majority:3")
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "Error: --tolerance must be positive and below 1/2\n"
+
+    def test_a_tolerance_just_below_one_half_is_taken(self):
+        result = invoke("--tolerance", repr(float(np.nextafter(0.5, 0.0))), "verify",
+                        "--algorithm", "builtin:equality3", "--function", "majority:3")
+        assert result.exit_code == 1
+        assert result.stdout.splitlines() == [
+            "bounded-error, p = 0.000000, queries = 2",
+            "FAIL: worst-case success probability 0.000000 on input 011 is not above 1/2"]
+
+    def test_deeply_nested_json_is_one_line(self, tmp_path):
+        document = tmp_path / "deep.json"
+        document.write_text("[" * 200_000)
+        result = invoke("verify", "--algorithm", str(document), "--function", "equality3")
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == f"Error: {document}: JSON nested too deeply to decode\n"
+
+    def test_an_over_long_csv_field_is_one_line(self, tmp_path):
+        table = tmp_path / "long.csv"
+        table.write_text("x" * 400_000 + "\n")
+        result = invoke("sensitivity", "--function", str(table))
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == f"Error: {table}: row 1: field larger than field limit (131072)\n"
 
     def test_integer_too_large_for_a_float(self, tmp_path):
         document = tmp_path / "huge.json"
@@ -912,15 +953,14 @@ class TestToleranceBounds:
             self, tmp_path, monkeypatch, quarters, tol, holds):
         """A combiner that promises 1 and delivers 3/4 meets its floor within 1/4 only."""
         promised = ConstructionResult(quarters((1, 1, 1, 0)), TruthTable(1, b"\x01\x01"), 1.0, 1)
-        monkeypatch.setattr(constructors, "and_construct", lambda *parts: promised)
-        monkeypatch.setattr(catalog, "and_construct", lambda *parts: promised)
+        monkeypatch.setattr(constructors, "and_construct", lambda *parts: promised)  # both read it
         out = str(tmp_path / "and.json")
         result = invoke("--tolerance", tol, "construct", "--method", "and",
                         "--inputs", "builtin:equality3,builtin:equality3", "--out", out)
         lines = [f"and: guaranteed p = 1.000000, verified worst-case p = 0.750000, "
                  f"queries = 1; written to {out}"]
         if not holds:
-            lines.append("FAIL: verified probability fell below the guarantee")
+            lines.append("FAIL: verified probability 0.750000 on input 0 fell below the guarantee")
         assert result.stdout.splitlines() == lines
         assert result.exit_code == (0 if holds else 1)
         monkeypatch.setattr(catalog, "NORM_TOL", float(tol))  # the catalog's fixed tolerance

@@ -372,7 +372,8 @@ class TestAssembledFromCheckedParts:
         algorithms = [e.algorithm for s in full_catalog.values() for e in s.entries]
         for name, base in (("e", equality3_algorithm()), ("p", pair_equality4_algorithm())):
             algorithms += [e.algorithm for e, _ in catalog._transform_variants(name, base)]
-        algorithms += [e.algorithm for e in catalog._mixing_pool(full_catalog["qfunc3"].entries)]
+        mixing = catalog._pool(full_catalog["qfunc3"].entries, catalog._COMBINED["and"].pool)
+        algorithms += [e.algorithm for e in mixing]
         assert len(algorithms) == 624 + 240 + 4
         for a in algorithms:
             assert (_unitarity_errors(a._gates) <= UNITARY_TOL).all()

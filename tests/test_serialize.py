@@ -97,6 +97,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="^document must be a JSON object$"):
             load(path)
 
+    def test_deeply_nested_json_is_a_value_error(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        with pytest.raises(ValueError, match="^JSON nested too deeply to decode$"):
+            load(path)
+
     def test_missing_field_named(self, eq3):
         doc = self._document(eq3)
         del doc["arity"]

@@ -41,6 +41,15 @@ from qqasim.transforms import (
 #: Every (amplitudes, arity) shape the catalog simulates.
 CATALOG_SHAPES = ("m4n3", "m4n4", "m8n6", "m16n6", "m16n7", "m16n8", "m13n9", "m16n12")
 
+#: Every function that takes a probability tolerance, each asked with ``(a, tol)``.
+_TOL_ASKS = [
+    lambda a, tol: verify(a, TruthTable(1, b"\x00\x01"), tol),
+    computed_function,
+    is_exact,
+    lambda a, tol: check_property(a, StructuralProperty.CERTAIN_OUTCOME, tol),
+]
+_TOL_ASK_IDS = ["verify", "computed_function", "is_exact", "check_property"]
+
 
 def _with_phase_gate(a):
     """``a`` with a complex diagonal phase gate after its first query."""
@@ -704,23 +713,14 @@ class TestOneSimulationPerAlgorithm:
         with pytest.raises(ValueError, match="on input 0"):
             computed_function(a, tol=1e-5)
         assert not is_exact(a)
-        assert is_exact(a, tol=0.6)
+        assert is_exact(a, tol=np.nextafter(0.5, 0.0))  # the largest tolerance there is
         assert not check_property(a, StructuralProperty.CERTAIN_OUTCOME)
-        assert check_property(a, StructuralProperty.CERTAIN_OUTCOME, tol=0.6)
+        assert check_property(a, StructuralProperty.CERTAIN_OUTCOME, tol=np.nextafter(0.5, 0.0))
         assert check_property(a, StructuralProperty.ACCEPT_PLUS_ONE, tol=0.3)
         assert not check_property(a, StructuralProperty.ACCEPT_PLUS_ONE, tol=0.2)
 
     @pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0])
-    @pytest.mark.parametrize(
-        "ask",
-        [
-            lambda a, tol: verify(a, TruthTable(1, b"\x00\x01"), tol),
-            computed_function,
-            is_exact,
-            lambda a, tol: check_property(a, StructuralProperty.CERTAIN_OUTCOME, tol),
-        ],
-        ids=["verify", "computed_function", "is_exact", "check_property"],
-    )
+    @pytest.mark.parametrize("ask", _TOL_ASKS, ids=_TOL_ASK_IDS)
     def test_tolerance_must_be_positive(self, ask, tol):
         h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
         a = QQA(1, 2, [1, 0], (h,), (0, 1))  # P(1) = 1/2 on every input
@@ -728,6 +728,14 @@ class TestOneSimulationPerAlgorithm:
             computed_function(a)  # no table, where a NaN or negative tol once gave one
         with pytest.raises(ValueError, match="^tol must be positive$"):
             ask(a, tol)
+
+    @pytest.mark.parametrize("ask", _TOL_ASKS, ids=_TOL_ASK_IDS)
+    def test_tolerance_must_be_below_one_half(self, ask):
+        """At 1/2 every bounded-error worst case would count as exact."""
+        for tol in (0.5, 2.0, np.inf):
+            with pytest.raises(ValueError, match="^tol must be below 1/2 for a probability, got "):
+                ask(QQA(1, 2, [0, 1], (), (0, 1)), tol)
+        ask(QQA(1, 2, [0, 1], (), (0, 1)), np.nextafter(0.5, 0.0))  # P(1) = 1: no refusal
 
     @pytest.mark.parametrize("shape", [*CATALOG_SHAPES, "complex-phase"])
     def test_answers_equal_direct_formulas(self, shape, full_catalog, eq3):
@@ -805,25 +813,28 @@ def _ties(a, tol):
     return False
 
 
-#: Per question: the outputs of a ``quarters`` algorithm, the question, and
-#: the tolerance at which its answer is exactly on the bound.
+#: A 1-variable, 8-amplitude algorithm that stays in (3, 2, 1, 1, 1, 0, 0, 0)/4, a unit
+#: vector in exact floats, and accepts on its amplitude 1/4: its largest probability is
+#: 9/16, so every bound of :func:`check_property` sits below the tolerance limit of 1/2.
+_SKEWED = QQA(1, 8, np.array([3, 2, 1, 1, 1, 0, 0, 0]) / 4, (QueryGate((None,) * 8),),
+              (0, 0, 0, 0, 1, 0, 0, 0))
+
+#: Per question: the outputs of a ``quarters`` algorithm (or the algorithm itself), the
+#: question, and the tolerance at which its answer is exactly on the bound.
 _AT_THE_BOUND = {
     "verify exact": (
         (1, 1, 1, 0), lambda a, tol: verify(a, TruthTable(1, b"\x01\x01"), tol).exact, 0.25),
     "is_exact": ((1, 1, 1, 0), is_exact, 0.25),
     "computed_function tie": ((1, 1, 1, 0), _ties, 0.25),
     "certain outcome": (
-        (1, 1, 1, 0), lambda a, tol: check_property(a, StructuralProperty.CERTAIN_OUTCOME, tol),
-        0.75),
+        _SKEWED, lambda a, tol: check_property(a, StructuralProperty.CERTAIN_OUTCOME, tol), 0.4375),
     "accept plus one": (
-        (1, 0, 0, 0), lambda a, tol: check_property(a, StructuralProperty.ACCEPT_PLUS_ONE, tol),
-        0.5),
+        _SKEWED, lambda a, tol: check_property(a, StructuralProperty.ACCEPT_PLUS_ONE, tol), 0.25),
     "accept minus one": (
-        (1, 0, 0, 0), lambda a, tol: check_property(a, StructuralProperty.ACCEPT_MINUS_ONE, tol),
-        0.5),
-    "accept signed unit": (  # the accepting amplitude is within 0.5, the peak only at 0.75
-        (1, 0, 0, 0),
-        lambda a, tol: check_property(a, StructuralProperty.ACCEPT_SIGNED_UNIT, tol), 0.75),
+        _SKEWED, lambda a, tol: check_property(a, StructuralProperty.ACCEPT_MINUS_ONE, tol), 0.25),
+    "accept signed unit": (  # the accepting amplitude is within 1/4, the peak only at 7/16
+        _SKEWED, lambda a, tol: check_property(a, StructuralProperty.ACCEPT_SIGNED_UNIT, tol),
+        0.4375),
 }
 
 
@@ -833,8 +844,9 @@ class TestToleranceBounds:
     @pytest.mark.parametrize("case", sorted(_AT_THE_BOUND))
     def test_a_value_on_its_bound_passes(self, quarters, case):
         measurement, holds, tol = _AT_THE_BOUND[case]
-        assert holds(quarters(measurement), tol) is True
-        assert holds(quarters(measurement), np.nextafter(tol, 0.0)) is False
+        a = measurement if isinstance(measurement, QQA) else quarters(measurement)
+        assert holds(a, tol) is True
+        assert holds(a, np.nextafter(tol, 0.0)) is False
 
     def test_norm_bounds_are_inclusive(self, quarters, monkeypatch):
         monkeypatch.setattr(simulator, "NORM_TOL", 0.25)
