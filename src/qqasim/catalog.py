@@ -8,18 +8,17 @@ sets feed the and/or/majority combiners.  Every family is built by
 caller that keeps only part of each entry holds no more than ``_BUILT_AHEAD``
 algorithms.
 
-A combined set is its row of ``constructors._COMBINERS``.  Eligibility for a
-combiner is decided by the structural property checks, not hard-coded lists:
-the accept-plus pool (equality3 family) has 4 algorithms and the signed-unit
-pool has 4 + 12, which is what makes the constructed set sizes 16, 256, 256
-and 64.  Per-set sizes count distinct functions after deduplication; a set's ``candidates`` counts method applications, i.e.
-generated algorithm instances before deduplication.
+A combined set is its row of ``constructors._COMBINERS``, whose pool is the
+base-set algorithms that the row ``admits``, as its combiner does a part: the
+accept-plus pool (equality3 family) has 4 algorithms and the signed-unit pool
+4 + 12, which makes the constructed set sizes 16, 256, 256 and 64.  A set's size
+counts distinct functions; its ``candidates``, the algorithms generated before
+deduplication.
 """
 from __future__ import annotations
 
 import csv
 import itertools
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -77,9 +76,8 @@ def _transposition(size: int, i: int, j: int) -> list:
 def _transform_variants(base_name: str, base: QQA):
     """Closure of a base algorithm under the three transformations, one candidate at a time.
 
-    One ``(entry, floor)`` candidate per (variable permutation, accepting
-    placement, inversion) triple, in that nesting order, so regeneration is
-    deterministic.  Every variant is exact: its floor is 1.
+    One entry per (variable permutation, accepting placement, inversion)
+    triple, in that nesting order, so regeneration is deterministic.
     """
     for sigma in itertools.permutations(range(base.arity)):
         permuted = permute_variables(base, sigma)
@@ -93,7 +91,7 @@ def _transform_variants(base_name: str, base: QQA):
                     "".join(str(v + 1) for v in sigma),
                     ",inv" if inverted else "",
                 )
-                yield CatalogEntry(computed_function(algorithm), algorithm, tag), 1.0
+                yield CatalogEntry(computed_function(algorithm), algorithm, tag)
 
 
 #: Candidates built before the first of them is verified.  A ``verify``
@@ -104,23 +102,21 @@ def _transform_variants(base_name: str, base: QQA):
 _BUILT_AHEAD = 32
 
 
-def _verified(name: str, candidates: Iterable[tuple], keep) -> tuple:
-    """The summary of family ``name`` and ``keep(entry, table)`` of each entry of the
-    ``(entry, floor)`` ``candidates``, kept as soon as it is verified; ``table`` is its
+def _verified(name: str, floor: float, candidates: Iterable[CatalogEntry], keep) -> tuple:
+    """The summary of family ``name``, whose floor is ``floor``, and ``keep(entry, table)``
+    of each entry of its ``candidates``, kept as soon as it is verified; ``table`` is its
     packed truth table, ``as_hex()``.
 
     Candidates are built ``_BUILT_AHEAD`` at a time.  A candidate whose
     function an earlier one computes is dropped before it is verified;
-    every other must succeed with its own floor or more.  The summary is a
-    ``FunctionSet`` without entries, whose ``guaranteed_p`` is the least
-    floor of every candidate, duplicates included.
+    every other must succeed with ``floor`` or more.  The summary is a
+    ``FunctionSet`` without entries.
     """
-    seen, arities, queries, floor, count, kept = set(), set(), set(), math.inf, 0, []
+    seen, arities, queries, count, kept = set(), set(), set(), 0, []
     candidates = iter(candidates)
     batches = iter(lambda: list(itertools.islice(candidates, _BUILT_AHEAD)), [])
-    for entry, entry_floor in itertools.chain.from_iterable(batches):
+    for entry in itertools.chain.from_iterable(batches):
         count += 1
-        floor = min(floor, entry_floor)
         table = entry.function.as_hex()
         key = (entry.function.arity, table)
         if key in seen:
@@ -130,10 +126,10 @@ def _verified(name: str, candidates: Iterable[tuple], keep) -> tuple:
         if len(queries) != 1:
             raise RuntimeError(f"{name}: inconsistent query counts {queries}")
         report = verify(entry.algorithm, entry.function)
-        if not _within(entry_floor - report.worst_case_p, NORM_TOL):
+        if not _within(floor - report.worst_case_p, NORM_TOL):
             raise RuntimeError(
                 f"{name}: entry {entry.provenance} verified at {report.worst_case_p} "
-                f"on input {report.witness}, below the {entry_floor} floor"
+                f"on input {report.witness}, below the {floor} floor"
             )
         arities.add(entry.function.arity)
         kept.append(keep(entry, table))
@@ -142,13 +138,14 @@ def _verified(name: str, candidates: Iterable[tuple], keep) -> tuple:
     return FunctionSet(name, (), tuple(sorted(arities)), queries.pop(), floor, count), kept
 
 
-def _pool(entries: Iterable[CatalogEntry], rule) -> list:
-    """The entries that pool ``rule`` takes, each with its algorithm as the rule brings it.
+def _pool(entries: Iterable[CatalogEntry], row) -> list:
+    """The entries that the combiner of ``row`` admits, each with its algorithm as the
+    combiner takes it (``constructors._admitted``).
 
-    Bringing them here, once per pool, lets every combination share the
+    Taking them here, once per pool, lets every combination share the
     pool's algorithms instead of sign-flipping a fresh copy for each one.
     """
-    taken = ((e, rule(e.algorithm)) for e in entries)
+    taken = ((e, constructors._admitted(e.algorithm, row.admits)) for e in entries)
     return [replace(e, algorithm=a) for e, a in taken if a is not None]
 
 
@@ -156,29 +153,30 @@ def _base(name: str, bases: dict) -> tuple:
     """Base set ``name``'s summary and ``(entry, table)`` of each entry, built into ``bases``
     the first time it is asked for."""
     if name not in bases:
-        bases[name] = _verified(name, _candidates(name, bases), lambda *pair: pair)
+        bases[name] = _verified(name, *_candidates(name, bases), lambda *pair: pair)
     return bases[name]
 
 
-def _candidates(kind: str, bases: dict):
-    """The ``(entry, floor)`` candidates of family ``kind``, each built when it is asked for."""
+def _candidates(kind: str, bases: dict) -> tuple:
+    """The floor of family ``kind`` and its candidates, each built when it is asked for."""
     if kind == "qfunc3":
-        return _transform_variants("equality3", equality3_algorithm())
+        return 1.0, _transform_variants("equality3", equality3_algorithm())
     if kind == "qfunc4":
-        return _transform_variants("pair_equality4", pair_equality4_algorithm())
+        return 1.0, _transform_variants("pair_equality4", pair_equality4_algorithm())
     if kind not in _COMBINED:
         raise ValueError(f"unknown set {kind!r} (expected one of {SET_NAMES})")
     row = _COMBINED[kind]
-    pool = _pool((e for name in row.bases for e, _ in _base(name, bases)[1]), row.pool)
-    return _combinations(kind, pool, getattr(constructors, row.function), row.parts)
+    pool = _pool((e for name in row.bases for e, _ in _base(name, bases)[1]), row)
+    return float(row.floor), _combinations(row, pool)
 
 
-def _combinations(kind: str, pool: list, combine, picks_per_combination: int):
-    """``combine`` applied to every ordered pick of ``pool`` entries, one at a time."""
-    for picks in itertools.product(pool, repeat=picks_per_combination):
+def _combinations(row, pool: list):
+    """The combiner of ``row`` applied to every ordered pick of ``pool`` entries, one at a time."""
+    combine = getattr(constructors, row.function)
+    for picks in itertools.product(pool, repeat=row.parts):
         result = combine(*(e.algorithm for e in picks))
-        provenance = "{}({})".format(kind, ",".join(e.provenance for e in picks))
-        yield CatalogEntry(result.target, result.algorithm, provenance), result.guaranteed_p
+        provenance = "{}({})".format(row.set_name, ",".join(e.provenance for e in picks))
+        yield CatalogEntry(result.target, result.algorithm, provenance)
 
 
 def _families(names: Sequence[str], keep):
@@ -193,7 +191,7 @@ def _families(names: Sequence[str], keep):
     bases = {}
     for name in names:
         if name in _COMBINED:
-            yield _verified(name, _candidates(name, bases), keep)
+            yield _verified(name, *_candidates(name, bases), keep)
         else:
             summary, built = _base(name, bases)
             yield summary, [keep(entry, table) for entry, table in built]

@@ -3,8 +3,10 @@
 Output is deterministic for a given invocation: no timestamps, fixed
 iteration order, and amplitudes rendered as exact fractions over sqrt(2)
 whenever they are within tolerance of one (0, ±1/2, ±1/sqrt2, ±1/(2 sqrt2),
-±1), else as 6-decimal floats.  Exit status is 0 only if every requested
-check passed.
+±1), else as 6-decimal floats; however large the tolerance, only within
+just under half the smallest gap between two of them (``_LABEL_REACH``,
+about 0.0732), so an amplitude never takes the label of a farther one.
+Exit status is 0 only if every requested check passed.
 """
 from __future__ import annotations
 
@@ -49,21 +51,28 @@ _NAMED_VALUES = tuple(
     for sign in ((1.0, -1.0) if magnitude else (1.0,))
 )
 
+#: The farthest a real part may lie from a named value and take its label, whatever the
+#: tolerance: just below half the smallest gap between two named values (1/(2√2) and 1/2),
+#: so that no real part is within reach of two of them.
+_LABEL_REACH = float(np.nextafter(np.diff(sorted(v for v, _ in _NAMED_VALUES)).min() / 2, 0))
+
 
 def _amplitude_labels(values, tol: float) -> list:
     """The label of every value of an array, in order, flattened.
 
-    A value whose imaginary part is within ``tol`` of 0 takes the first
-    named value in ``_NAMED_VALUES`` within ``tol`` of its real part; each
-    rule runs as one pass over the whole array.  Any other value is written
-    with 6 decimals, its imaginary part too unless that is within ``tol``.
+    A value whose imaginary part is within ``tol`` of 0 takes the named
+    value in ``_NAMED_VALUES`` within ``min(tol, _LABEL_REACH)`` of its real
+    part, of which there is one at most; each rule runs as one pass over the
+    whole array.  Any other value is written with 6 decimals, its imaginary
+    part too unless that is within ``tol``.
     """
     z = np.asarray(values, dtype=complex).ravel()
     labels = np.empty(len(z), dtype=object)
     real = _within(np.abs(z.imag), tol)
     left = real.copy()
+    reach = min(tol, _LABEL_REACH)
     for value, label in _NAMED_VALUES:
-        hit = left & _within(np.abs(z.real - value), tol)
+        hit = left & _within(np.abs(z.real - value), reach)
         labels[hit] = label
         left &= ~hit
     for i in np.flatnonzero(~real | left).tolist():

@@ -27,7 +27,8 @@ A combined algorithm carries nothing but its fields:
 does in a copy reloaded from a document.
 
 ``_COMBINERS`` is the one place each combiner is stated; the combiners, the
-catalog and the CLI read it.
+catalog and the CLI read it.  A row's ``admits`` decides, through
+:func:`_admitted`, both the parts its combiner takes and its catalog pool.
 """
 from __future__ import annotations
 
@@ -66,29 +67,18 @@ class ConstructionResult:
     queries: int
 
 
-def _accept_plus(a: QQA) -> QQA | None:
-    """``a`` in the {0, +1} accepting discipline, its sign flipped if it holds {0, -1};
-    ``None`` if it holds neither."""
-    if check_property(a, StructuralProperty.ACCEPT_PLUS_ONE):
-        return a
-    if check_property(a, StructuralProperty.ACCEPT_MINUS_ONE):
-        return normalize_accepting_sign(a)
+def _admitted(a: QQA, admits: Sequence[StructuralProperty],
+              need: str | None = None) -> QQA | None:
+    """``a`` as a combiner admitting ``admits`` takes it: as it is, or sign-flipped if the first
+    of them it holds is ACCEPT_MINUS_ONE.  If it holds none, ``None``, or with ``need``
+    the refusal that :func:`qqasim.simulator._require` words from it."""
+    for which in admits:
+        if check_property(a, which):
+            flip = which is StructuralProperty.ACCEPT_MINUS_ONE
+            return normalize_accepting_sign(a) if flip else a
+    if need is not None:
+        _require(a, need, *admits)  # none of them holds, so this raises
     return None
-
-
-def _signed_unit(a: QQA) -> QQA | None:
-    """``a`` if it has a certain outcome and one accepting amplitude in {-1, 0, +1},
-    else ``None``."""
-    return a if check_property(a, StructuralProperty.ACCEPT_SIGNED_UNIT) else None
-
-
-def _as_accept_plus(a: QQA, label: str) -> QQA:
-    """:func:`_accept_plus` of ``a``, or the refusal of part ``label`` if it holds neither."""
-    coerced = _accept_plus(a)
-    if coerced is None:  # neither discipline holds, so this raises
-        need = f"{label}: accepting amplitude must stay in {{0, +1}} or {{0, -1}} on every input"
-        _require(a, need, StructuralProperty.ACCEPT_PLUS_ONE, StructuralProperty.ACCEPT_MINUS_ONE)
-    return coerced
 
 
 def _accepting_at(amplitudes: int, index: int) -> tuple:
@@ -172,8 +162,8 @@ def _combined(
 
 def _result(function: str, algorithm: QQA, target: TruthTable) -> ConstructionResult:
     """What combiner ``function`` returns for ``algorithm``: its ``target`` and its row's floor."""
-    floor = next(row.floor for row in _COMBINERS if row.function == function)
-    return ConstructionResult(algorithm, target, float(floor), algorithm.query_count)
+    floor = float(_ROWS[function].floor)
+    return ConstructionResult(algorithm, target, floor, algorithm.query_count)
 
 
 def _hadamard_pairs(dim: int, pairs: tuple) -> np.ndarray:
@@ -194,8 +184,8 @@ def _hadamard_pairs(dim: int, pairs: tuple) -> np.ndarray:
     return gate
 
 
-def _hadamard_tree(algs: Sequence[QQA], labels: Sequence[str], widths: Sequence[int]) -> QQA:
-    """Parallel run of k = 2 or 4 accept-plus algorithms, mixed by a tree of Hadamard pairs.
+def _hadamard_tree(function: str, algs: Sequence[QQA], labels: Sequence[str], widths) -> QQA:
+    """Parallel run of k = 2 or 4 parts, admitted by ``function``, mixed by a Hadamard tree.
 
     Part i, named ``labels[i]`` in errors, sits in its own block of
     ``widths[i]`` amplitudes.  Each level of the tree halves the accepting
@@ -203,7 +193,8 @@ def _hadamard_tree(algs: Sequence[QQA], labels: Sequence[str], widths: Sequence[
     output ends up holding b/k, where b counts the true sub-functions, and
     P(1) = (b/k)^2.
     """
-    algs = [_as_accept_plus(a, label) for a, label in zip(algs, labels)]
+    row = _ROWS[function]
+    algs = [_admitted(a, row.admits, f"{label}: {row.need}") for a, label in zip(algs, labels)]
     offsets = list(itertools.accumulate(widths, initial=0))
     acc = [offset + a.measurement.index(1) for offset, a in zip(offsets, algs)]
     total, k = offsets[-1], len(algs)
@@ -223,7 +214,7 @@ def and_construct(a1: QQA, a2: QQA) -> ConstructionResult:
     a block as wide as the wider one.
     """
     m = max(a1.amplitudes, a2.amplitudes)
-    algorithm = _hadamard_tree((a1, a2), ("first input", "second input"), (m, m))
+    algorithm = _hadamard_tree("and_construct", (a1, a2), ("first input", "second input"), (m, m))
     target = combine_disjoint(computed_function(a1), computed_function(a2), "and")
     return _result("and_construct", algorithm, target)
 
@@ -280,11 +271,11 @@ def or_construct(a1: QQA, a2: QQA) -> ConstructionResult:
     3-slot group, and Hadamard blocks then guarantee that every true
     sub-function leaves at least 5/8 of the mass on accepting outputs.
     """
+    row = _ROWS["or_construct"]
     for label, a in (("first input", a1), ("second input", a2)):
         if a.amplitudes != 4:
             raise ValueError(f"{label}: the or-combiner needs 4-amplitude sub-algorithms")
-        need = f"{label}: needs a certain outcome with one accepting amplitude in {{-1, 0, +1}}"
-        _require(a, need, StructuralProperty.ACCEPT_SIGNED_UNIT)
+        _admitted(a, row.admits, f"{label}: {row.need}")  # a signed unit is taken as it is
     f1, f2 = computed_function(a1), computed_function(a2)
     tail = [_or_routing(a1.measurement.index(1), a2.measurement.index(1)), _or_mix()]
     algorithm = _combined([a1, a2], [4, 4], 16, tail, _OR_MEASUREMENT)
@@ -292,10 +283,10 @@ def or_construct(a1: QQA, a2: QQA) -> ConstructionResult:
     return _result("or_construct", algorithm, target)
 
 
-def _majority_tree(algs: Sequence[QQA]) -> QQA:
+def _majority_tree(function: str, algs: Sequence[QQA]) -> QQA:
     """The four-part :func:`_hadamard_tree`, each part in a block of its own width."""
     labels = [f"input {i + 1}" for i in range(len(algs))]
-    return _hadamard_tree(algs, labels, [a.amplitudes for a in algs])
+    return _hadamard_tree(function, algs, labels, [a.amplitudes for a in algs])
 
 
 def majority_even4_construct(a1: QQA, a2: QQA, a3: QQA, a4: QQA) -> ConstructionResult:
@@ -306,7 +297,7 @@ def majority_even4_construct(a1: QQA, a2: QQA, a3: QQA, a4: QQA) -> Construction
     whose worst case is 9/16.
     """
     algs = (a1, a2, a3, a4)
-    algorithm = _majority_tree(algs)
+    algorithm = _majority_tree("majority_even4_construct", algs)
     target = majority_compose([computed_function(a) for a in algs], even=True)
     return _result("majority_even4_construct", algorithm, target)
 
@@ -325,22 +316,32 @@ def majority3_construct(a1: QQA, a2: QQA, a3: QQA) -> ConstructionResult:
     majority into the odd three-way one at the same 9/16 floor.
     """
     algs = (a1, a2, a3)
-    algorithm = _majority_tree((*algs, _filler()))
+    algorithm = _majority_tree("majority3_construct", (*algs, _filler()))
     target = majority_compose([computed_function(a) for a in algs], even=False)
     return _result("majority3_construct", algorithm, target)
 
 
+#: The ``admits`` and ``need`` of the mixing and of the routing combiners (see ``_COMBINERS``).
+_MIXED = ((StructuralProperty.ACCEPT_PLUS_ONE, StructuralProperty.ACCEPT_MINUS_ONE),
+          "accepting amplitude must stay in {} on every input")
+_ROUTED = ((StructuralProperty.ACCEPT_SIGNED_UNIT,),
+           "needs a certain outcome with one accepting amplitude in {}")
+
 #: Each combiner, in catalog order: its ``qqasim construct --method``, its catalog set, its
-#: part count, its function's name, the rule that brings a base-set algorithm into its
-#: catalog pool (or gives ``None``), that pool's base sets, and its floor.  A function is
-#: looked up on this module when it is called, so that one rebound here (as perfbench's
-#: traced run rebinds them) is the one called.
-_Combiner = namedtuple("_Combiner", "method set_name parts function pool bases floor")
+#: part count, its function's name, the properties it admits of a part, tried in order, and
+#: what its refusal says a part needs (``{}``: their values, as ``simulator._require`` words
+#: them), both read by the combiner and by its catalog pool, the pool's base sets, and its
+#: floor.  A function is looked up on this module when it is called, so that one rebound here
+#: (as perfbench's traced run rebinds them) is the one called.
+_Combiner = namedtuple("_Combiner", "method set_name parts function admits need bases floor")
 _COMBINERS = (
-    _Combiner("and", "and", 2, "and_construct", _accept_plus, ("qfunc3",), Fraction(3, 4)),
-    _Combiner("or", "or", 2, "or_construct", _signed_unit, ("qfunc3", "qfunc4"), Fraction(5, 8)),
-    _Combiner("maj-even4", "maj_even4", 4, "majority_even4_construct", _accept_plus,
-              ("qfunc3",), Fraction(9, 16)),
-    _Combiner("maj3", "majority3", 3, "majority3_construct", _accept_plus, ("qfunc3",),
+    _Combiner("and", "and", 2, "and_construct", *_MIXED, ("qfunc3",), Fraction(3, 4)),
+    _Combiner("or", "or", 2, "or_construct", *_ROUTED, ("qfunc3", "qfunc4"), Fraction(5, 8)),
+    _Combiner("maj-even4", "maj_even4", 4, "majority_even4_construct", *_MIXED, ("qfunc3",),
+              Fraction(9, 16)),
+    _Combiner("maj3", "majority3", 3, "majority3_construct", *_MIXED, ("qfunc3",),
               Fraction(9, 16)),
 )
+
+#: Each row of ``_COMBINERS`` by its function's name.
+_ROWS = {row.function: row for row in _COMBINERS}

@@ -39,8 +39,9 @@ and :func:`trace` included, applies the steps through one tiled kernel,
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -172,8 +173,9 @@ def _assembled(arity: int, initial, gates: np.ndarray, trusted: int, steps, meas
     """An algorithm on ``gates``, a ``(k, m, m)`` stack, once every field is checked.
 
     The one check of every algorithm; errors name the field as a document
-    does, and the first failing step.  The first ``trusted`` gates must have
-    passed it already (the combiners and transforms take them from validated
+    does, and the first failing step, and a gate or initial state that misses
+    its tolerance is reported with its miss.  The first ``trusted`` gates must
+    have passed it already (the combiners and transforms take them from validated
     algorithms); the rest are checked in one batch.  ``m`` is the stack's
     unless given.  ``pending`` is the error of the step after ``steps``,
     which :class:`QQA` could not stack, raised once every step before it has
@@ -193,8 +195,9 @@ def _assembled(arity: int, initial, gates: np.ndarray, trusted: int, steps, meas
     initial = np.array(initial, dtype=complex)
     if initial.shape != (m,):
         raise ValueError(f"initial state must have shape ({m},), got {initial.shape}")
-    if not _within(abs(float(np.square(initial.view(float)).sum()) - 1.0), NORM_TOL):
-        raise ValueError("initial: state is not unit-norm")
+    norm = float(np.square(initial.view(float)).sum())  # sum of |x|^2, as a drift names it too
+    if not _within(abs(norm - 1.0), NORM_TOL):
+        raise ValueError(f"initial: state is not unit-norm (norm {norm})")
     if gates.dtype == complex and not gates.imag.view(np.uint64).any():
         gates = gates.real.copy()
     views = iter(_freeze(gates))
@@ -209,10 +212,12 @@ def _assembled(arity: int, initial, gates: np.ndarray, trusted: int, steps, meas
         checked.append(step)
     if len(gates) > trusted:  # the gates before a malformed step; a failing one is named first
         at = [k for k, step in enumerate(checked) if not isinstance(step, QueryGate)]
-        failing = np.flatnonzero(~_within(_unitarity_errors(gates[trusted:len(at)]), UNITARY_TOL))
+        errors = _unitarity_errors(gates[trusted:len(at)])
+        failing = np.flatnonzero(~_within(errors, UNITARY_TOL))
         if failing.size:
-            k = at[trusted + failing[0]]
-            raise ValueError(f"steps[{k}].unitary: matrix is not unitary within {UNITARY_TOL}")
+            k, miss = at[trusted + failing[0]], float(errors[failing[0]])
+            raise ValueError(f"steps[{k}].unitary: matrix is not unitary within {UNITARY_TOL} "
+                             f"(largest |UU† - I| entry {miss})")
     if malformed or pending:
         raise ValueError(malformed or pending)
     algorithm = object.__new__(QQA)
@@ -260,24 +265,30 @@ def _input_strings(arity: int) -> tuple:
 
 
 class StructuralProperty(enum.Enum):
-    """Pre-measurement amplitude disciplines used as composition preconditions."""
+    """Pre-measurement amplitude disciplines used as composition preconditions, each stated
+    by its row of ``_DISCIPLINES``: a certain outcome on every input, or exactly one accepting
+    output whose amplitude keeps to the values the name gives (ACCEPT_SIGNED_UNIT: both)."""
 
-    #: On every input, one basis state holds all of the probability.
     CERTAIN_OUTCOME = "certain-outcome"
-    #: Exactly one accepting output, and its amplitude is always 0 or +1.
     ACCEPT_PLUS_ONE = "accepting-in-zero-plus-one"
-    #: Exactly one accepting output, and its amplitude is always 0 or -1.
     ACCEPT_MINUS_ONE = "accepting-in-zero-minus-one"
-    #: CERTAIN_OUTCOME plus exactly one accepting output with amplitude in {-1, 0, +1}.
     ACCEPT_SIGNED_UNIT = "accepting-signed-unit"
 
 
-#: The disciplines on the single accepting amplitude.
-_ACCEPTING = (
-    StructuralProperty.ACCEPT_PLUS_ONE,
-    StructuralProperty.ACCEPT_MINUS_ONE,
-    StructuralProperty.ACCEPT_SIGNED_UNIT,
-)
+#: Each property, stated once: the values its single accepting output's amplitude may take,
+#: in a refusal's order (``None``: no such demand), and whether the outcome must be certain.
+_Discipline = namedtuple("_Discipline", "values certain")
+_DISCIPLINES = {
+    StructuralProperty.CERTAIN_OUTCOME: _Discipline(None, True),
+    StructuralProperty.ACCEPT_PLUS_ONE: _Discipline((0, 1), False),
+    StructuralProperty.ACCEPT_MINUS_ONE: _Discipline((0, -1), False),
+    StructuralProperty.ACCEPT_SIGNED_UNIT: _Discipline((-1, 0, 1), True),
+}
+
+
+def _allowed(which: StructuralProperty) -> str:
+    """The values discipline ``which`` allows, as a refusal names them, such as ``{0, +1}``."""
+    return "{" + ", ".join(f"{v:+d}" if v else "0" for v in _DISCIPLINES[which].values) + "}"
 
 
 def _input_signs(a: QQA, input_bits: str) -> np.ndarray:
@@ -559,9 +570,9 @@ class _Answers:
     #: the first input reaching it.
     peak: float
     peak_at: int
-    #: Per accepting discipline, the largest distance of the single accepting
-    #: amplitude from its allowed values, and the first input reaching it;
-    #: both empty unless exactly one output accepts.
+    #: Per discipline with allowed values, the largest distance of the single
+    #: accepting amplitude from them, and the first input reaching it; both
+    #: empty unless exactly one output accepts.
     spread: dict
     spread_at: dict
 
@@ -570,15 +581,15 @@ def _answers(a: QQA) -> _Answers:
     """The algorithm's answers, simulating it on the first call only.
 
     Squaring is monotone, so a state's largest probability is the square of
-    its largest magnitude, and the accepting amplitude's distances from 0,
-    +1 and -1 are ``|c|``, ``|c - 1|`` and ``|c + 1|``.  Each is taken once
-    per distinct state of :func:`_simulate` and read onto the inputs through
-    its index, so the first input reaching a value is found in row order.
-    The largest magnitude of each state is taken one column at a time: a
-    maximum along each short row is several times slower, and on the dense
-    path a ``(2^n, m)`` temporary beside the states is enough to make the
-    allocator hand the heap back and fault it in again for the next
-    algorithm.
+    its largest magnitude; the accepting amplitude ``c`` is as far from a
+    discipline as the least ``|c - v|`` over its values ``v``, taken exactly.
+    Each is taken once per distinct state of :func:`_simulate` and read onto
+    the inputs through its index, so the first input reaching a value is
+    found in row order.  The largest magnitude of each state is taken one
+    column at a time: a maximum along each short row is several times
+    slower, and on the dense path a ``(2^n, m)`` temporary beside the states
+    is enough to make the allocator hand the heap back and fault it in
+    again for the next algorithm.
     """
     if a._memo is not None:
         return a._memo
@@ -599,13 +610,12 @@ def _answers(a: QQA) -> _Answers:
     accepting = a.accepting_outputs()
     if len(accepting) == 1:
         column = states[:, accepting[0]]
-        to_zero = np.abs(column)
-        to_plus = np.minimum(to_zero, np.abs(column - 1.0))
-        to_minus = np.minimum(to_zero, np.abs(column + 1.0))
-        for which, distance in zip(_ACCEPTING, (to_plus, to_minus, np.minimum(to_plus, to_minus))):
-            distance = _per_input(distance, index)
-            spread_at[which] = int(distance.argmax())
-            spread[which] = float(distance[spread_at[which]])
+        for which, row in _DISCIPLINES.items():
+            if row.values is not None:
+                distance = reduce(np.minimum, [np.abs(column - v) for v in row.values])
+                distance = _per_input(distance, index)
+                spread_at[which] = int(distance.argmax())
+                spread[which] = float(distance[spread_at[which]])
     answers = _Answers(
         bits=bits.tobytes(),
         margin=float(margins[closest]),
@@ -668,57 +678,48 @@ def is_exact(a: QQA, tol: float = NORM_TOL) -> bool:
 
 
 def check_property(a: QQA, which: StructuralProperty, tol: float = NORM_TOL) -> bool:
-    """Whether one of the pre-measurement amplitude disciplines holds on every input."""
+    """Whether discipline ``which`` holds on every input, as its row of ``_DISCIPLINES`` says."""
     _check_tol(tol, probability=True)
-    answers = _answers(a)
-    certain = _within(1.0 - answers.peak, tol)
-    if which is StructuralProperty.CERTAIN_OUTCOME:
-        return certain
-    if which not in _ACCEPTING:
+    if not isinstance(which, StructuralProperty):
         raise ValueError(f"unknown property {which!r}")
-    spread = answers.spread.get(which)
-    held = spread is not None and _within(spread, tol)
-    if which is StructuralProperty.ACCEPT_SIGNED_UNIT:
-        return held and certain
-    return held
+    row, answers = _DISCIPLINES[which], _answers(a)
+    certain = not row.certain or _within(1.0 - answers.peak, tol)
+    # No spread without a single accepting output: NaN, which never passes.
+    return certain and (row.values is None or _within(answers.spread.get(which, np.nan), tol))
 
 
 #: The precondition of output inversion, which :func:`_require` takes beside the disciplines.
 _EXACT = "exact"
-
-#: The values each accepting discipline allows, as refusals name them.
-_ALLOWED = {
-    StructuralProperty.ACCEPT_PLUS_ONE: "{0, +1}",
-    StructuralProperty.ACCEPT_MINUS_ONE: "{0, -1}",
-    StructuralProperty.ACCEPT_SIGNED_UNIT: "{-1, 0, +1}",
-}
 
 
 def _require(a: QQA, need: str, *properties: StructuralProperty | str) -> StructuralProperty | str:
     """The first of ``properties`` that ``a`` holds, else ``ValueError("{need}; {why}")``.
 
     The one wording of a transform's or combiner's refusal.  ``properties``
-    are disciplines, or ``_EXACT`` alone; ``why`` names the first input, in
-    row order, that witnesses the refusal: the worst case if exactness is
-    asked for; else the least certain input if certainty is asked for and
-    fails; else the number of accepting outputs if it is not one; else,
-    per discipline, where the accepting amplitude is furthest from it.
+    are disciplines, or ``_EXACT`` alone; a ``{}`` in ``need`` stands for the
+    values they allow, such as ``{0, +1} or {0, -1}``.  ``why`` names the
+    first input, in row order, that witnesses the refusal: the worst case if
+    exactness is asked for; else the least certain input if certainty is
+    asked for and fails; else the number of accepting outputs if it is not
+    one; else, per discipline, where the accepting amplitude is furthest from it.
     """
     for which in properties:
         if is_exact(a) if which is _EXACT else check_property(a, which):
             return which
     answers = _answers(a)
-    certainty = {StructuralProperty.CERTAIN_OUTCOME, StructuralProperty.ACCEPT_SIGNED_UNIT}
+    if "{}" in need:
+        need = need.format(" or ".join(map(_allowed, properties)))
     if _EXACT in properties:
         why = (f"worst-case p = {answers.agreement:.6f} "
                f"on input {bit_string(answers.agreement_at, a.arity)}")
-    elif certainty & set(properties) and not check_property(a, StructuralProperty.CERTAIN_OUTCOME):
+    elif (any(_DISCIPLINES[which].certain for which in properties)
+          and not check_property(a, StructuralProperty.CERTAIN_OUTCOME)):
         why = f"no outcome is certain on input {bit_string(answers.peak_at, a.arity)}"
     elif not answers.spread:
         why = f"it has {a.measurement.count(1)} accepting outputs"
     else:
         why = "its accepting amplitude leaves " + " and ".join(
-            f"{_ALLOWED[which]} on input {bit_string(answers.spread_at[which], a.arity)}"
+            f"{_allowed(which)} on input {bit_string(answers.spread_at[which], a.arity)}"
             for which in properties
         )
     raise ValueError(f"{need}; {why}")

@@ -82,7 +82,7 @@ def normalize_accepting_sign(a: QQA) -> QQA:
     gate is diagonal ±1, so the computed function and query count are
     untouched while the stricter {0, +1} discipline now holds.
     """
-    need = "sign normalization requires an accepting amplitude in {0, -1}"
+    need = "sign normalization requires an accepting amplitude in {}"
     _require(a, need, StructuralProperty.ACCEPT_MINUS_ONE)
     acc = a.accepting_outputs()[0]
     gates = np.concatenate([a._gates, np.eye(a.amplitudes, dtype=a._gates.dtype)[np.newaxis]])

@@ -1,9 +1,13 @@
+import csv
 import hashlib
 import io
+import re
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
+import qqasim
 from qqasim import catalog, constructors
 from qqasim.boolfun import TruthTable, named_function
 from qqasim.catalog import (
@@ -139,11 +143,11 @@ def test_floor_failure_names_the_witness(eq3, f_eq3):
     bits[5] = 1
     wrong = CatalogEntry(TruthTable(3, bytes(bits)), eq3, "equality3")
     with pytest.raises(RuntimeError, match="on input 101, below the 0.75 floor"):
-        _verified("and", [(wrong, 0.75)], lambda entry, table: entry)
+        _verified("and", 0.75, [wrong], lambda entry, table: entry)
 
 
 def test_an_empty_family_is_reported_as_such(monkeypatch):
-    monkeypatch.setattr(catalog, "_pool", lambda entries, rule: [])
+    monkeypatch.setattr(catalog, "_pool", lambda entries, row: [])
     with pytest.raises(RuntimeError, match=r"^and: no candidates$"):
         generate_set("and")
 
@@ -232,3 +236,57 @@ def test_generate_all_returns_every_set_and_the_golden_csv(full_catalog):
     export_csv(full_catalog, buffer)
     digest = hashlib.sha256(buffer.getvalue().encode()).hexdigest()
     assert digest == "e343079ffb64c6be6fd319b47afc39c0c8ac67dc5c7424fb8993903ca0b31361"
+
+
+#: A base-set tag: ``base[acc=a,vars=s]`` or ``base[acc=a,vars=s,inv]``.
+_LEAF_TAG = re.compile(r"(\w+)\[acc=(\d+),vars=(\d+)(,inv)?\]")
+
+#: The public function of each tag head: a base algorithm, or a combiner by its set name.
+_TAG_HEADS = {
+    "equality3": qqasim.equality3_algorithm,
+    "pair_equality4": qqasim.pair_equality4_algorithm,
+    "and": qqasim.and_construct,
+    "or": qqasim.or_construct,
+    "maj_even4": qqasim.majority_even4_construct,
+    "majority3": qqasim.majority3_construct,
+}
+
+
+def _rebuilt(tag: str, leaves: dict):
+    """The algorithm a provenance tag describes, rebuilt through the public API alone.
+
+    ``vars=s`` is the 1-based sigma of ``permute_variables``; ``acc=a`` swaps
+    output 1 and output a; ``inv`` is ``invert_outputs``; ``kind(t1,t2,...)``
+    is that combiner on the parts the tags t1, t2, ... describe.  ``leaves``
+    keeps each base-set tag's algorithm, which many rows share.
+    """
+    leaf = _LEAF_TAG.fullmatch(tag)
+    if leaf is None:
+        kind, inner = re.fullmatch(r"(\w+)\((.*)\)", tag).groups()
+        parts = [m.group(0) for m in _LEAF_TAG.finditer(inner)]
+        assert ",".join(parts) == inner, tag
+        return _TAG_HEADS[kind](*(_rebuilt(part, leaves) for part in parts)).algorithm
+    if tag not in leaves:
+        base, acc, sigma, inverted = leaf.groups()
+        a = qqasim.permute_variables(_TAG_HEADS[base](), [int(v) - 1 for v in sigma])
+        swap = list(range(a.amplitudes))
+        swap[0], swap[int(acc) - 1] = swap[int(acc) - 1], swap[0]
+        a = qqasim.permute_outputs(a, swap)
+        leaves[tag] = qqasim.invert_outputs(a) if inverted else a
+    return leaves[tag]
+
+
+def test_every_row_rebuilds_from_its_provenance(full_catalog):
+    buffer = io.StringIO()
+    export_csv(full_catalog, buffer)
+    rows = list(csv.DictReader(io.StringIO(buffer.getvalue())))
+    assert len(rows) == 624
+    leaves = {}
+    for row in rows:
+        a = _rebuilt(row["provenance"], leaves)
+        f = qqasim.computed_function(a)
+        assert (a.arity, a.query_count, f.as_hex()) == (
+            int(row["arity"]), int(row["queries"]), row["truth_table_hex"]), row["provenance"]
+        floor = float(Fraction(row["probability"]))
+        assert qqasim.verify(a, f).worst_case_p >= floor - qqasim.NORM_TOL, row["provenance"]
+

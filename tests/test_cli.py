@@ -849,9 +849,22 @@ class TestFormatting:
     def test_state_rendering(self):
         assert _state_labels([0.5, -(2**-0.5), 0.0, 1.0], 1e-9) == "(1/2, -1/√2, 0, 1)"
 
+    def test_a_large_tolerance_names_only_the_nearest_value(self):
+        gaps = np.diff(sorted(value for value, _ in cli._NAMED_VALUES))
+        assert gaps.min() == pytest.approx(0.5 - 2**-1.5)  # from 1/(2√2) to 1/2
+        assert cli._LABEL_REACH == np.nextafter(gaps.min() / 2, 0.0)
+        assert _label(0.75, 0.25) == "1/√2"  # within 0.25 of 1 too, but nearer 1/√2
+        default = invoke("trace", "--algorithm", "builtin:equality3", "--input", "110")
+        large = invoke("--tolerance", "0.3", "trace", "--algorithm", "builtin:equality3",
+                       "--input", "110")
+        assert "| (-1/2, -1/√2, 0, -1/2) |" in large.stdout  # -1/√2 was labelled -1 at 0.3
+        assert large.stdout == default.stdout
+
     def test_bounds_are_inclusive_and_nan_never_passes(self):
-        assert _label(0.75, 0.25) == "1"  # 1 is tried before the nearer 1/√2
-        assert _label(0.75, np.nextafter(0.25, 0.0)) == "1/√2"
+        assert _label(0.5625, 0.0625) == "1/2"  # a tolerance below the reach is the bound
+        assert _label(0.5625, np.nextafter(0.0625, 0.0)) == "0.562500"
+        assert _label(cli._LABEL_REACH, 0.25) == "0"  # the reach bounds a larger tolerance
+        assert _label(np.nextafter(cli._LABEL_REACH, 1.0), 0.25) == "0.073223"
         assert _label(complex(0.5, 0.25), 0.25) == "1/2"
         assert _label(complex(0.5, 0.25), np.nextafter(0.25, 0.0)) == "0.500000+0.250000i"
         assert _label(complex(0.0, np.nan)) == "0.000000+nani"
@@ -873,10 +886,11 @@ def _format_one(value, tol):
     value = complex(value)
     if not abs(value.imag) <= tol:  # NaN too
         return f"{value.real:.6f}{value.imag:+.6f}i"
+    reach = min(tol, cli._LABEL_REACH)
     for magnitude, label in cli._NAMED_AMPLITUDES:
-        if abs(value.real - magnitude) <= tol:
+        if abs(value.real - magnitude) <= reach:
             return label
-        if magnitude and abs(value.real + magnitude) <= tol:
+        if magnitude and abs(value.real + magnitude) <= reach:
             return "-" + label
     return f"{value.real:.6f}"
 
@@ -901,10 +915,11 @@ def test_trace_rendering_equals_the_per_value_function(full_catalog):
 @pytest.mark.parametrize("tol", [1e-9, 1e-3, 0.3])
 def test_edge_values_equal_the_per_value_function(tol):
     reals = [np.nan, np.inf, -np.inf, -0.0, 0.75, 2.0]
+    reach = min(tol, cli._LABEL_REACH)  # the bound of a large tol
     for magnitude, _ in cli._NAMED_AMPLITUDES:
-        for edge in (magnitude + tol, magnitude - tol, -magnitude + tol, -magnitude - tol):
+        for edge in (magnitude + reach, magnitude - reach, -magnitude + reach, -magnitude - reach):
             reals += [edge, np.nextafter(edge, np.inf), np.nextafter(edge, -np.inf)]
-    reals += list(np.linspace(-1.5, 1.5, 61))  # overlapping ranges at a large tol: rule order
+    reals += list(np.linspace(-1.5, 1.5, 61))  # between the named values at a large tol
     imaginary = [0.0, tol, -tol, np.nextafter(tol, 1.0), np.nan, np.inf, -np.inf]
     values = [complex(x, y) for x in reals for y in imaginary]
     for state in (reals, values, np.array(values)):
@@ -964,6 +979,8 @@ class TestToleranceBounds:
         assert result.stdout.splitlines() == lines
         assert result.exit_code == (0 if holds else 1)
         monkeypatch.setattr(catalog, "NORM_TOL", float(tol))  # the catalog's fixed tolerance
+        # The catalog holds a family to its row's floor, so the row promises 1 too.
+        monkeypatch.setitem(catalog._COMBINED, "and", catalog._COMBINED["and"]._replace(floor=1))
         if holds:
             assert catalog.generate_set("and").guaranteed_p == 1.0
         else:

@@ -371,8 +371,8 @@ class TestAssembledFromCheckedParts:
         # The checks that the combiners and transforms skip would have passed.
         algorithms = [e.algorithm for s in full_catalog.values() for e in s.entries]
         for name, base in (("e", equality3_algorithm()), ("p", pair_equality4_algorithm())):
-            algorithms += [e.algorithm for e, _ in catalog._transform_variants(name, base)]
-        mixing = catalog._pool(full_catalog["qfunc3"].entries, catalog._COMBINED["and"].pool)
+            algorithms += [e.algorithm for e in catalog._transform_variants(name, base)]
+        mixing = catalog._pool(full_catalog["qfunc3"].entries, catalog._COMBINED["and"])
         algorithms += [e.algorithm for e in mixing]
         assert len(algorithms) == 624 + 240 + 4
         for a in algorithms:
@@ -487,22 +487,22 @@ def _broken_copies(eq3):
         ("variable not an index", {**fields, "steps": tuple(not_an_index)},
          "steps[1].query[1]: expected None or a variable index, got 1.0"),
         ("initial not unit-norm", {**fields, "initial": np.array([1.0, 1.0, 0.0, 0.0])},
-         "initial: state is not unit-norm"),
+         "initial: state is not unit-norm (norm 2.0)"),
         ("initial shape", {**fields, "initial": np.array([1.0, 0.0, 0.0])},
          "initial state must have shape (4,), got (3,)"),
         ("initial not finite", {**fields, "initial": np.array([np.nan, 0.0, 0.0, 0.0])},
-         "initial: state is not unit-norm"),
+         "initial: state is not unit-norm (norm nan)"),
         ("arity", {**fields, "arity": MAX_ARITY + 1}, arity_message),
         ("initial, then a query",
          {**fields, "initial": np.array([1.0, 1.0, 0.0, 0.0]), "steps": tuple(out_of_range)},
-         "initial: state is not unit-norm"),
+         "initial: state is not unit-norm (norm 2.0)"),
         ("a query, then the measurement",
          {**fields, "measurement": (1, 2, 0, 0), "steps": tuple(short)},
          "steps[3].query: query gate needs 4 assignments"),
         ("a gate, then a query",
          {**fields, "steps": doubled_first,
           "gates": np.array([doubled, steps[2], steps[4]], dtype=complex), "trusted": 0},
-         "steps[0].unitary: matrix is not unitary within 1e-10"),
+         "steps[0].unitary: matrix is not unitary within 1e-10 (largest |UU† - I| entry 3.0)"),
         ("a query, then a gate",
          {**fields, "steps": doubled_after,
           "gates": np.array([steps[0], doubled, steps[4]], dtype=complex), "trusted": 1},

@@ -853,7 +853,7 @@ class TestToleranceBounds:
         a = quarters((1, 1, 1, 0), initial=(1, 0.5, 0, 0))  # norm 1.25, and so every state
         assert np.array_equal(run_all(a), [[0.75, 0.25, 0.75, 0.25]] * 2)
         monkeypatch.setattr(simulator, "NORM_TOL", np.nextafter(0.25, 0.0))
-        with pytest.raises(ValueError, match="^initial: state is not unit-norm$"):
+        with pytest.raises(ValueError, match=r"^initial: state is not unit-norm \(norm 1.25\)$"):
             quarters((1, 1, 1, 0), initial=(1, 0.5, 0, 0))
         with pytest.raises(RuntimeError, match="^state norm drifted to 1.25 on input '0'$"):
             run_all(a)
@@ -1059,13 +1059,14 @@ class TestValidation:
             ((QueryGate((0,)), np.ones((2, 2))), {}, r"^steps\[0\]\.query: query gate needs 2"),
             # Faults in more than one field: the first in the order of the checks is named.
             ((np.eye(2), QueryGate((0, 3))), {"initial": [1, 1]},
-             r"^initial: state is not unit-norm$"),
+             r"^initial: state is not unit-norm \(norm 2.0\)$"),
             ((np.eye(2), QueryGate((0,))), {"measurement": (1, 2)},
              r"^steps\[1\]\.query: query gate needs 2 assignments$"),
             ((np.eye(3),), {"measurement": (1, 2)},
              r"^steps\[0\]\.unitary: expected a 2x2 matrix, got \(3, 3\)$"),
             ((2 * np.eye(2), QueryGate((0, 3))), {},
-             r"^steps\[0\]\.unitary: matrix is not unitary within 1e-10$"),
+             r"^steps\[0\]\.unitary: matrix is not unitary within 1e-10 "
+             r"\(largest \|UU† - I\| entry 3.0\)$"),
             ((QueryGate((0, 3)), 2 * np.eye(2)), {},
              r"^steps\[0\]\.query\[1\]: variable out of range for arity 1$"),
             ((), {"arity": MAX_ARITY + 1, "amplitudes": 0},
