@@ -328,27 +328,30 @@ def construct_command(obj, method, inputs_spec, out_path):
     with _reported():
         result = getattr(constructors, row.function)(*algorithms)
         report = verify(result.algorithm, result.target, tol=obj["tol"])
-    with _writing(out_path):
-        save(result.algorithm, out_path, provenance=f"{method}({inputs_spec})")
-    ok = _within(result.guaranteed_p - report.worst_case_p, obj["tol"])
+    held = _within(result.guaranteed_p - report.worst_case_p, obj["tol"])
+    failures = [] if held else [f"verified probability {report.worst_case_p!r} "
+                                f"on input {report.witness} fell below the guarantee"]
+    if held:  # a construction that misses its guarantee writes nothing
+        with _writing(out_path):
+            save(result.algorithm, out_path, provenance=f"{method}({inputs_spec})")
     if obj["fmt"] == "json":
         click.echo(json.dumps({
             "method": method,
-            "out": out_path,
+            "out": None if failures else out_path,
             "guaranteed_p": result.guaranteed_p,
             "worst_case_p": report.worst_case_p,
             "queries": report.queries,
             "target_hex": result.target.as_hex(),
+            **({"failures": failures} if failures else {}),
         }, indent=1))
     else:
-        click.echo(
-            f"{method}: guaranteed p = {result.guaranteed_p:.6f}, "
-            f"verified worst-case p = {report.worst_case_p:.6f}, "
-            f"queries = {report.queries}; written to {out_path}"
-        )
-    if not ok:
-        click.echo(f"FAIL: verified probability {report.worst_case_p:.6f} "
-                   f"on input {report.witness} fell below the guarantee")
+        written = "not written" if failures else f"written to {out_path}"
+        click.echo(f"{method}: guaranteed p = {result.guaranteed_p:.6f}, "
+                   f"verified worst-case p = {report.worst_case_p:.6f}, "
+                   f"queries = {report.queries}; {written}")
+        for failure in failures:
+            click.echo(f"FAIL: {failure}")
+    if failures:
         sys.exit(1)
 
 

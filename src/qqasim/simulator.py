@@ -8,12 +8,12 @@ summed squared magnitudes of the amplitudes assigned to it.
 
 Only the number of query steps counts toward complexity; unitary steps are
 free.  The whole model is immutable, so every question asked of one
-algorithm has one answer.  One function checks every algorithm,
-:func:`_assembled`: :class:`QQA` hands it every field it is given, and the
-combiners and transforms hand it the gates of algorithms made before as
-checked.  So each gate is checked for unitarity once, in a batch with the
-other new gates of the algorithm that brings it in.  Two algorithms may
-share one read-only stack of gates.
+algorithm has one answer.  One function checks every algorithm in one
+walk over its steps, :func:`_assembled`: it stacks the gates :class:`QQA`
+is given, and takes the stacks of algorithms made before as checked from
+the combiners and transforms.  So each gate is checked for unitarity once,
+in a batch with the other new gates of the algorithm that brings it in.
+Two algorithms may share one read-only stack of gates.
 :func:`computed_function`, :func:`is_exact`
 and :func:`check_property` share one simulation per
 algorithm object: the first of them to be called keeps the answers (never
@@ -120,8 +120,8 @@ class QQA:
     ``steps[k].query[j]``, and the first failing step.  The stored gates are
     read-only views of one ``(gates, m, m)`` array, float64 when no gate has
     an imaginary part other than +0.0 and complex otherwise.  Loading, the
-    built-ins and ``dataclasses.replace`` come here, and every field is
-    checked by :func:`_assembled`, as the combiners' and transforms' are.
+    built-ins and ``dataclasses.replace`` come here, and :func:`_assembled`
+    checks and stacks every field in its one walk over the steps.
     """
 
     arity: int
@@ -137,26 +137,8 @@ class QQA:
     def __post_init__(self):
         for name in ("arity", "amplitudes"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
-        m = self.amplitudes
-        # Stack the gates before the first wrongly shaped step; _assembled raises its error in turn.
-        steps, gates, pending = tuple(self.steps), [], None
-        for k, step in enumerate(steps):
-            if isinstance(step, QueryGate):
-                continue
-            try:
-                step = np.asarray(step, dtype=complex)
-                shape = step.shape
-            except (TypeError, ValueError):  # ragged, or not numbers
-                shape = "a ragged or non-numeric array"
-            if shape != (m, m):
-                pending = f"steps[{k}].unitary: expected a {m}x{m} matrix, got {shape}"
-                steps = steps[:k]
-                break
-            gates.append(step)
-        # A new array that owns its data, so no view of it can be made writeable again.
-        stack = np.array(gates or np.empty((0, max(m, 0), max(m, 0))), dtype=complex)
-        a = _assembled(self.arity, self.initial, stack, 0, steps, self.measurement, pending, m)
-        vars(self).update(vars(a))
+        vars(self).update(vars(_assembled(
+            self.arity, self.initial, None, 0, self.steps, self.measurement, self.amplitudes)))
 
     @property
     def query_count(self) -> int:
@@ -168,24 +150,24 @@ class QQA:
         return tuple(i for i, v in enumerate(self.measurement) if v == 1)
 
 
-def _assembled(arity: int, initial, gates: np.ndarray, trusted: int, steps, measurement,
-               pending=None, m=None) -> QQA:
+def _assembled(arity: int, initial, gates: np.ndarray | None, trusted: int, steps,
+               measurement, m=None) -> QQA:
     """An algorithm on ``gates``, a ``(k, m, m)`` stack, once every field is checked.
 
-    The one check of every algorithm; errors name the field as a document
-    does, and the first failing step, and a gate or initial state that misses
-    its tolerance is reported with its miss.  The first ``trusted`` gates must
-    have passed it already (the combiners and transforms take them from validated
-    algorithms); the rest are checked in one batch.  ``m`` is the stack's
-    unless given.  ``pending`` is the error of the step after ``steps``,
-    which :class:`QQA` could not stack, raised once every step before it has
-    passed.  Each entry of ``steps`` that is not a :class:`QueryGate` stands
-    for the next gate of ``gates`` and becomes a read-only view of it.  A
-    float64 stack is kept frozen, not copied.  A complex one whose imaginary
-    parts are all +0.0, bit for bit, is stored as a float64 copy of its real
-    parts; any other imaginary part (-0.0, NaN or nonzero) keeps it complex
-    and uncopied, so a document saves as it was loaded.  The initial state
-    is a read-only copy.
+    The one check of every algorithm, in one walk over its steps; errors
+    name the field as a document does, and the first failing step, and a
+    gate or initial state that misses its tolerance is reported with its
+    miss.  The first ``trusted`` gates must have passed it already (the
+    combiners and transforms take them from validated algorithms); the rest
+    are checked in one batch.  Each entry of ``steps`` that is not a
+    :class:`QueryGate` stands for the next gate of ``gates`` and becomes a
+    read-only view of it; without ``gates`` (:class:`QQA`, which gives
+    ``m``) it is a new gate, converted to complex, shape-checked and stacked
+    if every step before it is well formed.  A float64 stack is kept frozen,
+    not copied.  A complex one whose imaginary parts are all +0.0, bit for
+    bit, is stored as a float64 copy of its real parts; any other imaginary
+    part (-0.0, NaN or nonzero) keeps it complex and uncopied, so a document
+    saves as it was loaded.  The initial state is a read-only copy.
     """
     if not 0 <= arity <= MAX_ARITY:
         raise ValueError(f"arity must be between 0 and {MAX_ARITY}, got {arity}")
@@ -198,28 +180,40 @@ def _assembled(arity: int, initial, gates: np.ndarray, trusted: int, steps, meas
     norm = float(np.square(initial.view(float)).sum())  # sum of |x|^2, as a drift names it too
     if not _within(abs(norm - 1.0), NORM_TOL):
         raise ValueError(f"initial: state is not unit-norm (norm {norm})")
-    if gates.dtype == complex and not gates.imag.view(np.uint64).any():
-        gates = gates.real.copy()
-    views = iter(_freeze(gates))
-    checked, malformed = [], None
+    checked, at, malformed = [], [], None  # at: the step each gate stands at
     for k, step in enumerate(steps):
         if isinstance(step, QueryGate):
             step, malformed = _query_gate(step, k, m, arity)
             if malformed:
                 break
         else:
-            step = next(views)
+            if gates is None:
+                try:
+                    step = np.asarray(step, dtype=complex)
+                    shape = step.shape
+                except (TypeError, ValueError):  # ragged, or not numbers
+                    shape = "a ragged or non-numeric array"
+                if shape != (m, m):
+                    malformed = f"steps[{k}].unitary: expected a {m}x{m} matrix, got {shape}"
+                    break
+            at.append(k)
         checked.append(step)
+    if gates is None:
+        # A new array that owns its data, so no view of it can be made writeable again.
+        gates = np.array([checked[k] for k in at] or np.empty((0, m, m)), dtype=complex)
+    if gates.dtype == complex and not gates.imag.view(np.uint64).any():
+        gates = gates.real.copy()
+    for k, gate in zip(at, _freeze(gates)):
+        checked[k] = gate
     if len(gates) > trusted:  # the gates before a malformed step; a failing one is named first
-        at = [k for k, step in enumerate(checked) if not isinstance(step, QueryGate)]
         errors = _unitarity_errors(gates[trusted:len(at)])
         failing = np.flatnonzero(~_within(errors, UNITARY_TOL))
         if failing.size:
             k, miss = at[trusted + failing[0]], float(errors[failing[0]])
             raise ValueError(f"steps[{k}].unitary: matrix is not unitary within {UNITARY_TOL} "
                              f"(largest |UU† - I| entry {miss})")
-    if malformed or pending:
-        raise ValueError(malformed or pending)
+    if malformed:
+        raise ValueError(malformed)
     algorithm = object.__new__(QQA)
     algorithm.__dict__.update(
         arity=arity, amplitudes=m, initial=_freeze(initial), steps=tuple(checked),
@@ -507,7 +501,9 @@ def _blocks(a: QQA):
     prefix of steps whose gates keep the components apart.  The blocks are
     ordered by their last variable, those that read none first.  ``None``
     unless there is a query, two or more blocks, and no variable read in two
-    of them.
+    of them.  The search is not cached: a key of the gates' nonzero pattern
+    and the query variables would never repeat, as every composite of the
+    catalog has its own (all 256 ``or`` entries), though they share 2-4 splits.
     """
     queried = [isinstance(step, QueryGate) for step in a.steps]
     if True not in queried:

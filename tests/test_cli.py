@@ -1,12 +1,20 @@
 import contextlib
+import copy
+import functools
 import hashlib
 import io
 import json
+import math
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, strategies as st
+from test_boolfun import _table_cases
+from test_serialize import CORRUPTIONS, _valid_documents
 
 from qqasim import catalog, cli, constructors, simulator
 from qqasim.algorithms import BUILTINS
@@ -319,6 +327,31 @@ class TestConstructCommand:
         assert payload["target_hex"] == "8100000000000081"
         assert result.output == json.dumps(payload, indent=1) + "\n"
         assert load(out).amplitudes == 8
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("method, part", [
+        ("or", "pair_equality4"), ("maj-even4", "equality3"), ("maj3", "equality3")])
+    def test_a_missed_guarantee_writes_nothing(self, tmp_path, fmt, method, part):
+        """At 1e-16 the float worst case misses the exact floor by a few ulps."""
+        row, out = cli._CONSTRUCT_METHODS[method], tmp_path / "x.json"
+        built = getattr(constructors, row.function)(*[BUILTINS[part]()] * row.parts)
+        report = simulator.verify(built.algorithm, built.target)
+        assert 0 < built.guaranteed_p - report.worst_case_p <= 1e-15
+        args = ["--format", fmt, "construct", "--method", method,
+                "--inputs", ",".join([f"builtin:{part}"] * row.parts), "--out", str(out)]
+        result = invoke("--tolerance", "1e-16", *args)
+        failure = (f"verified probability {report.worst_case_p!r} "
+                   f"on input {report.witness} fell below the guarantee")
+        assert result.exit_code == 1 and result.stderr == ""
+        assert not out.exists()
+        if fmt == "json":
+            payload = json.loads(result.stdout)
+            assert payload["out"] is None and payload["failures"] == [failure]
+            assert payload["worst_case_p"] == report.worst_case_p
+        else:
+            first, *rest = result.stdout.splitlines()
+            assert first.endswith("; not written") and rest == [f"FAIL: {failure}"]
+        assert invoke("--tolerance", "1e-15", *args).exit_code == 0 and out.exists()
 
     def test_wrong_input_count(self):
         result = invoke(
@@ -973,11 +1006,12 @@ class TestToleranceBounds:
         result = invoke("--tolerance", tol, "construct", "--method", "and",
                         "--inputs", "builtin:equality3,builtin:equality3", "--out", out)
         lines = [f"and: guaranteed p = 1.000000, verified worst-case p = 0.750000, "
-                 f"queries = 1; written to {out}"]
+                 f"queries = 1; {f'written to {out}' if holds else 'not written'}"]
         if not holds:
-            lines.append("FAIL: verified probability 0.750000 on input 0 fell below the guarantee")
+            lines.append("FAIL: verified probability 0.75 on input 0 fell below the guarantee")
         assert result.stdout.splitlines() == lines
         assert result.exit_code == (0 if holds else 1)
+        assert (tmp_path / "and.json").exists() == holds
         monkeypatch.setattr(catalog, "NORM_TOL", float(tol))  # the catalog's fixed tolerance
         # The catalog holds a family to its row's floor, so the row promises 1 too.
         monkeypatch.setitem(catalog._COMBINED, "and", catalog._COMBINED["and"]._replace(floor=1))
@@ -986,3 +1020,116 @@ class TestToleranceBounds:
         else:
             with pytest.raises(RuntimeError, match=r"verified at 0.75 on input 0, below the 1.0 floor$"):
                 catalog.generate_set("and")
+
+
+#: The spec grammar of :class:`TestCommandLineProperty`: builtin and named specs, good and bad.
+_ALGORITHM_SPECS = ["builtin:equality3", "builtin:pair_equality4", "builtin:constant1",
+                    "builtin:constant1:3", "builtin:equality3:2", "builtin:nope"]
+_FUNCTION_SPECS = ["equality3", "pair_equality4", "constant0:3", "constant1:1", "majority:3",
+                   "majority_even:4", "majority", "majority:4", "equality3:2", "nope"]
+
+
+_documents = functools.lru_cache(maxsize=None)(_valid_documents)
+_tables = functools.lru_cache(maxsize=None)(_table_cases)
+
+
+@st.composite
+def _spec(draw, files: dict, kind: str) -> str:
+    """An algorithm or function spec; a file it names is put in ``files`` (name -> text)."""
+    choice = draw(st.sampled_from(["name", "file", "missing"]))
+    if choice == "missing":
+        return "{dir}/missing"
+    if choice == "name":
+        return draw(st.sampled_from(_ALGORITHM_SPECS if kind == "algorithm" else _FUNCTION_SPECS))
+    name = f"{kind}{len(files)}"
+    if kind == "algorithm":
+        doc = copy.deepcopy(_documents()[draw(st.integers(0, 3))])
+        corruption = draw(st.sampled_from([None, "deep", *sorted(CORRUPTIONS)]))
+        if corruption == "deep":
+            text = "[" * 200_000
+        else:
+            if corruption is not None:
+                CORRUPTIONS[corruption](doc, draw)
+            text = json.dumps(doc)
+    else:
+        case = draw(st.sampled_from(["long field", *sorted(_tables())]))
+        rows = ["x" * 400_000] if case == "long field" else _tables()[case]
+        text = "\n".join(rows) + "\n"
+    files[name] = text
+    return "{dir}/" + name
+
+
+@st.composite
+def _command_line(draw) -> tuple:
+    """``(args, files)``: one ``qqasim`` command line, ``{dir}`` standing for a fresh directory."""
+    files: dict = {}
+    args = []
+    tol = draw(st.sampled_from([1e-16, None, "any"]))
+    if tol is not None:
+        tol = draw(st.floats(0, math.inf, exclude_min=True)) if tol == "any" else tol
+        args += ["--tolerance", repr(tol)]
+    args += ["--format", draw(st.sampled_from(["text", "json"]))]
+    command = draw(st.sampled_from(
+        ["verify", "trace", "transform", "construct", "catalog", "sensitivity"]))
+    args.append(command)
+    if command in ("verify", "trace", "transform"):
+        args += ["--algorithm", draw(_spec(files, "algorithm"))]
+    if command in ("verify", "sensitivity"):
+        args += ["--function", draw(_spec(files, "function"))]
+    if command == "verify":
+        if draw(st.booleans()):
+            args += ["--expect-p", repr(draw(st.floats(0, 1)))]
+        if draw(st.booleans()):
+            args.append("--expect-exact")
+    elif command == "trace":
+        args += draw(st.sampled_from(
+            [["--all-inputs"], [], ["--input", draw(st.text("01x", max_size=4))]]))
+    elif command == "transform":
+        args += ["--method", draw(st.sampled_from(list(cli._TRANSFORM_METHODS)))]
+        if draw(st.booleans()):
+            args += ["--sigma", draw(st.sampled_from(["1,2,3", "2,1,3", "3,2,1,4", "1,1", "a"]))]
+        args += ["--out", "{dir}/out.json"]
+    elif command == "construct":
+        row = draw(st.sampled_from(constructors._COMBINERS))
+        count = row.parts - draw(st.integers(0, 1))
+        if draw(st.booleans()):
+            parts = [draw(_spec(files, "algorithm")) for _ in range(count)]
+        else:  # one part repeated, often an admissible built-in
+            parts = [draw(_spec(files, "algorithm"))] * count
+        args += ["--method", row.method, "--inputs", ",".join(parts), "--out", "{dir}/out.json"]
+    elif command == "catalog":  # the sets that build in a few milliseconds, or a usage error
+        args += ["--set", draw(st.sampled_from(["qfunc3", "qfunc4", "and", "nope"]))]
+        if draw(st.booleans()):
+            args += ["--export", "{dir}/out.csv"]
+    return args, files
+
+
+#: ``construct`` misses its guarantee by a few ulps at this tolerance, in each format.
+_MISSED = [(["--tolerance", "1e-16", "--format", fmt, "construct", "--method", "or",
+             "--inputs", "builtin:pair_equality4,builtin:pair_equality4",
+             "--out", "{dir}/out.json"], {}) for fmt in ("text", "json")]
+
+
+class TestCommandLineProperty:
+    @given(_command_line())
+    @example(_MISSED[0])
+    @example(_MISSED[1])
+    def test_every_command_exits_cleanly(self, command):
+        args, files = command
+        with tempfile.TemporaryDirectory() as directory, np.errstate(all="ignore"):
+            for name, text in files.items():
+                with open(os.path.join(directory, name), "w") as handle:
+                    handle.write(text)
+            result = invoke(*[arg.replace("{dir}", directory) for arg in args])
+            written = [name for name in ("out.json", "out.csv")
+                       if os.path.exists(os.path.join(directory, name))]
+        assert result.exit_code in (0, 1, 2), result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        if result.exit_code == 1 and result.stderr:
+            assert result.stderr.startswith("Error: ") and result.stderr.count("\n") == 1
+        if result.exit_code == 2:
+            assert result.stderr.startswith("Usage: ")
+        if "json" in args and result.exit_code in (0, 1) and result.stdout:
+            json.loads(result.stdout)  # one document, a failure's included
+        if result.exit_code:
+            assert written == []

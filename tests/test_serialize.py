@@ -635,14 +635,19 @@ CORRUPTIONS = {
 }
 
 
-@pytest.fixture(scope="module")
-def valid_documents():
+def _valid_documents() -> list:
+    """The documents the corruptions start from: the two built-ins, an AND and an OR composite."""
     from qqasim.algorithms import equality3_algorithm, pair_equality4_algorithm
     from qqasim.constructors import and_construct
 
     eq3, pe4 = equality3_algorithm(), pair_equality4_algorithm()
     algorithms = (eq3, pe4, and_construct(eq3, eq3).algorithm, or_construct(pe4, pe4).algorithm)
     return [to_document(a) for a in algorithms]
+
+
+@pytest.fixture(scope="module")
+def valid_documents():
+    return _valid_documents()
 
 
 class TestCorruptedDocumentProperty:
