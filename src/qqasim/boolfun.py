@@ -154,6 +154,19 @@ def sensitivity(f: TruthTable) -> SensitivityResult:
     return SensitivityResult(int(counts[witness]), bit_string(witness, n))
 
 
+def _true_parts(fs: Sequence[TruthTable]) -> tuple:
+    """The arity of ``fs`` over concatenated variable blocks, the first function's block
+    first, and how many of them accept each of its inputs, in row order: function i's table
+    along axis i, summed in one broadcast (uint8 holds a count of at most MAX_ARITY)."""
+    n = sum(f.arity for f in fs)
+    if n > MAX_ARITY:
+        raise ValueError(f"combined arity {n} exceeds the {MAX_ARITY}-variable limit")
+    k = len(fs)
+    counts = sum(np.frombuffer(f.bits, dtype=np.uint8).reshape((-1,) + (1,) * (k - 1 - i))
+                 for i, f in enumerate(fs))
+    return n, counts.reshape(-1)
+
+
 def combine_disjoint(f1: TruthTable, f2: TruthTable, op: str) -> TruthTable:
     """``f1(X1) op f2(X2)`` over concatenated variable blocks.
 
@@ -162,13 +175,8 @@ def combine_disjoint(f1: TruthTable, f2: TruthTable, op: str) -> TruthTable:
     """
     if op not in ("and", "or"):
         raise ValueError(f"op must be 'and' or 'or', got {op!r}")
-    n = f1.arity + f2.arity
-    if n > MAX_ARITY:
-        raise ValueError(f"combined arity {n} exceeds the {MAX_ARITY}-variable limit")
-    a = np.frombuffer(f1.bits, dtype=np.uint8)[:, None]
-    b = np.frombuffer(f2.bits, dtype=np.uint8)[None, :]
-    table = (a & b) if op == "and" else (a | b)
-    return TruthTable(n, table.reshape(-1).tobytes())
+    n, counts = _true_parts((f1, f2))
+    return TruthTable(n, (counts >= (2 if op == "and" else 1)).tobytes())
 
 
 def majority_compose(fs: Sequence[TruthTable], even: bool) -> TruthTable:
@@ -184,17 +192,8 @@ def majority_compose(fs: Sequence[TruthTable], even: bool) -> TruthTable:
         raise ValueError(f"even majority needs an even number of functions, got {len(fs)}")
     if not even and len(fs) % 2 == 0:
         raise ValueError(f"odd majority needs an odd number of functions, got {len(fs)}")
-    n = sum(f.arity for f in fs)
-    if n > MAX_ARITY:
-        raise ValueError(f"combined arity {n} exceeds the {MAX_ARITY}-variable limit")
-    # Function i's table along axis i, the first one outermost, summed in one
-    # broadcast; uint8 holds a count of at most MAX_ARITY.
-    k = len(fs)
-    counts = sum(
-        np.frombuffer(f.bits, dtype=np.uint8).reshape((-1,) + (1,) * (k - 1 - i))
-        for i, f in enumerate(fs)
-    )
-    return TruthTable(n, (counts > k // 2).tobytes())
+    n, counts = _true_parts(fs)
+    return TruthTable(n, (counts > len(fs) // 2).tobytes())
 
 
 CSV_HEADER = ["input", "value"]
@@ -238,7 +237,9 @@ def _read_csv(handle) -> TruthTable:
     if not body:
         raise ValueError("no data rows")
     arity = len(body[0][0])
-    if not 1 <= arity <= MAX_ARITY or len(body) != 1 << arity:
+    if not 1 <= arity <= MAX_ARITY:
+        raise ValueError(f"input arity must be between 1 and {MAX_ARITY}, got {arity}")
+    if len(body) != 1 << arity:
         raise ValueError(
             f"expected {1 << arity} rows of {arity}-bit inputs, got {len(body)} rows"
         )

@@ -258,6 +258,8 @@ def trace_command(obj, algorithm_spec, input_bits, every_input):
     a = _load_algorithm(algorithm_spec)
     if not every_input and input_bits is None:
         raise click.ClickException("give --input BITS or --all-inputs")
+    if every_input and input_bits is not None:
+        raise click.ClickException("give --input BITS or --all-inputs, not both")
     with _reported():  # a bad input, or a state norm that drifts as its row is written
         if not every_input:
             _check_input(input_bits, a.arity)
@@ -297,6 +299,8 @@ def transform_command(obj, algorithm_spec, method, sigma, out_path):
     function_name, size, what = _TRANSFORM_METHODS[method]
     if size and sigma is None:
         raise click.ClickException(f"{method} needs --sigma")
+    if not size and sigma is not None:
+        raise click.ClickException(f"{method} takes no --sigma")
     args = (_parse_sigma(sigma, getattr(a, size), what),) if size else ()
     with _reported():
         result = getattr(transforms, function_name)(a, *args)

@@ -2,13 +2,10 @@
 
 All three combiners run their sub-algorithms in parallel on block-diagonal
 gates over a shared superposition, then mix the accepting amplitudes with
-small Hadamard-type blocks so that the first accepting output collects a
-probability mass determined only by how many sub-functions are true:
-
-- ``and_construct`` and ``majority_even4_construct``: the two- and the
-  four-part :func:`_hadamard_tree`, worst cases 3/4 and 9/16;
-- ``or_construct``: P(1) is 1, 5/8 or 1/4 for 2, 1 or 0 true sub-functions,
-  worst case 5/8.
+small Hadamard-type blocks so that the accepting outputs collect a
+probability mass determined only by how many sub-functions are true.  That
+mass, P(1) for each number of true parts, is each combiner's one guarantee,
+its ``p_one`` in ``_COMBINERS``; its target and its floor follow from it.
 
 Sub-algorithms with unequal query schedules are padded with no-op queries and
 identity gates, so a combination always costs max(queries) queries.  The
@@ -43,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .algorithms import H2, _S, constant_one_algorithm
-from .boolfun import TruthTable, combine_disjoint, majority_compose
+from .boolfun import TruthTable, _true_parts
 from .linalg import block_diag, permutation_matrix
 from .simulator import (
     QQA,
@@ -160,10 +157,14 @@ def _combined(
     return _assembled(shifts[-1], initial, stack, parallel, steps, measurement)
 
 
-def _result(function: str, algorithm: QQA, target: TruthTable) -> ConstructionResult:
-    """What combiner ``function`` returns for ``algorithm``: its ``target`` and its row's floor."""
-    floor = float(_ROWS[function].floor)
-    return ConstructionResult(algorithm, target, floor, algorithm.query_count)
+def _result(function: str, algorithm: QQA, parts: Sequence[QQA]) -> ConstructionResult:
+    """What combiner ``function`` returns for ``algorithm`` on ``parts``: its row's floor, and
+    its target, the majority outcome of the row's P(1) at each input's number of true parts."""
+    row = _ROWS[function]
+    arity, counts = _true_parts([computed_function(a) for a in parts])
+    accepts = np.array([2 * p.numerator > p.denominator for p in row.p_one])  # P(1) > 1/2
+    target = TruthTable(arity, accepts.take(counts).tobytes())
+    return ConstructionResult(algorithm, target, float(row.floor), algorithm.query_count)
 
 
 def _hadamard_pairs(dim: int, pairs: tuple) -> np.ndarray:
@@ -215,8 +216,7 @@ def and_construct(a1: QQA, a2: QQA) -> ConstructionResult:
     """
     m = max(a1.amplitudes, a2.amplitudes)
     algorithm = _hadamard_tree("and_construct", (a1, a2), ("first input", "second input"), (m, m))
-    target = combine_disjoint(computed_function(a1), computed_function(a2), "and")
-    return _result("and_construct", algorithm, target)
+    return _result("and_construct", algorithm, (a1, a2))
 
 
 def _route(sigma: list, sources: Sequence[int], targets: Sequence[int]) -> None:
@@ -276,11 +276,9 @@ def or_construct(a1: QQA, a2: QQA) -> ConstructionResult:
         if a.amplitudes != 4:
             raise ValueError(f"{label}: the or-combiner needs 4-amplitude sub-algorithms")
         _admitted(a, row.admits, f"{label}: {row.need}")  # a signed unit is taken as it is
-    f1, f2 = computed_function(a1), computed_function(a2)
     tail = [_or_routing(a1.measurement.index(1), a2.measurement.index(1)), _or_mix()]
     algorithm = _combined([a1, a2], [4, 4], 16, tail, _OR_MEASUREMENT)
-    target = combine_disjoint(f1, f2, "or")
-    return _result("or_construct", algorithm, target)
+    return _result("or_construct", algorithm, (a1, a2))
 
 
 def _majority_tree(function: str, algs: Sequence[QQA]) -> QQA:
@@ -298,8 +296,7 @@ def majority_even4_construct(a1: QQA, a2: QQA, a3: QQA, a4: QQA) -> Construction
     """
     algs = (a1, a2, a3, a4)
     algorithm = _majority_tree("majority_even4_construct", algs)
-    target = majority_compose([computed_function(a) for a in algs], even=True)
-    return _result("majority_even4_construct", algorithm, target)
+    return _result("majority_even4_construct", algorithm, algs)
 
 
 @functools.cache
@@ -317,8 +314,7 @@ def majority3_construct(a1: QQA, a2: QQA, a3: QQA) -> ConstructionResult:
     """
     algs = (a1, a2, a3)
     algorithm = _majority_tree("majority3_construct", (*algs, _filler()))
-    target = majority_compose([computed_function(a) for a in algs], even=False)
-    return _result("majority3_construct", algorithm, target)
+    return _result("majority3_construct", algorithm, algs)
 
 
 #: The ``admits`` and ``need`` of the mixing and of the routing combiners (see ``_COMBINERS``).
@@ -330,17 +326,20 @@ _ROUTED = ((StructuralProperty.ACCEPT_SIGNED_UNIT,),
 #: Each combiner, in catalog order: its ``qqasim construct --method``, its catalog set, its
 #: part count, its function's name, the properties it admits of a part, tried in order, and
 #: what its refusal says a part needs (``{}``: their values, as ``simulator._require`` words
-#: them), both read by the combiner and by its catalog pool, the pool's base sets, and its
-#: floor.  A function is looked up on this module when it is called, so that one rebound here
-#: (as perfbench's traced run rebinds them) is the one called.
-_Combiner = namedtuple("_Combiner", "method set_name parts function admits need bases floor")
-_COMBINERS = (
-    _Combiner("and", "and", 2, "and_construct", *_MIXED, ("qfunc3",), Fraction(3, 4)),
-    _Combiner("or", "or", 2, "or_construct", *_ROUTED, ("qfunc3", "qfunc4"), Fraction(5, 8)),
-    _Combiner("maj-even4", "maj_even4", 4, "majority_even4_construct", *_MIXED, ("qfunc3",),
-              Fraction(9, 16)),
-    _Combiner("maj3", "majority3", 3, "majority3_construct", *_MIXED, ("qfunc3",),
-              Fraction(9, 16)),
+#: them), both read by the combiner and by its catalog pool, the pool's base sets, its P(1)
+#: for b = 0..parts true parts (majority3's filler counted in), and the floor that follows:
+#: the least max(P(1), P(0)).  A function is looked up on this module when it is called, so
+#: that one rebound here (as perfbench's traced run rebinds them) is the one called.
+_Combiner = namedtuple("_Combiner", "method set_name parts function admits need bases p_one floor")
+_COMBINERS = tuple(
+    _Combiner(*fields, p_one, min(max(p, 1 - p) for p in p_one))
+    for *fields, text in (
+        ("and", "and", 2, "and_construct", *_MIXED, ("qfunc3",), "0 1/4 1"),
+        ("or", "or", 2, "or_construct", *_ROUTED, ("qfunc3", "qfunc4"), "1/4 5/8 1"),
+        ("maj-even4", "maj_even4", 4, "majority_even4_construct", *_MIXED, ("qfunc3",),
+         "0 1/16 1/4 9/16 1"),
+        ("maj3", "majority3", 3, "majority3_construct", *_MIXED, ("qfunc3",), "1/16 1/4 9/16 1"),
+    ) for p_one in [tuple(map(Fraction, text.split()))]
 )
 
 #: Each row of ``_COMBINERS`` by its function's name.

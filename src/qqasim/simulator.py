@@ -174,7 +174,11 @@ def _assembled(arity: int, initial, gates: np.ndarray | None, trusted: int, step
     m = gates.shape[1] if m is None else m
     if m < 1:
         raise ValueError(f"amplitudes must be positive, got {m}")
-    initial = np.array(initial, dtype=complex)
+    try:
+        initial = np.array(initial, dtype=complex)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        raise ValueError(f"initial: expected {m} amplitudes, got a ragged or non-numeric "
+                         "array") from None
     if initial.shape != (m,):
         raise ValueError(f"initial state must have shape ({m},), got {initial.shape}")
     norm = float(np.square(initial.view(float)).sum())  # sum of |x|^2, as a drift names it too

@@ -308,7 +308,9 @@ def _row_by_row(handle) -> TruthTable:
     if not body:
         raise ValueError("no data rows")
     arity = len(body[0][0])
-    if not 1 <= arity <= MAX_ARITY or len(body) != 1 << arity:
+    if not 1 <= arity <= MAX_ARITY:
+        raise ValueError(f"input arity must be between 1 and {MAX_ARITY}, got {arity}")
+    if len(body) != 1 << arity:
         raise ValueError(
             f"expected {1 << arity} rows of {arity}-bit inputs, got {len(body)} rows"
         )
@@ -372,6 +374,8 @@ def _table_cases():
         "non-ASCII digit": edited(40, "\u0661" + body[40][1:]),
         "character below 0": edited(40, "/" + body[40][1:]),
         "two bad rows": edited(5, "0000000x,1")[:150] + ["00000011,7"] + body[150:],
+        "arity 0": [rows[0], ",1"],
+        "arity 17": [rows[0], "0" * 17 + ",1"],
         "header only": [rows[0]],
         "header and blank lines": [rows[0], "", ""],
     }

@@ -140,6 +140,15 @@ class TestTraceCommand:
         assert result.exit_code != 0
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("bits", ["01", "110"])
+    def test_an_input_beside_all_inputs_is_refused(self, fmt, bits):
+        result = invoke("--format", fmt, "trace", "--algorithm", "builtin:equality3",
+                        "--input", bits, "--all-inputs")
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "Error: give --input BITS or --all-inputs, not both\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("spec", ["builtin:equality3", "builtin:constant1:2"])
     def test_bad_input_fails_before_any_output(self, fmt, spec):
         # constant1:2 has no query step, so only the input check can catch the input.
@@ -230,6 +239,17 @@ class TestTransformCommand:
         )
         assert result.exit_code == 1
         assert result.output == "Error: permute-vars needs --sigma\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sigma", ["9,9", "1,2,3,4"])
+    def test_a_sigma_the_method_ignores_is_refused(self, tmp_path, sigma):
+        out = tmp_path / "x.json"
+        result = invoke(
+            "transform", "--algorithm", "builtin:equality3",
+            "--method", "invert", "--sigma", sigma, "--out", str(out),
+        )
+        assert result.exit_code == 1
+        assert result.output == "Error: invert takes no --sigma\n"
         assert not out.exists()
 
     def test_json_format(self, tmp_path):
@@ -1083,7 +1103,8 @@ def _command_line(draw) -> tuple:
             args.append("--expect-exact")
     elif command == "trace":
         args += draw(st.sampled_from(
-            [["--all-inputs"], [], ["--input", draw(st.text("01x", max_size=4))]]))
+            [["--all-inputs"], [], ["--input", draw(st.text("01x", max_size=4))],
+             ["--input", draw(st.text("01x", max_size=4)), "--all-inputs"]]))
     elif command == "transform":
         args += ["--method", draw(st.sampled_from(list(cli._TRANSFORM_METHODS)))]
         if draw(st.booleans()):

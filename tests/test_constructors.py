@@ -1,6 +1,7 @@
 import math
 import re
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -362,6 +363,15 @@ class TestMajority3:
         x = "001001001"
         assert result.target.evaluate(x) == 0
         assert report.per_input[x] == pytest.approx(15 / 16, abs=1e-9)
+
+
+@pytest.mark.parametrize("row, floor", zip(
+    constructors._COMBINERS, [Fraction(3, 4), Fraction(5, 8), Fraction(9, 16), Fraction(9, 16)]),
+    ids=lambda value: getattr(value, "method", str(value)))
+def test_each_row_states_p_one_and_its_floor_follows(row, floor):
+    assert len(row.p_one) == row.parts + 1
+    assert all(type(p) is Fraction for p in (*row.p_one, row.floor))
+    assert row.floor == floor
 
 
 class TestAssembledFromCheckedParts:

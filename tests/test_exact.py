@@ -14,13 +14,8 @@ import pytest
 from sympy import QQ, Rational, sqrt
 from sympy.polys.matrices import DomainMatrix
 
+from qqasim import constructors
 from qqasim.boolfun import all_inputs
-from qqasim.constructors import (
-    and_construct,
-    majority3_construct,
-    majority_even4_construct,
-    or_construct,
-)
 from qqasim.simulator import QueryGate, computed_function
 
 FIELD = QQ.algebraic_field(sqrt(2))
@@ -98,19 +93,14 @@ def _pattern_inputs(parts):
 
 
 @pytest.mark.parametrize(
-    "construct, names, expected",
-    [
-        (and_construct, "eq3 eq3", lambda b: Fraction(b * b, 4)),
-        (or_construct, "eq3 pe4", lambda b: (Fraction(1, 4), Fraction(5, 8), Fraction(1))[b]),
-        (majority_even4_construct, "eq3 eq3 eq3 eq3", lambda b: Fraction(b * b, 16)),
-        # The constant-1 filler in the fourth slot counts as one more true part.
-        (majority3_construct, "eq3 eq3 eq3", lambda b: Fraction((b + 1) ** 2, 16)),
-    ],
+    "row, names",
+    zip(constructors._COMBINERS, ["eq3 eq3", "eq3 pe4", "eq3 eq3 eq3 eq3", "eq3 eq3 eq3"]),
     ids=["and", "or", "maj_even4", "majority3"],
 )
-def test_combiners_hit_their_formulas_exactly(construct, names, expected, request):
+def test_combiners_hit_their_formulas_exactly(row, names, request):
+    """Each row's P(1), majority3's counting its constant-1 filler as one more true part."""
     parts = [request.getfixturevalue(name) for name in names.split()]
-    a = construct(*parts).algorithm
+    a = getattr(constructors, row.function)(*parts).algorithm
     exact = _exact_algorithm(a)
     for true_parts, bits in _pattern_inputs(parts):
-        assert _exact_p_one(a, exact, bits) == _field(expected(true_parts))
+        assert _exact_p_one(a, exact, bits) == _field(row.p_one[true_parts])

@@ -971,6 +971,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="unit-norm"):
             QQA(1, 2, [bad, 0], (), (1, 0))
 
+    @pytest.mark.parametrize("initial", [["a", "b"], [{"x": 1}, 0]], ids=["strings", "dict"])
+    def test_non_numeric_initial_names_the_field(self, initial):
+        message = "^initial: expected 2 amplitudes, got a ragged or non-numeric array$"
+        with pytest.raises(ValueError, match=message):
+            QQA(1, 2, initial, (np.eye(2),), (1, 0))
+
     def test_arity_cap(self):
         assert QQA(MAX_ARITY, 1, [1], (), (1,)).arity == MAX_ARITY
         with pytest.raises(ValueError, match="arity"):
