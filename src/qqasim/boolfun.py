@@ -43,9 +43,14 @@ def all_inputs(arity: int) -> Iterator[str]:
         yield bit_string(i, arity)
 
 
+def _is_integer(value) -> bool:
+    """The one integer rule: an ``int`` or a numpy integer, and never a boolean."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _integer(value, name: str) -> int:
-    """``value`` as an ``int``, once it is an integer (a numpy one too) and not a boolean."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    """``value`` as an ``int``, once it is an integer (:func:`_is_integer`)."""
+    if not _is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 

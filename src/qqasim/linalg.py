@@ -10,6 +10,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .boolfun import _is_integer
+
 #: Tolerance of the unitarity check applied to every gate.
 UNITARY_TOL = 1e-10
 #: Tolerance for state-vector norm drift during simulation.
@@ -17,9 +19,12 @@ NORM_TOL = 1e-9
 
 
 def _check_tol(tol: float, probability: bool = False) -> None:
-    """Refuse a ``tol`` that is not positive, NaN included, and a ``probability`` one that
-    is not below 1/2: at 1/2 every bounded-error worst case would count as exact, and an
-    accepting amplitude of 1/2 as both 0 and 1."""
+    """Refuse a ``tol`` that is neither a float nor an integer (:func:`_is_integer`, so never a
+    boolean), one that is not positive, NaN included, and a ``probability`` one that is not
+    below 1/2: at 1/2 every bounded-error worst case would count as exact, and an accepting
+    amplitude of 1/2 as both 0 and 1."""
+    if not (isinstance(tol, (float, np.floating)) or _is_integer(tol)):
+        raise ValueError(f"tol must be a real number, got {tol!r}")
     if not tol > 0:
         raise ValueError("tol must be positive")
     if probability and not tol < 0.5:
@@ -84,12 +89,11 @@ def block_diag(blocks: Sequence) -> np.ndarray:
 def _check_permutation(sigma: Sequence[int], size: int, what: str) -> tuple:
     """``sigma`` as a tuple of ``int``, once it is a permutation of ``0..size-1``.
 
-    Every entry must be an integer, a numpy integer included, and never a
-    boolean; an error names ``what`` and the entries given.
+    Every entry must be an integer (:func:`~qqasim.boolfun._is_integer`); an
+    error names ``what`` and the entries given.
     """
     sigma = tuple(sigma)
-    integers = not any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in sigma)
-    if not integers or sorted(sigma) != list(range(size)):
+    if not all(map(_is_integer, sigma)) or sorted(sigma) != list(range(size)):
         raise ValueError(f"{what} must be a permutation of 0..{size - 1}, got {sigma}")
     return tuple(map(int, sigma))
 

@@ -19,6 +19,8 @@ and :func:`check_property` share one simulation per
 algorithm object: the first of them to be called keeps the answers (never
 the states) on the object, taken in one pass over the states'
 magnitudes.  :func:`verify` simulates on every call and keeps nothing.
+Each answer, like :func:`verify`'s worst case, is a value with the first
+input, in row order, that reaches it, taken by one helper, :func:`_first`.
 Everything here is safe to call from concurrent workers: the answers never
 differ between calls, so two racing first calls at worst both simulate.
 
@@ -32,20 +34,23 @@ independent block of amplitudes on that block's own inputs, and the steps
 that mix the blocks run once per distinct state, with an index that gives
 each input its state: the 4096 inputs of a ``maj_even4`` composite share
 256.  Each state is bit-identical to a plain pass of every step over all
-2^n rows, which the tests keep as the oracle.  Every path, :func:`run`
-and :func:`trace` included, applies the steps through one tiled kernel,
-:func:`_evolve_rows`.
+2^n rows, which the tests keep as the oracle.  Every path applies the
+steps through one tiled kernel, :func:`_evolve_rows`; :func:`trace` runs
+it a step at a time, and :func:`run` is :func:`trace`'s last state.
 """
 from __future__ import annotations
 
 import enum
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
-from .boolfun import MAX_ARITY, TruthTable, _check_input, _integer, all_inputs, bit_string
+from .boolfun import (
+    MAX_ARITY, TruthTable, _check_input, _integer, _is_integer, all_inputs, bit_string,
+)
 from .linalg import NORM_TOL, UNITARY_TOL, _check_tol, _unitarity_errors, _within
 
 
@@ -76,7 +81,7 @@ def _query_gate(gate: QueryGate, k: int, m: int, arity: int) -> tuple:
         if v is None:
             continue
         if type(v) is not int:
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            if not _is_integer(v):
                 return gate, f"steps[{k}].query[{j}]: expected None or a variable index, got {v!r}"
             convert = True
         if not 0 <= v < arity:
@@ -84,6 +89,19 @@ def _query_gate(gate: QueryGate, k: int, m: int, arity: int) -> tuple:
     if convert:
         gate = QueryGate(None if v is None else int(v) for v in assignments)
     return gate, None
+
+
+def _numbers(value) -> np.ndarray | None:
+    """``value`` as a new complex array, or ``None`` if it is ragged or an entry is not a
+    number or is a boolean.  An ndarray is judged by its dtype alone, anything else by the
+    types of its entries, as ``np.array`` would read a boolean beside an integer as 1."""
+    if isinstance(value, np.ndarray):
+        numeric = value.dtype.kind in "iufc"
+    else:
+        value = np.array(value, dtype=object)  # a ragged row stays a list entry
+        numeric = all(issubclass(t, numbers.Number) and t is not bool
+                      for t in set(map(type, value.flat)))
+    return np.array(value, dtype=complex) if numeric else None
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
@@ -97,10 +115,7 @@ def _measurement(values, m: int) -> tuple:
     if len(measurement) == m:
         if set(map(type, measurement)) == {int} and set(measurement) <= {0, 1}:
             return measurement
-        if not any(
-            isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v not in (0, 1)
-            for v in measurement
-        ):
+        if all(_is_integer(v) and v in (0, 1) for v in measurement):
             return tuple(int(v) for v in measurement)
     raise ValueError(f"measurement must assign 0 or 1 to each of the {m} outputs")
 
@@ -174,11 +189,9 @@ def _assembled(arity: int, initial, gates: np.ndarray | None, trusted: int, step
     m = gates.shape[1] if m is None else m
     if m < 1:
         raise ValueError(f"amplitudes must be positive, got {m}")
-    try:
-        initial = np.array(initial, dtype=complex)
-    except (TypeError, ValueError):  # ragged, or not numbers
-        raise ValueError(f"initial: expected {m} amplitudes, got a ragged or non-numeric "
-                         "array") from None
+    initial = _numbers(initial)
+    if initial is None:
+        raise ValueError(f"initial: expected {m} amplitudes, got a ragged or non-numeric array")
     if initial.shape != (m,):
         raise ValueError(f"initial state must have shape ({m},), got {initial.shape}")
     norm = float(np.square(initial.view(float)).sum())  # sum of |x|^2, as a drift names it too
@@ -192,11 +205,8 @@ def _assembled(arity: int, initial, gates: np.ndarray | None, trusted: int, step
                 break
         else:
             if gates is None:
-                try:
-                    step = np.asarray(step, dtype=complex)
-                    shape = step.shape
-                except (TypeError, ValueError):  # ragged, or not numbers
-                    shape = "a ragged or non-numeric array"
+                step = _numbers(step)
+                shape = "a ragged or non-numeric array" if step is None else step.shape
                 if shape != (m, m):
                     malformed = f"steps[{k}].unitary: expected a {m}x{m} matrix, got {shape}"
                     break
@@ -303,16 +313,15 @@ def _outcome(a: QQA, final: np.ndarray) -> dict:
 
 
 def run(a: QQA, input_bits: str):
-    """Final state and outcome probabilities ``{0: p0, 1: p1}`` for one input."""
-    final = _evolve_rows(a.initial[np.newaxis].copy(), _input_signs(a, input_bits), a.steps)
-    _unit_norm(final, lambda _: input_bits)
-    return final[0], _outcome(a, final[0])
+    """:func:`trace`'s last state, read-only, and its outcome probabilities ``{0: p0, 1: p1}``."""
+    final = trace(a, input_bits).states[-1]
+    return final, _outcome(a, final)
 
 
 def trace(a: QQA, input_bits: str) -> SimulationTrace:
     """All intermediate states (initial first, final last) for one input.
 
-    The steps run one at a time through :func:`run`'s kernel, so the last state is :func:`run`'s.
+    The steps run one at a time through the one kernel, :func:`_evolve_rows`.
     """
     signs = _input_signs(a, input_bits)
     states = [a.initial[np.newaxis]]
@@ -549,32 +558,35 @@ def _p_one(a: QQA, states: np.ndarray) -> np.ndarray:
     return (np.abs(states[:, mask]) ** 2).sum(axis=1)
 
 
+def _first(values: np.ndarray, index, largest: bool = False) -> tuple:
+    """``(value, at)``: the least (``largest``: greatest) of ``values``, one per distinct state,
+    over the inputs (:func:`_per_input`), and ``at``, the first input in row order reaching it."""
+    values = _per_input(values, index)
+    at = int(values.argmax() if largest else values.argmin())
+    return float(values[at]), at
+
+
 @dataclass(frozen=True)
 class _Answers:
     """What the questions asked of one algorithm need from its simulation.
 
     Only answers are kept, no per-input array: a catalog keeps hundreds of
-    4096-input algorithms alive.  Each scalar answers its question for any
-    tolerance.
+    4096-input algorithms alive.  Each answer but ``bits`` is a
+    ``(value, first input)`` pair of :func:`_first`, whose value answers its
+    question for any tolerance and whose input witnesses it.
     """
 
     #: Majority outcome on every input, in row order.
     bits: bytes
-    #: Smallest ``|P(1) - 1/2|`` over the inputs, and the first input reaching it.
-    margin: float
-    closest: int
-    #: Worst-case success probability against ``bits``, and the first input reaching it.
-    agreement: float
-    agreement_at: int
-    #: Smallest, over the inputs, of the largest basis-state probability, and
-    #: the first input reaching it.
-    peak: float
-    peak_at: int
-    #: Per discipline with allowed values, the largest distance of the single
-    #: accepting amplitude from them, and the first input reaching it; both
-    #: empty unless exactly one output accepts.
+    #: Least ``|P(1) - 1/2|``.
+    margin: tuple
+    #: Worst-case success probability against ``bits``.
+    agreement: tuple
+    #: Least, over the inputs, of the largest basis-state probability.
+    peak: tuple
+    #: Per discipline with allowed values, the greatest distance of the single
+    #: accepting amplitude from them; empty unless exactly one output accepts.
     spread: dict
-    spread_at: dict
 
 
 def _answers(a: QQA) -> _Answers:
@@ -583,49 +595,36 @@ def _answers(a: QQA) -> _Answers:
     Squaring is monotone, so a state's largest probability is the square of
     its largest magnitude; the accepting amplitude ``c`` is as far from a
     discipline as the least ``|c - v|`` over its values ``v``, taken exactly.
-    Each is taken once per distinct state of :func:`_simulate` and read onto
-    the inputs through its index, so the first input reaching a value is
-    found in row order.  The largest magnitude of each state is taken one
-    column at a time: a maximum along each short row is several times
-    slower, and on the dense path a ``(2^n, m)`` temporary beside the states
-    is enough to make the allocator hand the heap back and fault it in
-    again for the next algorithm.
+    Each is taken once per distinct state of :func:`_simulate` and reduced
+    over the inputs by :func:`_first`.  The largest magnitude of each state
+    is taken one column at a time: a maximum along each short row is several
+    times slower, and on the dense path a ``(2^n, m)`` temporary beside the
+    states is enough to make the allocator hand the heap back and fault it
+    in again for the next algorithm.
     """
     if a._memo is not None:
         return a._memo
     states, index = _simulate(a)
-    p_one = _per_input(_p_one(a, states), index)
-    margins = np.abs(p_one - 0.5)
-    closest = int(margins.argmin())
-    bits = (p_one > 0.5).astype(np.uint8)
+    p_one = _p_one(a, states)
+    majority = p_one > 0.5
     top = np.abs(states[:, 0])
     for column in states.T[1:]:
         np.maximum(top, np.abs(column), out=top)
     top *= top  # each state's largest basis-state probability
-    top = _per_input(top, index)
-    peak_at = int(top.argmin())
-    success = np.where(bits == 1, p_one, 1.0 - p_one)
-    agreement_at = int(success.argmin())
-    spread, spread_at = {}, {}
+    spread = {}
     accepting = a.accepting_outputs()
     if len(accepting) == 1:
         column = states[:, accepting[0]]
         for which, row in _DISCIPLINES.items():
             if row.values is not None:
                 distance = reduce(np.minimum, [np.abs(column - v) for v in row.values])
-                distance = _per_input(distance, index)
-                spread_at[which] = int(distance.argmax())
-                spread[which] = float(distance[spread_at[which]])
+                spread[which] = _first(distance, index, largest=True)
     answers = _Answers(
-        bits=bits.tobytes(),
-        margin=float(margins[closest]),
-        closest=closest,
-        agreement=float(success[agreement_at]),
-        agreement_at=agreement_at,
-        peak=float(top[peak_at]),
-        peak_at=peak_at,
+        bits=_per_input(majority, index).astype(np.uint8).tobytes(),
+        margin=_first(np.abs(p_one - 0.5), index),
+        agreement=_first(np.where(majority, p_one, 1.0 - p_one), index),
+        peak=_first(top, index),
         spread=spread,
-        spread_at=spread_at,
     )
     object.__setattr__(a, "_memo", answers)
     return answers
@@ -646,10 +645,9 @@ def verify(a: QQA, f: TruthTable, tol: float = NORM_TOL) -> VerificationReport:
     p_one = _per_input(_p_one(a, states), index)
     target = np.frombuffer(f.bits, dtype=np.uint8)
     success = _freeze(np.where(target == 1, p_one, 1.0 - p_one))
-    worst_at = int(success.argmin())
-    worst = float(success[worst_at])
+    worst, at = _first(success, None)
     return VerificationReport(
-        success, _within(1.0 - worst, tol), worst, a.query_count, bit_string(worst_at, a.arity)
+        success, _within(1.0 - worst, tol), worst, a.query_count, bit_string(at, a.arity)
     )
 
 
@@ -664,9 +662,10 @@ def computed_function(a: QQA, tol: float = NORM_TOL) -> TruthTable:
     if a.arity < 1:
         raise ValueError("algorithm must read at least one variable to define a truth table")
     answers = _answers(a)
-    if _within(answers.margin, tol):
+    margin, closest = answers.margin
+    if _within(margin, tol):
         raise ValueError(
-            f"no outcome has probability above 1/2 on input {bit_string(answers.closest, a.arity)}"
+            f"no outcome has probability above 1/2 on input {bit_string(closest, a.arity)}"
         )
     return TruthTable(a.arity, answers.bits)
 
@@ -674,7 +673,7 @@ def computed_function(a: QQA, tol: float = NORM_TOL) -> TruthTable:
 def is_exact(a: QQA, tol: float = NORM_TOL) -> bool:
     """Whether ``verify(a, computed_function(a), tol).exact`` holds, without simulating twice."""
     _check_tol(tol, probability=True)
-    return _within(1.0 - _answers(a).agreement, tol)
+    return _within(1.0 - _answers(a).agreement[0], tol)
 
 
 def check_property(a: QQA, which: StructuralProperty, tol: float = NORM_TOL) -> bool:
@@ -683,9 +682,10 @@ def check_property(a: QQA, which: StructuralProperty, tol: float = NORM_TOL) -> 
     if not isinstance(which, StructuralProperty):
         raise ValueError(f"unknown property {which!r}")
     row, answers = _DISCIPLINES[which], _answers(a)
-    certain = not row.certain or _within(1.0 - answers.peak, tol)
+    certain = not row.certain or _within(1.0 - answers.peak[0], tol)
     # No spread without a single accepting output: NaN, which never passes.
-    return certain and (row.values is None or _within(answers.spread.get(which, np.nan), tol))
+    spread, _ = answers.spread.get(which, (np.nan, None))
+    return certain and (row.values is None or _within(spread, tol))
 
 
 #: The precondition of output inversion, which :func:`_require` takes beside the disciplines.
@@ -710,16 +710,16 @@ def _require(a: QQA, need: str, *properties: StructuralProperty | str) -> Struct
     if "{}" in need:
         need = need.format(" or ".join(map(_allowed, properties)))
     if _EXACT in properties:
-        why = (f"worst-case p = {answers.agreement:.6f} "
-               f"on input {bit_string(answers.agreement_at, a.arity)}")
+        worst, at = answers.agreement
+        why = f"worst-case p = {worst:.6f} on input {bit_string(at, a.arity)}"
     elif (any(_DISCIPLINES[which].certain for which in properties)
           and not check_property(a, StructuralProperty.CERTAIN_OUTCOME)):
-        why = f"no outcome is certain on input {bit_string(answers.peak_at, a.arity)}"
+        why = f"no outcome is certain on input {bit_string(answers.peak[1], a.arity)}"
     elif not answers.spread:
         why = f"it has {a.measurement.count(1)} accepting outputs"
     else:
         why = "its accepting amplitude leaves " + " and ".join(
-            f"{_allowed(which)} on input {bit_string(answers.spread_at[which], a.arity)}"
+            f"{_allowed(which)} on input {bit_string(answers.spread[which][1], a.arity)}"
             for which in properties
         )
     raise ValueError(f"{need}; {why}")

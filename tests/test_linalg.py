@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qqasim.linalg import _unitarity_errors, block_diag, is_unitary, permutation_matrix
-from qqasim.simulator import QQA, run
+from qqasim.boolfun import TruthTable
+from qqasim.simulator import QQA, run, verify
 
 S = 1.0 / math.sqrt(2.0)
 H2 = np.array([[S, S], [S, -S]])
@@ -37,9 +38,21 @@ class TestIsUnitary:
         with pytest.raises(ValueError):
             is_unitary(np.eye(2), tol=0.0)
 
-    def test_nan_tol_is_rejected(self):
-        with pytest.raises(ValueError, match="tol must be positive"):
-            is_unitary(np.eye(2), tol=math.nan)
+    @pytest.mark.parametrize(
+        "tol, message",
+        [(math.nan, "^tol must be positive$"),
+         ("0.1", "^tol must be a real number, got '0.1'$"),
+         (None, "^tol must be a real number, got None$"),
+         (True, "^tol must be a real number, got True$")],
+        ids=["nan", "string", "none", "boolean"],
+    )
+    @pytest.mark.parametrize("ask", ["is_unitary", "verify"])
+    def test_nan_tol_is_rejected(self, ask, tol, message):
+        with pytest.raises(ValueError, match=message):
+            if ask == "is_unitary":
+                is_unitary(0.9 * np.eye(2), tol=tol)  # not unitary: a tolerance of 1 passes it
+            else:
+                verify(QQA(1, 2, [1, 0], (), (1, 0)), TruthTable(1, b"\x01\x01"), tol=tol)
 
     def test_batch_gives_each_gate_its_own_verdict(self):
         gates = [np.eye(2), H2, 2 * H2, [[S, S], [S, S]], [[np.nan, 0], [0, 1]], H2]

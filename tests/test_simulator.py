@@ -273,7 +273,11 @@ def _assert_answers_bit_identical(a, f):
     p_one = (np.abs(dense[:, np.array(a.measurement) == 1]) ** 2).sum(axis=1)
     target = np.frombuffer(f.bits, dtype=np.uint8)
     expected = np.where(target == 1, p_one, 1.0 - p_one)
-    assert verify(a, f).success.tobytes() == expected.tobytes()
+    report = verify(a, f)
+    assert report.success.tobytes() == expected.tobytes()
+    assert report.worst_case_p == expected.min()
+    worst_at = int(np.flatnonzero(expected == expected.min())[0])
+    assert report.witness == bit_string(worst_at, a.arity)
     assert simulator._answers(replace(a)) == _reference_answers(a, dense, p_one)
 
 
@@ -657,24 +661,20 @@ def _reference_answers(a, states, p_one):
         StructuralProperty.ACCEPT_SIGNED_UNIT: (0.0, 1.0, -1.0),
     }
     success = np.where(bits == 1, p_one, 1.0 - p_one)
-    spread, spread_at = {}, {}
+    spread = {}
     accepting = a.accepting_outputs()
     if len(accepting) == 1:
         column = states[:, accepting[0]]
         for which, values in allowed.items():
             distance = np.min([np.abs(column - v) for v in values], axis=0)
-            spread[which] = float(distance.max())
-            spread_at[which] = int(np.flatnonzero(distance == spread[which])[0])
+            largest = float(distance.max())
+            spread[which] = (largest, int(np.flatnonzero(distance == largest)[0]))
     return simulator._Answers(
         bits=bits.tobytes(),
-        margin=float(margins[closest]),
-        closest=closest,
-        agreement=float(success.min()),
-        agreement_at=int(np.flatnonzero(success == success.min())[0]),
-        peak=float(peaks.min()),
-        peak_at=int(np.flatnonzero(peaks == peaks.min())[0]),
+        margin=(float(margins[closest]), closest),
+        agreement=(float(success.min()), int(np.flatnonzero(success == success.min())[0])),
+        peak=(float(peaks.min()), int(np.flatnonzero(peaks == peaks.min())[0])),
         spread=spread,
-        spread_at=spread_at,
     )
 
 
@@ -971,11 +971,30 @@ class TestValidation:
         with pytest.raises(ValueError, match="unit-norm"):
             QQA(1, 2, [bad, 0], (), (1, 0))
 
-    @pytest.mark.parametrize("initial", [["a", "b"], [{"x": 1}, 0]], ids=["strings", "dict"])
+    @pytest.mark.parametrize(
+        "initial",
+        [["a", "b"], [{"x": 1}, 0], ["1", "0"], [True, False], np.array([True, False]), [True, 0]],
+        ids=["strings", "dict", "numeric-strings", "booleans", "boolean-array", "boolean-and-int"],
+    )
     def test_non_numeric_initial_names_the_field(self, initial):
         message = "^initial: expected 2 amplitudes, got a ragged or non-numeric array$"
         with pytest.raises(ValueError, match=message):
             QQA(1, 2, initial, (np.eye(2),), (1, 0))
+
+    @pytest.mark.parametrize(
+        "gate",
+        [[["1", "0"], ["0", "1"]], np.eye(2, dtype=bool), [[True, 0], [0, 1]], [[1, 0], [0]]],
+        ids=["numeric-strings", "boolean-array", "boolean-and-int", "ragged"],
+    )
+    def test_non_numeric_gate_names_its_step(self, gate):
+        message = r"^steps\[1\]\.unitary: expected a 2x2 matrix, got a ragged or non-numeric array$"
+        with pytest.raises(ValueError, match=message):
+            QQA(1, 2, [1, 0], (np.eye(2), gate), (1, 0))
+
+    def test_numpy_integer_entries_are_numbers(self):
+        a = QQA(1, 2, [np.int64(1), np.uint8(0)], ([[np.int64(0), 1.0], [1, 0j]],), (1, 0))
+        assert a.initial.tolist() == [1, 0] and a.steps[0].tolist() == [[0, 1], [1, 0]]
+        assert computed_function(a).bits == b"\x00\x00"
 
     def test_arity_cap(self):
         assert QQA(MAX_ARITY, 1, [1], (), (1,)).arity == MAX_ARITY
