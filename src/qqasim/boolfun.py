@@ -28,7 +28,10 @@ NAMED_FUNCTIONS = {
 
 
 def bit_string(index: int, arity: int) -> str:
-    """The ``arity``-bit input string for a table row index."""
+    """The ``arity``-bit input string for a table row ``index``, an integer
+    (:func:`_is_integer`) in ``0..2**arity - 1``."""
+    if not (_is_integer(index) and 0 <= index < 1 << arity):
+        raise ValueError(f"index must be an integer in 0..{(1 << arity) - 1}, got {index!r}")
     return format(index, "b").zfill(arity) if arity else ""
 
 
@@ -39,8 +42,8 @@ def input_index(input_bits: str) -> int:
 
 def all_inputs(arity: int) -> Iterator[str]:
     """All inputs of the given arity in ascending (lexicographic) order."""
-    for i in range(1 << arity):
-        yield bit_string(i, arity)
+    for i in range(1 << arity):  # in range, so formatted as bit_string does with no check
+        yield format(i, "b").zfill(arity) if arity else ""
 
 
 def _is_integer(value) -> bool:

@@ -6,11 +6,19 @@ whenever they are within tolerance of one (0, ±1/2, ±1/sqrt2, ±1/(2 sqrt2),
 ±1), else as 6-decimal floats; however large the tolerance, only within
 just under half the smallest gap between two of them (``_LABEL_REACH``,
 about 0.0732), so an amplitude never takes the label of a farther one.
-Exit status is 0 only if every requested check passed.
+
+Every command but ``trace``, which streams its rows, prints one result
+through one function, :func:`_report`: in text its lines and a ``FAIL:``
+line per failed check, in JSON one document, indented for ``verify``,
+``construct`` and ``catalog`` and on one line for ``transform`` and
+``sensitivity``; it exits 1 exactly when a check failed.  Only ``verify``,
+``trace`` and ``construct`` read ``--tolerance``; the others refuse it.
+Both ``builtin:<name>[:n]`` and ``<name>[:n]`` are read by :func:`_named`.
 """
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -138,6 +146,22 @@ def _reported():
         raise click.ClickException(str(error))
 
 
+def _named(spec: str, name: str, separator: str, param: str, make, default: int | None = None):
+    """``make()`` for a ``name`` that takes no parameter, else ``make(n)`` for the ``n`` of
+    ``name:n``: ``default`` if left out, or else it must be given.  A parameter after a name
+    that takes none, one not an integer and an error of ``make`` read ``{spec}: {error}``."""
+    try:
+        if not NAMED_FUNCTIONS[name]:
+            if separator:
+                raise ValueError(f"{name} takes no parameter")
+            return make()
+        if not param and default is None:
+            raise click.ClickException(f"{name} needs an arity, e.g. {name}:3")
+        return make(int(param) if param else default)
+    except ValueError as error:
+        raise click.ClickException(f"{spec}: {error}")
+
+
 def _load_algorithm(spec: str) -> QQA:
     if spec.startswith("builtin:"):
         name, separator, param = spec[len("builtin:"):].partition(":")
@@ -146,28 +170,14 @@ def _load_algorithm(spec: str) -> QQA:
             raise click.ClickException(
                 f"unknown builtin {name!r} (use {', '.join(known[:-1])} or {known[-1]})"
             )
-        if not NAMED_FUNCTIONS[name]:
-            if separator:
-                raise click.ClickException(f"{spec}: {name} takes no parameter")
-            return BUILTINS[name]()
-        try:
-            return BUILTINS[name](int(param) if param else 1)
-        except ValueError as error:
-            raise click.ClickException(f"{spec}: {error}")
+        return _named(spec, name, separator, param, BUILTINS[name], default=1)
     return _read(load, spec, "no such algorithm file")
 
 
 def _load_function(spec: str) -> TruthTable:
     name, separator, param = spec.partition(":")
     if name in NAMED_FUNCTIONS:
-        if not NAMED_FUNCTIONS[name] and separator:
-            raise click.ClickException(f"{spec}: {name} takes no parameter")
-        if NAMED_FUNCTIONS[name] and not param:
-            raise click.ClickException(f"{name} needs an arity, e.g. {name}:3")
-        try:
-            return named_function(name, int(param) if NAMED_FUNCTIONS[name] else None)
-        except ValueError as error:
-            raise click.ClickException(f"{spec}: {error}")
+        return _named(spec, name, separator, param, functools.partial(named_function, name))
     return _read(table_from_csv, spec, "no such function (not a known name or CSV file)")
 
 
@@ -182,6 +192,22 @@ def _parse_sigma(text: str, size: int, what: str) -> tuple:
         raise click.ClickException(f"--sigma must be a permutation of 1..{size} ({what})")
 
 
+def _report(obj, lines: list, document, failures=(), indented: bool = True) -> None:
+    """Print a command's result: its text ``lines`` and a ``FAIL:`` line per failure, or with
+    ``--format json`` the ``document()``, built only then, ``indented`` as ``_json_text`` writes
+    it or on one line.  Exit 1 exactly when there is a failure."""
+    if obj["fmt"] == "json":
+        click.echo(_json_text(document()) if indented else json.dumps(document()))
+    else:
+        click.echo("\n".join([*lines, *(f"FAIL: {failure}" for failure in failures)]))
+    if failures:
+        sys.exit(1)
+
+
+#: The commands that read ``--tolerance``; any other refuses it.
+_TOLERANT = ("verify", "trace", "construct")
+
+
 @click.group()
 @click.option("--tolerance", type=float, default=NORM_TOL, show_default=True,
               help="Numerical tolerance for probability and exactness checks.")
@@ -194,6 +220,9 @@ def main(ctx, tolerance, fmt):
         _check_tol(tolerance, probability=True)
     except ValueError:
         raise click.ClickException("--tolerance must be positive and below 1/2")
+    given = ctx.get_parameter_source("tolerance") is not click.core.ParameterSource.DEFAULT
+    if given and ctx.invoked_subcommand not in _TOLERANT:
+        raise click.ClickException(f"{ctx.invoked_subcommand} takes no --tolerance")
     ctx.obj = {"tol": tolerance, "fmt": fmt}
 
 
@@ -220,22 +249,14 @@ def verify_command(obj, algorithm_spec, function_spec, expect_p, expect_exact):
         failures.append(f"expected exact, got worst-case p = {worst}")
     if expect_p is not None and not _within(abs(report.worst_case_p - expect_p), obj["tol"]):
         failures.append(f"expected p = {expect_p:.6f}, got {worst}")
-
-    if obj["fmt"] == "json":
-        click.echo(_json_text({
-            "exact": report.exact,
-            "worst_case_p": report.worst_case_p,
-            "queries": report.queries,
-            "per_input": report.per_input,
-            "failures": failures,
-        }))
-    else:
-        kind = "exact" if report.exact else "bounded-error"
-        click.echo(f"{kind}, p = {report.worst_case_p:.6f}, queries = {report.queries}")
-        for failure in failures:
-            click.echo(f"FAIL: {failure}")
-    if failures:
-        sys.exit(1)
+    kind = "exact" if report.exact else "bounded-error"
+    _report(obj, [f"{kind}, p = {report.worst_case_p:.6f}, queries = {report.queries}"], lambda: {
+        "exact": report.exact,
+        "worst_case_p": report.worst_case_p,
+        "queries": report.queries,
+        "per_input": report.per_input,
+        "failures": failures,
+    }, failures)
 
 
 def _trace_row(a: QQA, bits: str) -> dict:
@@ -306,10 +327,8 @@ def transform_command(obj, algorithm_spec, method, sigma, out_path):
         result = getattr(transforms, function_name)(a, *args)
     with _writing(out_path):
         save(result, out_path, provenance=f"{method}({algorithm_spec})")
-    if obj["fmt"] == "json":
-        click.echo(json.dumps({"method": method, "out": out_path}))
-    else:
-        click.echo(f"{method} applied; algorithm written to {out_path}")
+    _report(obj, [f"{method} applied; algorithm written to {out_path}"],
+            lambda: {"method": method, "out": out_path}, indented=False)
 
 
 #: Each combiner's row of the combiner table, by its ``--method``.
@@ -338,25 +357,18 @@ def construct_command(obj, method, inputs_spec, out_path):
     if held:  # a construction that misses its guarantee writes nothing
         with _writing(out_path):
             save(result.algorithm, out_path, provenance=f"{method}({inputs_spec})")
-    if obj["fmt"] == "json":
-        click.echo(json.dumps({
-            "method": method,
-            "out": None if failures else out_path,
-            "guaranteed_p": result.guaranteed_p,
-            "worst_case_p": report.worst_case_p,
-            "queries": report.queries,
-            "target_hex": result.target.as_hex(),
-            **({"failures": failures} if failures else {}),
-        }, indent=1))
-    else:
-        written = "not written" if failures else f"written to {out_path}"
-        click.echo(f"{method}: guaranteed p = {result.guaranteed_p:.6f}, "
-                   f"verified worst-case p = {report.worst_case_p:.6f}, "
-                   f"queries = {report.queries}; {written}")
-        for failure in failures:
-            click.echo(f"FAIL: {failure}")
-    if failures:
-        sys.exit(1)
+    written = "not written" if failures else f"written to {out_path}"
+    _report(obj, [f"{method}: guaranteed p = {result.guaranteed_p:.6f}, "
+                  f"verified worst-case p = {report.worst_case_p:.6f}, "
+                  f"queries = {report.queries}; {written}"], lambda: {
+        "method": method,
+        "out": None if failures else out_path,
+        "guaranteed_p": result.guaranteed_p,
+        "worst_case_p": report.worst_case_p,
+        "queries": report.queries,
+        "target_hex": result.target.as_hex(),
+        **({"failures": failures} if failures else {}),
+    }, failures)
 
 
 @main.command("catalog")
@@ -378,21 +390,17 @@ def catalog_command(obj, set_name, export_path):
             catalog_module._write_csv(families, export_path)
     distinct = sum(len(kept) for _, kept in families)
     applications = sum(s.candidates for s, _ in families)
-    if obj["fmt"] == "json":
-        click.echo(json.dumps({
-            "sets": [{"name": s.name, "size": len(kept), "arities": list(s.arities),
-                      "queries": s.queries, "probability": s.guaranteed_p,
-                      "applications": s.candidates} for s, kept in families],
-            "distinct_functions": distinct,
-            "total_applications": applications,
-        }, indent=1))
-        return
-    click.echo(f"{'set':<12}{'size':>6}  {'arguments':<10}{'queries':>8}  probability")
+    lines = [f"{'set':<12}{'size':>6}  {'arguments':<10}{'queries':>8}  probability"]
     for s, kept in families:
         arities, label = ",".join(str(n) for n in s.arities), s.probability_label
-        click.echo(f"{s.name:<12}{len(kept):>6}  {arities:<10}{s.queries:>8}  {label}")
-    click.echo(f"distinct functions: {distinct}")
-    click.echo(f"Total {applications}")
+        lines.append(f"{s.name:<12}{len(kept):>6}  {arities:<10}{s.queries:>8}  {label}")
+    _report(obj, [*lines, f"distinct functions: {distinct}", f"Total {applications}"], lambda: {
+        "sets": [{"name": s.name, "size": len(kept), "arities": list(s.arities),
+                  "queries": s.queries, "probability": s.guaranteed_p,
+                  "applications": s.candidates} for s, kept in families],
+        "distinct_functions": distinct,
+        "total_applications": applications,
+    })
 
 
 @main.command("sensitivity")
@@ -402,14 +410,9 @@ def sensitivity_command(obj, function_spec):
     """Exhaustive-scan sensitivity of a Boolean function."""
     f = _load_function(function_spec)
     result = sensitivity(f)
-    if obj["fmt"] == "json":
-        click.echo(json.dumps({
-            "sensitivity": result.value,
-            "witness": result.witness_input,
-            "arity": f.arity,
-        }))
-    else:
-        click.echo(f"sensitivity = {result.value} (witness input {result.witness_input})")
+    _report(obj, [f"sensitivity = {result.value} (witness input {result.witness_input})"],
+            lambda: {"sensitivity": result.value, "witness": result.witness_input,
+                     "arity": f.arity}, indented=False)
 
 
 if __name__ == "__main__":

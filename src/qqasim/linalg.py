@@ -6,6 +6,7 @@ dense and small; nothing here is tuned for dimensions beyond a few hundred.
 """
 from __future__ import annotations
 
+import numbers
 from typing import Sequence
 
 import numpy as np
@@ -42,10 +43,29 @@ def _within(miss, tol: float):
     return held if isinstance(held, np.ndarray) else bool(held)
 
 
+def _numbers(value, dtype=complex) -> np.ndarray | None:
+    """The one number rule of every matrix and state: ``value`` as a new array of ``dtype``
+    (``None``: numpy's own), or ``None`` if it is ragged or an entry is not a number or is a
+    boolean.  An ndarray is judged by its dtype alone, anything else by the types of its
+    entries, as ``np.array`` would read a boolean beside an integer as 1."""
+    if isinstance(value, np.ndarray):
+        numeric = value.dtype.kind in "iufc"
+    else:
+        entries = np.array(value, dtype=object).flat  # a ragged row stays a list entry
+        numeric = all(issubclass(t, numbers.Number) and t is not bool
+                      for t in set(map(type, entries)))
+    return np.array(value, dtype=dtype) if numeric else None
+
+
 def is_unitary(matrix, tol: float = UNITARY_TOL) -> bool:
-    """True iff ``matrix @ matrix†`` matches the identity entrywise within ``tol``."""
+    """True iff ``matrix @ matrix†`` matches the identity entrywise within ``tol``.
+
+    ``matrix`` must hold numbers (:func:`_numbers`); one that is not square is not unitary.
+    """
     _check_tol(tol)
-    m = np.asarray(matrix, dtype=complex)
+    m = _numbers(matrix)
+    if m is None:
+        raise ValueError("matrix: expected numbers, got a ragged or non-numeric array")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
     return _within(float(_unitarity_errors(m[np.newaxis])[0]), tol)
@@ -68,12 +88,15 @@ def _unitarity_errors(stack: np.ndarray) -> np.ndarray:
 def block_diag(blocks: Sequence) -> np.ndarray:
     """Assemble square blocks into one block-diagonal matrix, zeros elsewhere.
 
-    The matrix is complex if a block is, and float64 otherwise.
+    Every block must hold numbers (:func:`_numbers`).  The matrix is complex if a
+    block is, and float64 otherwise.
     """
-    mats = [np.asarray(b) for b in blocks]
+    mats = [_numbers(b, dtype=None) for b in blocks]
     if not mats:
         raise ValueError("block_diag needs at least one block")
-    for b in mats:
+    for i, b in enumerate(mats):
+        if b is None:
+            raise ValueError(f"blocks[{i}]: expected numbers, got a ragged or non-numeric array")
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ValueError("every block must be a square matrix")
     dim = sum(b.shape[0] for b in mats)

@@ -41,7 +41,6 @@ it a step at a time, and :func:`run` is :func:`trace`'s last state.
 from __future__ import annotations
 
 import enum
-import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
@@ -51,7 +50,7 @@ import numpy as np
 from .boolfun import (
     MAX_ARITY, TruthTable, _check_input, _integer, _is_integer, all_inputs, bit_string,
 )
-from .linalg import NORM_TOL, UNITARY_TOL, _check_tol, _unitarity_errors, _within
+from .linalg import NORM_TOL, UNITARY_TOL, _check_tol, _numbers, _unitarity_errors, _within
 
 
 @dataclass(frozen=True)
@@ -89,19 +88,6 @@ def _query_gate(gate: QueryGate, k: int, m: int, arity: int) -> tuple:
     if convert:
         gate = QueryGate(None if v is None else int(v) for v in assignments)
     return gate, None
-
-
-def _numbers(value) -> np.ndarray | None:
-    """``value`` as a new complex array, or ``None`` if it is ragged or an entry is not a
-    number or is a boolean.  An ndarray is judged by its dtype alone, anything else by the
-    types of its entries, as ``np.array`` would read a boolean beside an integer as 1."""
-    if isinstance(value, np.ndarray):
-        numeric = value.dtype.kind in "iufc"
-    else:
-        value = np.array(value, dtype=object)  # a ragged row stays a list entry
-        numeric = all(issubclass(t, numbers.Number) and t is not bool
-                      for t in set(map(type, value.flat)))
-    return np.array(value, dtype=complex) if numeric else None
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from qqasim.boolfun import (
     TruthTable,
     _check_input,
     all_inputs,
+    bit_string,
     combine_disjoint,
     from_accepting,
     majority_compose,
@@ -105,6 +106,21 @@ class TestArity:
         assert type(f.arity) is int
         assert f == TruthTable(1, b"\x00\x01") and hash(f) == hash(TruthTable(1, b"\x00\x01"))
         assert type(named_function("majority", np.uint8(3)).arity) is int
+
+
+class TestBitString:
+    @pytest.mark.parametrize("index, arity", [(0, 0), (0, 3), (5, 3), (7, 3), (np.int64(6), 3)])
+    def test_in_range_index(self, index, arity):
+        bits = bit_string(index, arity)
+        assert len(bits) == arity and set(bits) <= {"0", "1"}
+        assert input_index(bits) == index
+
+    @pytest.mark.parametrize("index, arity, top", [
+        (-1, 3, 7), (8, 3, 7), (9, 3, 7), (True, 3, 7), (1.0, 3, 7), ("1", 3, 7), (1, 0, 0)])
+    def test_an_index_it_cannot_format_is_refused(self, index, arity, top):
+        message = f"index must be an integer in 0..{top}, got {index!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            bit_string(index, arity)
 
 
 class TestSensitivity:

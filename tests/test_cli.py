@@ -368,6 +368,7 @@ class TestConstructCommand:
             payload = json.loads(result.stdout)
             assert payload["out"] is None and payload["failures"] == [failure]
             assert payload["worst_case_p"] == report.worst_case_p
+            assert result.stdout == json.dumps(payload, indent=1) + "\n"
         else:
             first, *rest = result.stdout.splitlines()
             assert first.endswith("; not written") and rest == [f"FAIL: {failure}"]
@@ -614,6 +615,7 @@ class TestSensitivityCommand:
         result = invoke("--format", "json", "sensitivity", "--function", "majority:3")
         payload = json.loads(result.output)
         assert payload["sensitivity"] == 2  # only flips across the 2-of-3 threshold matter
+        assert result.output == json.dumps(payload) + "\n"
 
 
 class TestErrorPaths:
@@ -634,6 +636,19 @@ class TestErrorPaths:
     def test_negative_tolerance(self):
         result = invoke("--tolerance", "-1", "sensitivity", "--function", "equality3")
         assert result.exit_code != 0
+
+    @pytest.mark.parametrize("tol", ["1e-16", "0.4", "1e-9"])
+    @pytest.mark.parametrize("command", [
+        ["catalog", "--set", "or", "--export", "{out}"],
+        ["transform", "--algorithm", "builtin:equality3", "--method", "invert", "--out", "{out}"],
+        ["sensitivity", "--function", "majority:3"],
+    ], ids=lambda command: command[0])
+    def test_a_command_that_ignores_the_tolerance_refuses_it(self, tmp_path, command, tol):
+        out = tmp_path / "out"
+        result = invoke("--tolerance", tol, *[arg.replace("{out}", str(out)) for arg in command])
+        assert result.exit_code == 1
+        assert result.stdout == "" and not out.exists()
+        assert result.stderr == f"Error: {command[0]} takes no --tolerance\n"
 
     def test_nan_tolerance(self):
         result = invoke(

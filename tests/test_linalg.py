@@ -54,6 +54,19 @@ class TestIsUnitary:
             else:
                 verify(QQA(1, 2, [1, 0], (), (1, 0)), TruthTable(1, b"\x01\x01"), tol=tol)
 
+    @pytest.mark.parametrize("matrix", [
+        [["1", "0"], ["0", "1"]], np.eye(2, dtype=bool), [[True, 0], [0, True]], [[1, 0], [0]],
+        np.eye(2).astype(object), "10"],
+        ids=["strings", "bool-array", "bool-entries", "ragged", "object-array", "string"])
+    def test_only_numbers_are_a_matrix(self, matrix):
+        with pytest.raises(ValueError, match=(
+                r"^matrix: expected numbers, got a ragged or non-numeric array$")):
+            is_unitary(matrix)
+
+    def test_numbers_of_every_kind_are_taken(self):
+        assert is_unitary([[1, 0], [0, 1]]) and is_unitary(np.eye(2, dtype=np.int8))
+        assert is_unitary([[np.float32(1), 0j], [0, 1]]) and not is_unitary([[2]])
+
     def test_batch_gives_each_gate_its_own_verdict(self):
         gates = [np.eye(2), H2, 2 * H2, [[S, S], [S, S]], [[np.nan, 0], [0, 1]], H2]
         with np.errstate(invalid="ignore"):
@@ -161,6 +174,18 @@ class TestBlockDiag:
     def test_non_square_block_rejected(self):
         with pytest.raises(ValueError, match="^every block must be a square matrix$"):
             block_diag([np.eye(2), np.ones((2, 3))])
+
+    @pytest.mark.parametrize("blocks, at", [
+        ([[["1"]]], 0), ([np.eye(2), [[True]]], 1), ([np.eye(1), np.eye(2, dtype=bool)], 1),
+        ([[[1, 0], [0]]], 0)])
+    def test_only_numbers_are_a_block(self, blocks, at):
+        message = f"^blocks\\[{at}\\]: expected numbers, got a ragged or non-numeric array$"
+        with pytest.raises(ValueError, match=message):
+            block_diag(blocks)
+
+    def test_float64_unless_a_block_is_complex(self):
+        assert block_diag([[[1]], np.eye(2, dtype=np.int8)]).dtype == np.float64
+        assert block_diag([np.eye(1, dtype=np.float32), [[1j]]]).dtype == np.complex128
 
     def test_unitary_blocks_make_unitary(self):
         rng = np.random.default_rng(7)
