@@ -42,8 +42,8 @@ def input_index(input_bits: str) -> int:
 
 def all_inputs(arity: int) -> Iterator[str]:
     """All inputs of the given arity in ascending (lexicographic) order."""
-    for i in range(1 << arity):  # in range, so formatted as bit_string does with no check
-        yield format(i, "b").zfill(arity) if arity else ""
+    for i in range(1 << arity):
+        yield bit_string(i, arity)
 
 
 def _is_integer(value) -> bool:

@@ -51,7 +51,10 @@ def _numbers(value, dtype=complex) -> np.ndarray | None:
     if isinstance(value, np.ndarray):
         numeric = value.dtype.kind in "iufc"
     else:
-        entries = np.array(value, dtype=object).flat  # a ragged row stays a list entry
+        try:
+            entries = np.array(value, dtype=object).flat  # a ragged row stays a list entry
+        except ValueError:  # ragged below the first axis, as in [eye(2), ones((2, 3))]
+            return None
         numeric = all(issubclass(t, numbers.Number) and t is not bool
                       for t in set(map(type, entries)))
     return np.array(value, dtype=dtype) if numeric else None

@@ -56,8 +56,9 @@ class TestIsUnitary:
 
     @pytest.mark.parametrize("matrix", [
         [["1", "0"], ["0", "1"]], np.eye(2, dtype=bool), [[True, 0], [0, True]], [[1, 0], [0]],
-        np.eye(2).astype(object), "10"],
-        ids=["strings", "bool-array", "bool-entries", "ragged", "object-array", "string"])
+        [np.eye(2), np.ones((2, 3))], np.eye(2).astype(object), "10"],
+        ids=["strings", "bool-array", "bool-entries", "ragged", "ragged-arrays", "object-array",
+             "string"])
     def test_only_numbers_are_a_matrix(self, matrix):
         with pytest.raises(ValueError, match=(
                 r"^matrix: expected numbers, got a ragged or non-numeric array$")):
@@ -177,7 +178,7 @@ class TestBlockDiag:
 
     @pytest.mark.parametrize("blocks, at", [
         ([[["1"]]], 0), ([np.eye(2), [[True]]], 1), ([np.eye(1), np.eye(2, dtype=bool)], 1),
-        ([[[1, 0], [0]]], 0)])
+        ([[[1, 0], [0]]], 0), ([np.eye(1), [np.eye(2), np.ones((2, 3))]], 1)])
     def test_only_numbers_are_a_block(self, blocks, at):
         message = f"^blocks\\[{at}\\]: expected numbers, got a ragged or non-numeric array$"
         with pytest.raises(ValueError, match=message):
