@@ -26,6 +26,7 @@ from .boolfun import (
     bit_string,
     combine_disjoint,
     from_accepting,
+    input_index,
     majority_compose,
     named_function,
     sensitivity,

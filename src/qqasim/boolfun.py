@@ -28,22 +28,22 @@ NAMED_FUNCTIONS = {
 
 
 def bit_string(index: int, arity: int) -> str:
-    """The ``arity``-bit input string for a table row ``index``, an integer
-    (:func:`_is_integer`) in ``0..2**arity - 1``."""
+    """The ``arity``-bit input string for table row ``index``: the arity (:func:`_arity`,
+    from 0) is checked first, then ``index``, an integer in ``0..2**arity - 1``."""
+    arity = _arity(arity, 0)
     if not (_is_integer(index) and 0 <= index < 1 << arity):
         raise ValueError(f"index must be an integer in 0..{(1 << arity) - 1}, got {index!r}")
     return format(index, "b").zfill(arity) if arity else ""
 
 
 def input_index(input_bits: str) -> int:
-    """Row index of an input string (first variable is the high bit)."""
-    return int(input_bits, 2) if input_bits else 0
+    """The row of an input string, first variable the high bit: :func:`bit_string`'s inverse."""
+    return _check_input(input_bits, len(input_bits))
 
 
 def all_inputs(arity: int) -> Iterator[str]:
-    """All inputs of the given arity in ascending (lexicographic) order."""
-    for i in range(1 << arity):
-        yield bit_string(i, arity)
+    """All inputs in ascending order; the arity (:func:`_arity`, from 0) is checked on the call."""
+    return (bit_string(i, arity) for i in range(1 << _arity(arity, 0)))
 
 
 def _is_integer(value) -> bool:
@@ -58,9 +58,19 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
-def _check_input(input_bits: str, arity: int) -> None:
+def _arity(value, least: int = 1, name: str = "arity") -> int:
+    """The one arity rule: ``value`` as an ``int`` (:func:`_integer`) in ``least..MAX_ARITY``."""
+    n = _integer(value, name)
+    if not least <= n <= MAX_ARITY:
+        raise ValueError(f"{name} must be between {least} and {MAX_ARITY}, got {n}")
+    return n
+
+
+def _check_input(input_bits: str, arity: int) -> int:
+    """The row of ``input_bits``, once it is an ``arity``-bit string of 0s and 1s."""
     if len(input_bits) != arity or any(c not in "01" for c in input_bits):
         raise ValueError(f"expected a {arity}-bit input of 0s and 1s, got {input_bits!r}")
+    return int(input_bits, 2) if input_bits else 0
 
 
 @dataclass(frozen=True)
@@ -71,9 +81,7 @@ class TruthTable:
     bits: bytes
 
     def __post_init__(self):
-        object.__setattr__(self, "arity", _integer(self.arity, "arity"))
-        if not 1 <= self.arity <= MAX_ARITY:
-            raise ValueError(f"arity must be between 1 and {MAX_ARITY}, got {self.arity}")
+        object.__setattr__(self, "arity", _arity(self.arity))
         object.__setattr__(self, "bits", bytes(self.bits))  # the object itself if it is bytes
         if len(self.bits) != 1 << self.arity:
             raise ValueError(
@@ -84,8 +92,7 @@ class TruthTable:
 
     def evaluate(self, input_bits: str) -> int:
         """Value of the function on one input string."""
-        _check_input(input_bits, self.arity)
-        return self.bits[input_index(input_bits)]
+        return self.bits[_check_input(input_bits, self.arity)]
 
     def complement(self) -> "TruthTable":
         """The pointwise flipped function."""
@@ -103,11 +110,11 @@ class TruthTable:
 
 
 def from_accepting(arity: int, accepting: Iterable[str]) -> TruthTable:
-    """Build a table from the set of accepted input strings."""
+    """Build a table from the set of accepted input strings, once the arity is checked."""
+    arity = _arity(arity)
     bits = bytearray(1 << arity)
     for s in accepting:
-        _check_input(s, arity)
-        bits[input_index(s)] = 1
+        bits[_check_input(s, arity)] = 1
     return TruthTable(arity, bytes(bits))
 
 
@@ -128,9 +135,7 @@ def named_function(name: str, n: int | None = None) -> TruthTable:
         return from_accepting(4, ["0000", "0011", "1100", "1111"])
     if n is None:
         raise ValueError(f"{name} needs an arity parameter")
-    n = _integer(n, "arity")
-    if not 1 <= n <= MAX_ARITY:
-        raise ValueError(f"arity must be between 1 and {MAX_ARITY}, got {n}")
+    n = _arity(n)
     if name == "majority" and n % 2 == 0:
         raise ValueError("majority needs an odd number of arguments")
     if name == "majority_even" and n % 2 == 1:
@@ -244,9 +249,7 @@ def _read_csv(handle) -> TruthTable:
     body = [r for r in rows[1:] if r]
     if not body:
         raise ValueError("no data rows")
-    arity = len(body[0][0])
-    if not 1 <= arity <= MAX_ARITY:
-        raise ValueError(f"input arity must be between 1 and {MAX_ARITY}, got {arity}")
+    arity = _arity(len(body[0][0]), name="input arity")
     if len(body) != 1 << arity:
         raise ValueError(
             f"expected {1 << arity} rows of {arity}-bit inputs, got {len(body)} rows"
@@ -274,10 +277,9 @@ def _read_csv(handle) -> TruthTable:
         if len(row) != 2:
             raise ValueError(f"malformed row {row!r}")
         input_bits, value = row
-        _check_input(input_bits, arity)
+        idx = _check_input(input_bits, arity)
         if value not in ("0", "1"):
             raise ValueError(f"value must be 0 or 1 in row {row!r}")
-        idx = input_index(input_bits)
         if idx in seen:
             raise ValueError(f"duplicate input {input_bits!r}")
         seen.add(idx)

@@ -48,7 +48,7 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 
 from .boolfun import (
-    MAX_ARITY, TruthTable, _check_input, _integer, _is_integer, all_inputs, bit_string,
+    TruthTable, _arity, _check_input, _integer, _is_integer, all_inputs, bit_string,
 )
 from .linalg import NORM_TOL, UNITARY_TOL, _check_tol, _numbers, _unitarity_errors, _within
 
@@ -170,8 +170,7 @@ def _assembled(arity: int, initial, gates: np.ndarray | None, trusted: int, step
     part (-0.0, NaN or nonzero) keeps it complex and uncopied, so a document
     saves as it was loaded.  The initial state is a read-only copy.
     """
-    if not 0 <= arity <= MAX_ARITY:
-        raise ValueError(f"arity must be between 0 and {MAX_ARITY}, got {arity}")
+    arity = _arity(arity, 0)
     m = gates.shape[1] if m is None else m
     if m < 1:
         raise ValueError(f"amplitudes must be positive, got {m}")

@@ -101,6 +101,36 @@ class TestArity:
         with pytest.raises(ValueError, match=f"^arity must be an integer, got {n!r}$"):
             named_function(name, n)
 
+    @pytest.mark.parametrize("function", [bit_string, all_inputs])
+    @pytest.mark.parametrize("arity, message", [
+        (-1, f"arity must be between 0 and {MAX_ARITY}, got -1"),
+        (MAX_ARITY + 1, f"arity must be between 0 and {MAX_ARITY}, got {MAX_ARITY + 1}"),
+        (40, f"arity must be between 0 and {MAX_ARITY}, got 40"),
+        (True, "arity must be an integer, got True"),
+        (2.0, "arity must be an integer, got 2.0"),
+    ])
+    def test_an_input_arity_is_refused_on_the_call(self, function, arity, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            function(*(("x", arity) if function is bit_string else (arity,)))  # nothing iterated
+
+    @pytest.mark.parametrize("arity, message", [
+        (-1, f"arity must be between 1 and {MAX_ARITY}, got -1"),
+        (MAX_ARITY + 1, f"arity must be between 1 and {MAX_ARITY}, got {MAX_ARITY + 1}"),
+        (True, "arity must be an integer, got True"),
+        (2.0, "arity must be an integer, got 2.0"),
+    ])
+    def test_from_accepting_checks_the_arity_first(self, arity, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            from_accepting(arity, ["x"])
+
+    @pytest.mark.parametrize("call", [
+        lambda n: bit_string(0, n), all_inputs, lambda n: from_accepting(n, []),
+        lambda n: named_function("constant1", n), lambda n: TruthTable(n, b""),
+    ])
+    def test_a_huge_arity_is_refused_before_anything_is_made(self, call):
+        with pytest.raises(ValueError, match=f"^arity must be between [01] and {MAX_ARITY}, "):
+            call(1 << 40)
+
     def test_numpy_integer_arity_is_stored_as_int(self):
         f = TruthTable(np.int64(1), b"\x00\x01")
         assert type(f.arity) is int
@@ -121,6 +151,12 @@ class TestBitString:
         message = f"index must be an integer in 0..{top}, got {index!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             bit_string(index, arity)
+
+    @pytest.mark.parametrize("bits", ["-1", " 1", "+1", "1_0", "2", "0b1", "x", "1 "])
+    def test_input_index_reads_only_0s_and_1s(self, bits):
+        message = f"expected a {len(bits)}-bit input of 0s and 1s, got {bits!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            input_index(bits)
 
 
 class TestSensitivity:

@@ -1,15 +1,17 @@
 import csv
 import hashlib
 import io
+import itertools
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import qqasim
 from qqasim import catalog, constructors
-from qqasim.boolfun import TruthTable, named_function
+from qqasim.boolfun import TruthTable, named_function, sensitivity
 from qqasim.catalog import (
     SET_NAMES,
     CatalogEntry,
@@ -26,7 +28,8 @@ from qqasim.constructors import (
     majority_even4_construct,
     or_construct,
 )
-from qqasim.simulator import StructuralProperty, check_property, verify
+from qqasim.simulator import StructuralProperty, check_property, computed_function, verify
+from qqasim.transforms import invert_outputs, permute_outputs, permute_variables
 
 EXPECTED_SIZES = {
     "qfunc3": 8,
@@ -290,3 +293,42 @@ def test_every_row_rebuilds_from_its_provenance(full_catalog):
         floor = float(Fraction(row["probability"]))
         assert qqasim.verify(a, f).worst_case_p >= floor - qqasim.NORM_TOL, row["provenance"]
 
+
+
+def _degree(values: np.ndarray) -> int:
+    """The degree of the multilinear polynomial that takes ``values`` on the inputs in row
+    order, by the Moebius transform: the coefficient of a set S of variables is the sum,
+    over the inputs T that set only variables of S, of (-1)^(|S| - |T|) times T's value.
+    Row i stands for the set of i's one bits, so a coefficient's degree is their count."""
+    coefficients, ones = np.array(values, dtype=float), np.zeros(1, dtype=int)
+    while ones.size < coefficients.size:  # one variable at a time, the low bit first
+        pairs = coefficients.reshape(-1, 2, ones.size)  # a view: axis 1 is the variable
+        pairs[:, 1] -= pairs[:, 0]
+        ones = np.concatenate([ones, ones + 1])  # the one bits of each row so far
+    nonzero = np.abs(coefficients) > 1e-9  # above float noise, below 1/16
+    return int(ones[nonzero].max(initial=0))
+
+
+def test_the_paper_claims_certified_by_the_polynomial_method(full_catalog):
+    """Checks of the catalog's claims that do not rest on how the simulator counts.
+
+    A T-query algorithm's P(1) has degree at most 2T (Beals, Buhrman, Cleve,
+    Mosca and de Wolf, arXiv:quant-ph/9802049). A deterministic decision tree
+    needs at least s(f) queries, and every row's s(f) exceeds its 2 quantum
+    queries. And the base families are the transforms' whole closure.
+    """
+    for s in full_catalog.values():
+        for e in s.entries:
+            success = verify(e.algorithm, e.function).success
+            p_one = np.where(np.frombuffer(e.function.bits, dtype=np.uint8), success, 1 - success)
+            assert _degree(p_one) <= 2 * e.algorithm.query_count, e.provenance
+            assert sensitivity(e.function).value >= 3 > e.algorithm.query_count, e.provenance
+    for name in ("qfunc3", "qfunc4"):
+        functions = {e.function for e in full_catalog[name].entries}
+        for a in (e.algorithm for e in full_catalog[name].entries):
+            transformed = itertools.chain(
+                [invert_outputs(a)],
+                (permute_variables(a, s) for s in itertools.permutations(range(a.arity))),
+                (permute_outputs(a, s) for s in itertools.permutations(range(a.amplitudes))),
+            )
+            assert {computed_function(t) for t in transformed} <= functions, name

@@ -61,3 +61,7 @@ def test_every_public_name_is_exported_a_command_or_used():
         if not name.startswith("_") and name not in qqasim.__all__ and name not in used
     ]
     assert unused == []
+
+
+def test_input_index_is_public_as_the_inverse_of_bit_string():
+    assert {"bit_string", "input_index", "all_inputs"} <= set(qqasim.__all__)
