@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import os
+import stat
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -215,12 +217,46 @@ CSV_HEADER = ["input", "value"]
 @contextlib.contextmanager
 def _opened(target, mode: str, newline: str | None = None):
     """``target`` itself if it is a file object, else the file at path ``target``
-    opened in ``mode`` (``"r"`` or ``"w"``) and closed on leaving."""
+    opened in ``mode`` (``"r"`` or ``"w"``) and closed on leaving.
+
+    The one writer of every file: a path is written atomically, through a
+    uniquely named file beside the file it names (a link is followed, not
+    replaced), created as ``open`` creates one (so with the umask's mode, or
+    the mode of the file it replaces), renamed into place when the block
+    succeeds and removed when it fails.  A device such as ``/dev/stdout``, or
+    a file in a directory that takes no new file, is written in place.
+    """
     if hasattr(target, "read" if mode == "r" else "write"):
         yield target
-    else:
+        return
+    handle = None
+    if mode == "w":
+        try:
+            kept = os.stat(target).st_mode
+        except FileNotFoundError:
+            kept = None
+        if kept is None or stat.S_ISREG(kept):
+            target = os.path.realpath(target)
+            temp = os.path.join(os.path.dirname(target), f".{os.urandom(8).hex()}.tmp")
+            try:
+                handle = open(temp, "x", newline=newline)
+            except PermissionError:
+                if kept is None:
+                    raise
+    if handle is None:
         with open(target, mode, newline=newline) as handle:
             yield handle
+        return
+    try:
+        with handle:
+            yield handle
+        if kept is not None:
+            os.chmod(temp, stat.S_IMODE(kept))
+        os.replace(temp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+        raise
 
 
 def table_to_csv(f: TruthTable, destination) -> None:

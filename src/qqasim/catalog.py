@@ -1,19 +1,18 @@
 """Catalog generation: every function reachable from the built-in algorithms.
 
-The two base algorithms are run through the full closure of transformations
+The catalog is one family table in two parts.  A base set is its row of
+``_BASES``: the built-in algorithm it closes under the transformations
 (every variable permutation x every single-accepting output placement x
-optional inversion) and deduplicated by truth table; the resulting exact
-sets feed the and/or/majority combiners.  Every family is built by
-``_families``, deduplicated and verified a few candidates at a time, so a
-caller that keeps only part of each entry holds no more than ``_BUILT_AHEAD``
-algorithms.
-
-A combined set is its row of ``constructors._COMBINERS``, whose pool is the
-base-set algorithms that the row ``admits``, as its combiner does a part: the
-accept-plus pool (equality3 family) has 4 algorithms and the signed-unit pool
-4 + 12, which makes the constructed set sizes 16, 256, 256 and 64.  A set's size
-counts distinct functions; its ``candidates``, the algorithms generated before
-deduplication.
+optional inversion), deduplicated by truth table.  A combined set is its row
+of ``constructors._COMBINERS`` (``_COMBINED``), whose pool is the algorithms
+of the row's ``bases`` that the row ``admits``, as its combiner does a part:
+the accept-plus pool (equality3 family) has 4 algorithms and the signed-unit
+pool 4 + 12, which makes the constructed set sizes 16, 256, 256 and 64.
+Every family is built by one loop, ``_families``, deduplicated and verified a
+few candidates at a time, so a caller that keeps only part of each entry
+holds no more than ``_BUILT_AHEAD`` algorithms; a base set is built once,
+when a family first needs it.  A set's size counts distinct functions; its
+``candidates``, the algorithms generated before deduplication.
 """
 from __future__ import annotations
 
@@ -24,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import constructors
-from .algorithms import equality3_algorithm, pair_equality4_algorithm
+from .algorithms import BUILTINS
 from .boolfun import TruthTable, _opened
 from .linalg import NORM_TOL, _within
 from .simulator import QQA, computed_function, verify
@@ -33,7 +32,10 @@ from .transforms import invert_outputs, permute_outputs, permute_variables
 #: The row of each combined set, by set name, in catalog order.
 _COMBINED = {row.set_name: row for row in constructors._COMBINERS}
 
-SET_NAMES = ("qfunc3", "qfunc4", *_COMBINED)
+#: The built-in algorithm (``algorithms.BUILTINS``) that each base set closes, by set name.
+_BASES = {"qfunc3": "equality3", "qfunc4": "pair_equality4"}
+
+SET_NAMES = (*_BASES, *_COMBINED)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,12 +69,6 @@ class FunctionSet:
         return str(Fraction(self.guaranteed_p))
 
 
-def _transposition(size: int, i: int, j: int) -> list:
-    sigma = list(range(size))
-    sigma[i], sigma[j] = sigma[j], sigma[i]
-    return sigma
-
-
 def _transform_variants(base_name: str, base: QQA):
     """Closure of a base algorithm under the three transformations, one candidate at a time.
 
@@ -82,7 +78,9 @@ def _transform_variants(base_name: str, base: QQA):
     for sigma in itertools.permutations(range(base.arity)):
         permuted = permute_variables(base, sigma)
         for acc in range(base.amplitudes):
-            placed = permute_outputs(permuted, _transposition(base.amplitudes, 0, acc))
+            swap = list(range(base.amplitudes))
+            swap[0], swap[acc] = acc, 0
+            placed = permute_outputs(permuted, swap)
             for inverted in (False, True):
                 algorithm = invert_outputs(placed) if inverted else placed
                 tag = "{}[acc={},vars={}{}]".format(
@@ -149,27 +147,6 @@ def _pool(entries: Iterable[CatalogEntry], row) -> list:
     return [replace(e, algorithm=a) for e, a in taken if a is not None]
 
 
-def _base(name: str, bases: dict) -> tuple:
-    """Base set ``name``'s summary and ``(entry, table)`` of each entry, built into ``bases``
-    the first time it is asked for."""
-    if name not in bases:
-        bases[name] = _verified(name, *_candidates(name, bases), lambda *pair: pair)
-    return bases[name]
-
-
-def _candidates(kind: str, bases: dict) -> tuple:
-    """The floor of family ``kind`` and its candidates, each built when it is asked for."""
-    if kind == "qfunc3":
-        return 1.0, _transform_variants("equality3", equality3_algorithm())
-    if kind == "qfunc4":
-        return 1.0, _transform_variants("pair_equality4", pair_equality4_algorithm())
-    if kind not in _COMBINED:
-        raise ValueError(f"unknown set {kind!r} (expected one of {SET_NAMES})")
-    row = _COMBINED[kind]
-    pool = _pool((e for name in row.bases for e, _ in _base(name, bases)[1]), row)
-    return float(row.floor), _combinations(row, pool)
-
-
 def _combinations(row, pool: list):
     """The combiner of ``row`` applied to every ordered pick of ``pool`` entries, one at a time."""
     combine = getattr(constructors, row.function)
@@ -183,18 +160,27 @@ def _families(names: Sequence[str], keep):
     """Each family of ``names``, in order, as its summary and ``keep(entry, table)`` of each
     entry, ``table`` being its packed truth table.
 
-    A family is built, deduplicated and verified ``_BUILT_AHEAD`` candidates
-    at a time, and of each entry only what ``keep`` returns is held.  The base sets are
-    the exception: each is built once, when first asked for, and held whole, to feed the
-    families built from it.
+    One pass of one loop per family, over the family table: ``_BASES`` and
+    ``_COMBINED``.  A family is built, deduplicated and verified
+    ``_BUILT_AHEAD`` candidates at a time, and of each entry only what
+    ``keep`` returns is held.  The base sets are the exception: each is built
+    once, when a family first needs it, and held whole, to feed the
+    combined families built from it.
     """
     bases = {}
     for name in names:
-        if name in _COMBINED:
-            yield _verified(name, *_candidates(name, bases), keep)
-        else:
-            summary, built = _base(name, bases)
+        row = _COMBINED.get(name)
+        for base in row.bases if row else (name,):
+            if base not in bases:
+                b = _BASES[base]
+                variants = _transform_variants(b, BUILTINS[b]())
+                bases[base] = _verified(base, 1.0, variants, lambda *pair: pair)
+        if row is None:
+            summary, built = bases[name]
             yield summary, [keep(entry, table) for entry, table in built]
+        else:
+            pool = _pool((entry for base in row.bases for entry, _ in bases[base][1]), row)
+            yield _verified(name, float(row.floor), _combinations(row, pool), keep)
 
 
 def _sets(names: Sequence[str]) -> dict:
@@ -205,6 +191,8 @@ def _sets(names: Sequence[str]) -> dict:
 
 def generate_set(kind: str) -> FunctionSet:
     """Generate one of the six catalogued families; see ``SET_NAMES``."""
+    if kind not in SET_NAMES:
+        raise ValueError(f"unknown set {kind!r} (expected one of {SET_NAMES})")
     return _sets((kind,))[kind]
 
 

@@ -15,14 +15,13 @@ A saved file is exactly ``json.dump(to_document(a), f, indent=1)`` followed
 by a newline, byte for byte, but it is written from the algorithm's arrays:
 ``indent`` keeps ``json`` on its pure-Python encoder, which walks one entry
 at a time.  The same writer prints the CLI's indented JSON.  Files are
-written atomically (temp file in the same directory, then rename).
+written atomically by the one writer of every file, ``boolfun._opened``
+(temp file in the same directory, then rename).
 """
 from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
 from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -222,22 +221,13 @@ def from_document(doc: dict) -> QQA:
 
 
 def save(a: QQA, destination, name: str | None = None, provenance: str | None = None) -> dict:
-    """Write an algorithm document to ``destination`` atomically; returns the
-    document written, its arrays as they are, real gates as float64
-    (``to_document`` turns them into ``[re, im]`` lists)."""
+    """Write an algorithm document to ``destination``, a path (written atomically) or a
+    file object; returns the document written, its arrays as they are, real gates as
+    float64 (``to_document`` turns them into ``[re, im]`` lists)."""
     doc = _document(a, name, provenance, np.asarray)
     text = _json_text(doc)
-    destination = os.fspath(destination)
-    directory = os.path.dirname(os.path.abspath(destination))
-    fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text + "\n")
-        os.replace(temp_path, destination)
-    except BaseException:
-        if os.path.exists(temp_path):
-            os.unlink(temp_path)
-        raise
+    with _opened(destination, "w") as handle:
+        handle.write(text + "\n")
     return doc
 
 

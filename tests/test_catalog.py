@@ -3,6 +3,7 @@ import hashlib
 import io
 import itertools
 import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -214,6 +215,40 @@ def test_inconsistent_query_counts_rejected(monkeypatch, quarters):
 def test_unknown_set_rejected():
     with pytest.raises(ValueError, match="unknown set"):
         generate_set("qfunc5")
+
+
+@pytest.fixture
+def closures(monkeypatch):
+    """How many times the catalog closes each built-in under the transformations."""
+    counts = Counter()
+    closure = catalog._transform_variants
+
+    def counting(base_name, base):
+        counts[base_name] += 1
+        return closure(base_name, base)
+
+    monkeypatch.setattr(catalog, "_transform_variants", counting)
+    return counts
+
+
+@pytest.mark.parametrize("build, closed", [
+    (lambda: generate_set("and"), {"equality3": 1}),
+    (lambda: generate_set("qfunc4"), {"pair_equality4": 1}),
+    (lambda: generate_set("or"), {"equality3": 1, "pair_equality4": 1}),
+    (catalog.generate_all, {"equality3": 1, "pair_equality4": 1}),
+], ids=["and", "qfunc4", "or", "all"])
+def test_each_base_set_is_built_once_and_only_when_needed(closures, build, closed):
+    build()
+    assert closures == closed
+
+
+def test_an_unknown_set_is_refused_before_any_family_is_built(closures, monkeypatch):
+    verified = []
+    monkeypatch.setattr(catalog, "_verified", lambda *args: verified.append(args))
+    expected = f"unknown set 'qfunc5' (expected one of {SET_NAMES})"
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        generate_set("qfunc5")
+    assert not closures and not verified
 
 
 def test_csv_export(full_catalog, tmp_path):

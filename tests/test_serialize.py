@@ -1,15 +1,18 @@
 import copy
 import json
 import math
+import os
 import re
+import stat
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qqasim import linalg, serialize, simulator
-from qqasim.catalog import SET_NAMES
+from qqasim import boolfun, catalog, linalg, serialize, simulator
+from qqasim.boolfun import table_from_csv, table_to_csv
+from qqasim.catalog import SET_NAMES, FunctionSet, export_csv
 from qqasim.constructors import or_construct
 from qqasim.serialize import from_document, load, save, to_document
 from qqasim.simulator import QQA, QueryGate, run_all, verify
@@ -206,6 +209,101 @@ class TestAtomicWrite:
             save(eq3, tmp_path / "a.json")
         assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
         assert list((tmp_path / "a.json").iterdir()) == []
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
+    def test_every_written_file_has_the_mode_of_the_umask(self, tmp_path, eq3, f_eq3, umask):
+        writers = {
+            "a.json": lambda path: save(eq3, path),
+            "table.csv": lambda path: table_to_csv(f_eq3, path),
+            "catalog.csv": lambda path: export_csv({}, path),
+        }
+        previous = os.umask(umask)
+        try:
+            for name, write in writers.items():
+                write(tmp_path / name)
+        finally:
+            os.umask(previous)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+        assert modes == {name: 0o666 & ~umask for name in writers}
+
+    @pytest.mark.parametrize("kept", [0o600, 0o640], ids=["600", "640"])
+    def test_a_rewritten_file_keeps_its_mode(self, tmp_path, eq3, f_eq3, kept):
+        path = tmp_path / "table.csv"
+        path.write_text("old\n")
+        path.chmod(kept)
+        previous = os.umask(0o022)
+        try:
+            table_to_csv(f_eq3, path)
+            save(eq3, tmp_path / "table.csv")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(path.stat().st_mode) == kept
+        assert load(path)._gates.tobytes() == eq3._gates.tobytes()
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_a_link_is_written_through(self, tmp_path, f_eq3):
+        (tmp_path / "data").mkdir()
+        (tmp_path / "link.csv").symlink_to(tmp_path / "data" / "table.csv")
+        table_to_csv(f_eq3, tmp_path / "link.csv")
+        assert (tmp_path / "link.csv").is_symlink()
+        assert [p.name for p in (tmp_path / "data").iterdir()] == ["table.csv"]
+        assert table_from_csv(tmp_path / "data" / "table.csv") == f_eq3
+
+    @pytest.mark.parametrize("through", ["fifo", "fd-link"])
+    def test_a_device_is_written_in_place(self, tmp_path, f_eq3, through):
+        if through == "fifo":
+            path = tmp_path / "pipe"
+            os.mkfifo(path)
+            reader = os.open(path, os.O_RDONLY | os.O_NONBLOCK)  # so opening it to write does not block
+            writer = None
+        else:  # what /dev/stdout names when the output is a pipe
+            if not os.path.isdir("/proc/self/fd"):
+                pytest.skip("no /proc/self/fd on this system")
+            reader, writer = os.pipe()
+            path = f"/proc/self/fd/{writer}"
+        try:
+            table_to_csv(f_eq3, path)
+            written = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+            if writer is not None:
+                os.close(writer)
+        assert [p.name for p in tmp_path.iterdir()] == (["pipe"] if through == "fifo" else [])
+        assert written.splitlines()[:2] == ["input,value", "000,1"]
+
+    @pytest.mark.parametrize("existing", [None, "old\n"], ids=["new", "existing"])
+    def test_a_directory_that_takes_no_new_file(self, tmp_path, f_eq3, monkeypatch, existing):
+        def opening(file, mode="r", **kwargs):
+            if mode == "x":
+                raise PermissionError(13, "Permission denied", file)
+            return open(file, mode, **kwargs)
+
+        path = tmp_path / "table.csv"
+        if existing is not None:
+            path.write_text(existing)
+        monkeypatch.setattr(boolfun, "open", opening, raising=False)
+        if existing is None:
+            with pytest.raises(PermissionError):
+                table_to_csv(f_eq3, path)
+            assert list(tmp_path.iterdir()) == []
+        else:
+            table_to_csv(f_eq3, path)  # written in place, as open would write it
+            assert table_from_csv(path) == f_eq3
+
+    @pytest.mark.parametrize("existing", [None, "kept\n"], ids=["new", "existing"])
+    def test_a_failed_csv_write_leaves_no_file(self, tmp_path, existing):
+        path = tmp_path / "catalog.csv"
+        if existing is not None:
+            path.write_text(existing)
+
+        def families():
+            yield FunctionSet("qfunc3", (), (3,), 2, 1.0, 1), [(3, "81", "equality3")]
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError, match="^interrupted$"):
+            catalog._write_csv(families(), path)
+        assert [p.name for p in tmp_path.iterdir()] == ([] if existing is None else [path.name])
+        assert existing is None or path.read_text() == existing
 
     def test_json_is_plain_and_loadable(self, tmp_path, eq3):
         path = tmp_path / "a.json"

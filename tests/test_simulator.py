@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qqasim import simulator
-from qqasim.algorithms import constant_one_algorithm
+from qqasim.algorithms import constant_one_algorithm, equality3_algorithm, pair_equality4_algorithm
 from qqasim.boolfun import MAX_ARITY, TruthTable, all_inputs, bit_string
 from qqasim.catalog import SET_NAMES
 from qqasim.constructors import (
@@ -609,6 +612,77 @@ class TestBlockPathProperty:
         with mock.patch.object(simulator, "_BLOCK_ROWS", rows):
             _assert_bit_identical(a)
             _assert_answers_bit_identical(a, result.target)  # any table of the arity serves
+
+
+def _check_batches_off_the_multiple():
+    """The block path's states and answers are the dense pass's, bit for bit, on
+    composites whose batches are not all multiples of 8 rows.
+
+    Run by ``TestEveryKernel`` in a child process per OpenBLAS kernel.
+    """
+    eq3 = equality3_algorithm()
+    eq3s = [permute_outputs(eq3, sigma) for sigma in ((0, 1, 2, 3), (1, 0, 2, 3), (2, 1, 0, 3))]
+    pe4 = permute_outputs(pair_equality4_algorithm(), (1, 0, 2, 3))
+    results = [
+        majority3_construct(*eq3s),
+        and_construct(eq3s[1], eq3s[2]),
+        or_construct(eq3s[2], pe4),
+        majority_even4_construct(eq3s[0], eq3s[1], eq3s[2], eq3s[0]),
+    ]
+    batches, evolve = [], simulator._evolve_rows
+
+    def recording(states, signs, steps):
+        batches.append(len(states))
+        return evolve(states, signs, steps)
+
+    with mock.patch.object(simulator, "_BLOCK_ROWS", 1), \
+            mock.patch.object(simulator, "_evolve_rows", recording):
+        for result in results:
+            a = permute_variables(result.algorithm, tuple(reversed(range(result.target.arity))))
+            _assert_bit_identical(a)
+            _assert_answers_bit_identical(a, result.target)  # any table of the arity serves
+    assert any(rows > 1 and rows % 8 for rows in batches)
+
+
+def _openblas_dynamic_arch() -> bool:
+    """Whether numpy's BLAS is OpenBLAS built to choose its kernel when it loads."""
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    return "DYNAMIC_ARCH" in str(blas.get("openblas configuration", ""))
+
+
+def _cpu_lacks(*features) -> bool:
+    """Whether this CPU lacks any of ``features``, as numpy's dispatch names them."""
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    return not all(__cpu_features__.get(feature) for feature in features)
+
+
+def _core_type(core, *features):
+    """``core`` as a test parameter, skipped on a CPU without the ``features`` its kernel runs."""
+    return pytest.param(core, marks=pytest.mark.skipif(
+        _cpu_lacks(*features), reason=f"this CPU lacks {' or '.join(features)} for {core}"))
+
+
+class TestEveryKernel:
+    """The block path's bits under each OpenBLAS kernel that ``OPENBLAS_CORETYPE`` selects:
+    the one CPUs with AVX-512 get, and the two that CPUs with AVX2 but no AVX-512 get."""
+
+    @pytest.mark.skipif(not _openblas_dynamic_arch(),
+                        reason="numpy's BLAS is not OpenBLAS with DYNAMIC_ARCH: one kernel only")
+    @pytest.mark.parametrize("core", [
+        _core_type("SkylakeX", "AVX512F"),
+        _core_type("Haswell", "AVX2", "FMA3"),
+        _core_type("Zen", "AVX2", "FMA3"),
+    ])
+    def test_block_path_equals_the_dense_pass(self, core):
+        paths = [os.path.dirname(os.path.dirname(simulator.__file__)), os.path.dirname(__file__),
+                 os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)),
+               "OPENBLAS_CORETYPE": core}
+        check = "import test_simulator; test_simulator._check_batches_off_the_multiple()"
+        done = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, done.stderr.strip().splitlines()[-3:]
 
 
 class TestVerify:
