@@ -224,7 +224,8 @@ def _opened(target, mode: str, newline: str | None = None):
     replaced), created as ``open`` creates one (so with the umask's mode, or
     the mode of the file it replaces), renamed into place when the block
     succeeds and removed when it fails.  A device such as ``/dev/stdout``, or
-    a file in a directory that takes no new file, is written in place.
+    a file in a directory that takes no new file, is written in place; a
+    path whose directory is missing fails as ``open`` fails, naming the path.
     """
     if hasattr(target, "read" if mode == "r" else "write"):
         yield target
@@ -236,13 +237,12 @@ def _opened(target, mode: str, newline: str | None = None):
         except FileNotFoundError:
             kept = None
         if kept is None or stat.S_ISREG(kept):
-            target = os.path.realpath(target)
-            temp = os.path.join(os.path.dirname(target), f".{os.urandom(8).hex()}.tmp")
+            real = os.path.realpath(target)
+            temp = os.path.join(os.path.dirname(real), f".{os.urandom(8).hex()}.tmp")
             try:
                 handle = open(temp, "x", newline=newline)
-            except PermissionError:
-                if kept is None:
-                    raise
+            except (FileNotFoundError, PermissionError):
+                pass  # opened in place below, so a failure names ``target``, not ``temp``
     if handle is None:
         with open(target, mode, newline=newline) as handle:
             yield handle
@@ -252,7 +252,7 @@ def _opened(target, mode: str, newline: str | None = None):
             yield handle
         if kept is not None:
             os.chmod(temp, stat.S_IMODE(kept))
-        os.replace(temp, target)
+        os.replace(temp, real)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(temp)

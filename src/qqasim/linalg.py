@@ -1,8 +1,9 @@
 """Row-vector linear algebra for small quantum systems.
 
-States are unit-norm complex row vectors (bra convention): a gate ``G`` acts
-as ``state @ G``, so a pipeline of gates reads left to right.  Everything is
-dense and small; nothing here is tuned for dimensions beyond a few hundred.
+States are unit-norm row vectors (bra convention), float64 or complex as the
+simulator runs them: a gate ``G`` acts as ``state @ G``, so a pipeline of
+gates reads left to right.  Everything is dense and small; nothing here is
+tuned for dimensions beyond a few hundred.
 """
 from __future__ import annotations
 

@@ -34,9 +34,10 @@ independent block of amplitudes on that block's own inputs, and the steps
 that mix the blocks run once per distinct state, with an index that gives
 each input its state: the 4096 inputs of a ``maj_even4`` composite share
 256.  Each state is bit-identical to a plain pass of every step over all
-2^n rows, which the tests keep as the oracle.  Every path applies the
-steps through one tiled kernel, :func:`_evolve_rows`; :func:`trace` runs
-it a step at a time, and :func:`run` is :func:`trace`'s last state.
+2^n rows, which the tests keep as the oracle.  Every path runs the steps
+in one dtype (:func:`_batch`: float64 unless something is complex) through
+one tiled kernel, :func:`_evolve_rows`; :func:`trace` takes one input's
+batch row a step at a time, and :func:`run` is :func:`trace`'s last state.
 """
 from __future__ import annotations
 
@@ -284,12 +285,6 @@ def _allowed(which: StructuralProperty) -> str:
     return "{" + ", ".join(f"{v:+d}" if v else "0" for v in _DISCIPLINES[which].values) + "}"
 
 
-def _input_signs(a: QQA, input_bits: str) -> np.ndarray:
-    """One input's sign table, once the input is checked: one complex row, like the states."""
-    _check_input(input_bits, a.arity)
-    return np.array([[-1.0 if bit == "1" else 1.0 for bit in input_bits] + [1.0]], dtype=complex)
-
-
 def _outcome(a: QQA, final: np.ndarray) -> dict:
     """Outcome probabilities ``{0: p0, 1: p1}`` of a final state."""
     probs = np.abs(final) ** 2
@@ -306,14 +301,18 @@ def run(a: QQA, input_bits: str):
 def trace(a: QQA, input_bits: str) -> SimulationTrace:
     """All intermediate states (initial first, final last) for one input.
 
-    The steps run one at a time through the one kernel, :func:`_evolve_rows`.
+    The input runs as its row of :func:`run_all` does: in the batch's dtype
+    (:func:`_batch`), on ±1.0 signs, in ``_ROW_MULTIPLE`` copies taken through
+    :func:`_evolve_rows` a step at a time, so each state is that row's after
+    the same steps, bit for bit.
     """
-    signs = _input_signs(a, input_bits)
-    states = [a.initial[np.newaxis]]
-    for step in a.steps:
-        states.append(_evolve_rows(states[-1].copy(), signs, (step,)))
-    _unit_norm(states[-1], lambda _: input_bits)
-    return SimulationTrace(input_bits, tuple(_freeze(s[0]) for s in states))
+    _check_input(input_bits, a.arity)
+    signs = np.array([[-1.0 if bit == "1" else 1.0 for bit in input_bits] + [1.0]])
+    initial, steps = _batch(a)
+    batch = np.tile(initial, (_ROW_MULTIPLE, 1))  # unpadded, so each step runs it in place
+    states = [initial] + [_evolve_rows(batch, signs, (step,))[0].copy() for step in steps]
+    _unit_norm(states[-1][np.newaxis], lambda _: input_bits)
+    return SimulationTrace(input_bits, tuple(map(_freeze, states)))
 
 
 def run_all(a: QQA) -> np.ndarray:
@@ -328,12 +327,11 @@ def run_all(a: QQA) -> np.ndarray:
     as every combiner's do, runs those steps once per block on the block's
     own inputs when it has at least ``_BLOCK_ROWS`` inputs, and the steps
     after them once per distinct state (:func:`_block_states`); its rows
-    are gathered from those states, bit-identical to the whole batch.  When
-    the initial state and every gate have zero imaginary part, as in every
-    built-in and constructed algorithm, the batch runs in float64 on the
-    stored float64 gates and the result is float64; otherwise the same code
-    runs in complex.  A row whose norm drifts from 1 by more than
-    ``NORM_TOL`` is an error that names the first such input.
+    are gathered from those states, bit-identical to the whole batch.  The
+    batch and the result are float64 for every built-in and constructed
+    algorithm, complex otherwise (:func:`_batch`).  A row whose norm drifts
+    from 1 by more than ``NORM_TOL`` is an error that names the first such
+    input.
     """
     return _per_input(*_simulate(a))
 
@@ -388,6 +386,17 @@ def _final_states(a: QQA) -> tuple:
     costs are more than they save.
     """
     n = a.arity
+    initial, steps = _batch(a)
+    split = _blocks(a) if 1 << n >= _BLOCK_ROWS else None
+    if split is None:
+        states = np.tile(initial, (1 << n, 1))
+        return _evolve_rows(states, _sign_table(tuple(range(n)), n), steps), None
+    return _block_states(initial, steps, n, *split)
+
+
+def _batch(a: QQA) -> tuple:
+    """``(initial, steps)`` as every simulation runs them: the stored gates in the steps'
+    places, in float64 when the initial state and every gate have zero imaginary part."""
     gates = a._gates
     real = not a.initial.imag.any()
     if gates.dtype == complex:  # an imaginary part other than +0.0; all may still be ±0
@@ -395,12 +404,7 @@ def _final_states(a: QQA) -> tuple:
         gates = np.ascontiguousarray(gates.real) if real else gates
     gates = iter(gates)
     steps = [step if isinstance(step, QueryGate) else next(gates) for step in a.steps]
-    initial = a.initial.real if real else a.initial
-    split = _blocks(a) if 1 << n >= _BLOCK_ROWS else None
-    if split is None:
-        states = np.tile(initial, (1 << n, 1))
-        return _evolve_rows(states, _sign_table(tuple(range(n)), n), steps), None
-    return _block_states(initial, steps, n, *split)
+    return a.initial.real if real else a.initial, steps
 
 
 def _block_states(initial: np.ndarray, steps: list, n: int, masks, reads, prefix: int):
@@ -464,12 +468,11 @@ def _sign_table(variables: tuple, n: int) -> np.ndarray:
     return _freeze(signs.reshape(-1, n + 1))
 
 
-#: Rows that every product of more than one row runs on a multiple of.  On a
-#: multiple of 8 rows, each of the six OpenBLAS kernels tried (SkylakeX,
-#: Haswell, Zen, Sandybridge, Nehalem, Prescott) gives each row of a real
-#: product the bits it gets in any larger batch; on other counts, Haswell,
-#: Zen, Nehalem and Prescott do not.  A single row, as :func:`trace` runs,
-#: is left as it is.
+#: Rows that every product runs on a multiple of.  On a multiple of 8 rows,
+#: each of the six OpenBLAS kernels tried (SkylakeX, Haswell, Zen,
+#: Sandybridge, Nehalem, Prescott) gives each row of a real product the bits
+#: it gets in any larger batch; on other counts, a single row included,
+#: Haswell, Zen, Nehalem and Prescott do not, and SkylakeX not on one row.
 _ROW_MULTIPLE = 8
 
 
@@ -482,12 +485,12 @@ def _evolve_rows(states: np.ndarray, signs: np.ndarray, steps) -> np.ndarray:
     matmul.  Rows run ``_TILE`` at a time, back and forth between the tile
     and one buffer of at most ``_TILE`` rows, so each row's arithmetic is
     the whole batch's and no second array of its size is made; ``states``
-    may be overwritten.  A batch of more than one row runs on a multiple of
-    ``_ROW_MULTIPLE`` rows: zero rows are appended to a copy, with +1 signs
-    if ``signs`` has a row for each, and dropped after the last step.
+    may be overwritten.  Every batch runs on a multiple of ``_ROW_MULTIPLE``
+    rows: zero rows are appended to a copy, with +1 signs if ``signs`` has
+    a row for each, and dropped after the last step.
     """
     count = len(states)
-    pad = -count % _ROW_MULTIPLE if count > 1 else 0
+    pad = -count % _ROW_MULTIPLE
     if pad:
         states = np.concatenate([states, np.zeros((pad, states.shape[1]), states.dtype)])
         if len(signs) > 1:

@@ -29,7 +29,7 @@ from qqasim.boolfun import (
 from qqasim.cli import main, render_trace
 from qqasim.constructors import ConstructionResult, or_construct
 from qqasim.linalg import NORM_TOL
-from qqasim.serialize import load, save
+from qqasim.serialize import _pair_lists, load, save
 from qqasim.simulator import QQA, QueryGate, computed_function, run_all
 
 
@@ -159,8 +159,8 @@ class TestTraceCommand:
 
     def test_json_simulates_each_input_once(self, monkeypatch):
         built = []
-        signs = simulator._input_signs
-        monkeypatch.setattr(simulator, "_input_signs", lambda a, x: built.append(x) or signs(a, x))
+        check = simulator._check_input  # the first thing each simulation of one input does
+        monkeypatch.setattr(simulator, "_check_input", lambda x, n: built.append(x) or check(x, n))
         result = invoke(
             "--format", "json", "trace", "--algorithm", "builtin:equality3", "--all-inputs"
         )
@@ -792,11 +792,15 @@ class TestErrorPaths:
         assert not out.exists()
 
 
-#: sha256 of standard output, recorded before ``run``, ``trace`` and the batch
-#: pass shared one kernel; any change to a number or its layout shows here.
+#: sha256 of standard output; any change to a number or its layout shows here.
+#: ``verify-or`` was recorded before ``run``, ``trace`` and the batch pass shared
+#: one kernel, the two traces once ``trace`` ran in the batch's dtype on padded
+#: rows, so that each traced state is its batch row's, bit for bit.  The trace
+#: bytes still differ under the OpenBLAS kernels without FMA (Sandybridge,
+#: Nehalem, Prescott), whose products all round differently.
 _GOLDEN_STDOUT = {
-    "trace-builtin": "3f1be507a1fe5bc2414e84f7f5e55354bd0b296c4b5ca03dffd1d07da7c8fd46",
-    "trace-or": "66721568103e6ca90ee2163da6f70f9a1089ff04a1fd8f8376265c901708cb90",
+    "trace-builtin": "e677d51cba9fbb8d8b344f4ee0c9089bc94a8de72ff31c46c25a389fec779015",
+    "trace-or": "c36b09fb40470fcdfcf1bfa8ea314250868165559905f9083a5a5281776ca237",
     "verify-or": "989ee61043cfa62a8aea24eb9f7f5c12713691353df4bb0a5ce291d4ed9b48cc",
 }
 #: sha256 of the text traces and of the saved ``or`` document, recorded while
@@ -817,6 +821,17 @@ def _pinned_or_document(tmp_path) -> str:
     )
     assert build.exit_code == 0
     return document
+
+
+def test_json_trace_ends_in_the_batch_rows(tmp_path):
+    """Each traced final state of the pinned ``or`` document, and its P(1), is its
+    ``run_all`` row's, bit for bit."""
+    document = _pinned_or_document(tmp_path)
+    result = invoke("--format", "json", "trace", "--algorithm", document, "--all-inputs")
+    a = load(document)
+    rows, states = json.loads(result.stdout), run_all(a)
+    assert [row["probabilities"]["1"] for row in rows] == simulator._p_one(a, states).tolist()
+    assert [row["states"][-1] for row in rows] == _pair_lists(states)
 
 
 def test_json_output_is_pinned(tmp_path):

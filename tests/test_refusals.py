@@ -20,13 +20,19 @@ from qqasim import (
     all_inputs,
     bit_string,
     block_diag,
+    computed_function,
     constant_one_algorithm,
     from_accepting,
     input_index,
     is_unitary,
     named_function,
+    pair_equality4_algorithm,
     permutation_matrix,
+    permute_outputs,
+    permute_variables,
     run,
+    run_all,
+    trace,
 )
 
 #: Integer-like values: integers in and out of range, numpy integers, booleans,
@@ -42,6 +48,9 @@ _SIZES = st.one_of(
 #: Input strings: of 0s and 1s, up to beyond ``MAX_ARITY`` variables, or with a sign,
 #: a space, an underscore or a letter that ``int(bits, 2)`` would read or refuse.
 _BITS = st.text("01", max_size=MAX_ARITY + 4) | st.text("01 +-_x", max_size=6)
+#: Permutations of up to 5 entries, and lists of up to 5 integer-like values.
+_SIGMAS = (st.lists(_SIZES, max_size=5)
+           | st.integers(0, 5).flatmap(lambda n: st.permutations(range(n))))
 #: Matrix entries: numbers, NaN and inf, booleans and numeric strings.
 _ENTRIES = st.one_of(
     st.integers(-2, 2),
@@ -139,10 +148,34 @@ def _run(draw):
     assert probabilities == {0: 0.0, 1: 1.0} and len(bits) == 3
 
 
+@_case("input")
+def _trace(draw):
+    bits = draw(_BITS | st.integers(0, 15).map(lambda i: bit_string(i, 4)))
+    a = pair_equality4_algorithm()
+    last, row = trace(a, bits).states[-1], run_all(a)[input_index(bits)]
+    assert last.dtype == row.dtype and last.tobytes() == row.tobytes()
+
+
+@_case("variable permutation")
+def _permute_variables(draw):
+    sigma, a = draw(_SIGMAS), pair_equality4_algorithm()
+    f, g = computed_function(a), computed_function(permute_variables(a, sigma))
+    assert sorted(sigma) == list(range(4))
+    assert all(g.evaluate(x) == f.evaluate("".join(x[k] for k in sigma))
+               for x in all_inputs(4))
+
+
+@_case("output permutation")
+def _permute_outputs(draw):
+    sigma, a = draw(_SIGMAS), pair_equality4_algorithm()
+    b = permute_outputs(a, sigma)
+    assert sorted(sigma) == list(range(4))
+    assert all(b.measurement[j] == a.measurement[i] for i, j in enumerate(sigma))
+
+
 @_case("sigma")
 def _permutation_matrix(draw):
-    sigma = draw(st.lists(_SIZES, max_size=5)
-                 | st.integers(0, 5).flatmap(lambda n: st.permutations(range(n))))
+    sigma = draw(_SIGMAS)
     matrix = permutation_matrix(sigma)
     assert sorted(sigma) == list(range(len(sigma)))
     assert all(matrix[i, j] == 1 for i, j in enumerate(sigma)) and matrix.sum() == len(sigma)
@@ -160,7 +193,7 @@ def _block_diag(draw):
 
 
 @pytest.mark.parametrize("case, names", _CASES)
-@settings(max_examples=60)  # keeps the twelve cases to about 1.3 s
+@settings(max_examples=60)  # keeps the fifteen cases to about 1.7 s
 @given(data=st.data())
 def test_the_contract_holds_or_a_value_error_names_the_argument(case, names, data):
     with np.errstate(all="ignore"):  # a NaN or inf entry is a value to refuse, not a warning

@@ -274,7 +274,7 @@ class TestAtomicWrite:
     @pytest.mark.parametrize("existing", [None, "old\n"], ids=["new", "existing"])
     def test_a_directory_that_takes_no_new_file(self, tmp_path, f_eq3, monkeypatch, existing):
         def opening(file, mode="r", **kwargs):
-            if mode == "x":
+            if mode == "x" or mode == "w" and not os.path.exists(file):  # no new file
                 raise PermissionError(13, "Permission denied", file)
             return open(file, mode, **kwargs)
 
@@ -283,12 +283,24 @@ class TestAtomicWrite:
             path.write_text(existing)
         monkeypatch.setattr(boolfun, "open", opening, raising=False)
         if existing is None:
-            with pytest.raises(PermissionError):
+            with pytest.raises(PermissionError) as refused:
                 table_to_csv(f_eq3, path)
+            assert refused.value.filename == path  # the file asked for, not a temp file
             assert list(tmp_path.iterdir()) == []
         else:
             table_to_csv(f_eq3, path)  # written in place, as open would write it
             assert table_from_csv(path) == f_eq3
+
+    @pytest.mark.parametrize("writer", ["save", "table_to_csv", "export_csv"])
+    def test_a_missing_directory_is_named(self, tmp_path, eq3, f_eq3, writer):
+        write = {"save": lambda path: save(eq3, path),
+                 "table_to_csv": lambda path: table_to_csv(f_eq3, path),
+                 "export_csv": lambda path: export_csv({}, path)}[writer]
+        path = tmp_path / "missing" / "out"
+        with pytest.raises(FileNotFoundError) as missing:
+            write(path)
+        assert missing.value.filename == str(path)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("existing", [None, "kept\n"], ids=["new", "existing"])
     def test_a_failed_csv_write_leaves_no_file(self, tmp_path, existing):

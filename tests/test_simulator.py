@@ -161,9 +161,9 @@ def _entry_of_shape(catalog, shape):
 def _single_states(a, input_bits):
     """The state after every step on one input, one step at a time.
 
-    The reference of :func:`run` and :func:`trace`: a query multiplies the
-    complex state by a ±1 vector built for that step, and a unitary step is
-    a vector-matrix product.
+    The value reference of :func:`run` and :func:`trace`, independent of the
+    batch: a query multiplies the complex state by a ±1 vector built for
+    that step, and a unitary step is a vector-matrix product.
     """
     states = [a.initial]
     for step in a.steps:
@@ -186,18 +186,22 @@ class TestSingleInput:
         else:
             a = _entry_of_shape(full_catalog, shape)
         rng = random.Random(0)
-        inputs = (
-            list(all_inputs(a.arity)) if a.arity <= 6
-            else [bit_string(rng.randrange(1 << a.arity), a.arity) for _ in range(20)]
-        )
-        for x in inputs:
+        n = a.arity
+        rows = range(1 << n) if n <= 6 else [rng.randrange(1 << n) for _ in range(20)]
+        batch = _dense_states(a, every_step=True)
+        dtype = complex if shape == "complex-phase" else np.float64
+        for row in rows:
+            x = bit_string(row, n)
             reference = _single_states(a, x)
             final, _ = run(a, x)
             traced = trace(a, x).states
-            assert len(traced) == len(reference)
-            for state, expected in zip((final, *traced), (reference[-1], *reference)):
-                assert state.dtype == expected.dtype == complex
+            assert len(traced) == len(reference) == len(batch)
+            for state, expected, value in zip(
+                    (final, *traced), (batch[-1][row], *(s[row] for s in batch)),
+                    (reference[-1], *reference)):
+                assert state.dtype == expected.dtype == dtype
                 assert state.tobytes() == expected.tobytes()  # signed zeros count
+                assert np.allclose(state, value, rtol=0, atol=1e-12)
 
     @given(data=st.data())
     def test_run_equals_its_run_all_row(self, full_catalog, data):
@@ -205,7 +209,9 @@ class TestSingleInput:
         a = data.draw(st.sampled_from(algorithms))
         row = data.draw(st.integers(0, (1 << a.arity) - 1))
         final, probs = run(a, bit_string(row, a.arity))
-        assert np.allclose(final, run_all(a)[row], rtol=0, atol=1e-12)
+        expected = run_all(a)[row]
+        assert final.dtype == expected.dtype
+        assert final.tobytes() == expected.tobytes()
         assert probs[0] + probs[1] == pytest.approx(1.0, abs=1e-9)
 
 
@@ -219,7 +225,8 @@ class TestRunAll:
         table = run_all(a)
         assert table.dtype == (complex if shape == "complex-phase" else np.float64)
         singles = np.array([run(a, x)[0] for x in all_inputs(a.arity)])
-        assert np.allclose(table, singles, rtol=0, atol=1e-12)
+        assert singles.dtype == table.dtype
+        assert singles.tobytes() == table.tobytes()
 
     def test_probabilities_sum_to_one(self, eq3):
         states = run_all(eq3)
@@ -241,12 +248,13 @@ def _rebuilt(a):
     return QQA(a.arity, a.amplitudes, a.initial, a.steps, a.measurement)
 
 
-def _dense_states(a):
+def _dense_states(a, every_step=False):
     """Final states on every input from one batch over all 2^n rows and every step.
 
-    The reference of the block path: a query step multiplies by a ±1 sign
-    table, a unitary step is one matmul of the whole batch, in float64 when
-    nothing is complex.
+    The reference of the block path, and with ``every_step`` of each state
+    of :func:`trace`, as a list of the batch before and after each step: a
+    query step multiplies by a ±1 sign table, a unitary step is one matmul
+    of the whole batch, in float64 when nothing is complex.
     """
     n = a.arity
     gates = [step for step in a.steps if not isinstance(step, QueryGate)]
@@ -255,13 +263,13 @@ def _dense_states(a):
     for k in range(n):
         signs[(slice(None),) * k + (1, ..., k)] = -1.0
     signs = signs.reshape(1 << n, n + 1)
-    states = np.tile(a.initial.real if real else a.initial, (1 << n, 1))
+    batch = [np.tile(a.initial.real if real else a.initial, (1 << n, 1))]
     for step in a.steps:
         if isinstance(step, QueryGate):
-            states = states * signs[:, [n if v is None else v for v in step.assignments]]
+            batch.append(batch[-1] * signs[:, [n if v is None else v for v in step.assignments]])
         else:
-            states = states @ (np.ascontiguousarray(step.real) if real else step)
-    return states
+            batch.append(batch[-1] @ (np.ascontiguousarray(step.real) if real else step))
+    return batch if every_step else batch[-1]
 
 
 def _assert_bit_identical(a):
@@ -614,21 +622,26 @@ class TestBlockPathProperty:
             _assert_answers_bit_identical(a, result.target)  # any table of the arity serves
 
 
+def _kernel_composites():
+    """One composite per combiner, of built-ins with their outputs permuted."""
+    eq3 = equality3_algorithm()
+    eq3s = [permute_outputs(eq3, sigma) for sigma in ((0, 1, 2, 3), (1, 0, 2, 3), (2, 1, 0, 3))]
+    pe4 = permute_outputs(pair_equality4_algorithm(), (1, 0, 2, 3))
+    return [
+        majority3_construct(*eq3s),
+        and_construct(eq3s[1], eq3s[2]),
+        or_construct(eq3s[2], pe4),
+        majority_even4_construct(eq3s[0], eq3s[1], eq3s[2], eq3s[0]),
+    ]
+
+
 def _check_batches_off_the_multiple():
     """The block path's states and answers are the dense pass's, bit for bit, on
     composites whose batches are not all multiples of 8 rows.
 
     Run by ``TestEveryKernel`` in a child process per OpenBLAS kernel.
     """
-    eq3 = equality3_algorithm()
-    eq3s = [permute_outputs(eq3, sigma) for sigma in ((0, 1, 2, 3), (1, 0, 2, 3), (2, 1, 0, 3))]
-    pe4 = permute_outputs(pair_equality4_algorithm(), (1, 0, 2, 3))
-    results = [
-        majority3_construct(*eq3s),
-        and_construct(eq3s[1], eq3s[2]),
-        or_construct(eq3s[2], pe4),
-        majority_even4_construct(eq3s[0], eq3s[1], eq3s[2], eq3s[0]),
-    ]
+    results = _kernel_composites()
     batches, evolve = [], simulator._evolve_rows
 
     def recording(states, signs, steps):
@@ -642,6 +655,21 @@ def _check_batches_off_the_multiple():
             _assert_bit_identical(a)
             _assert_answers_bit_identical(a, result.target)  # any table of the arity serves
     assert any(rows > 1 and rows % 8 for rows in batches)
+
+
+def _check_traces_equal_their_rows():
+    """Each traced final state of the built-ins and of one composite per combiner is
+    its :func:`run_all` row, bit for bit, on every input up to arity 6 and every
+    2^(n-4)-th above it.
+
+    Run by ``TestEveryKernel`` in a child process per OpenBLAS kernel.
+    """
+    built_ins = [equality3_algorithm(), pair_equality4_algorithm()]
+    for a in built_ins + [result.algorithm for result in _kernel_composites()]:
+        table, n = run_all(a), a.arity
+        for row in range(0, 1 << n, 1 if n <= 6 else 1 << (n - 4)):
+            final = trace(a, bit_string(row, n)).states[-1]
+            assert final.dtype == table.dtype and final.tobytes() == table[row].tobytes(), (a, row)
 
 
 def _openblas_dynamic_arch() -> bool:
@@ -664,8 +692,9 @@ def _core_type(core, *features):
 
 
 class TestEveryKernel:
-    """The block path's bits under each OpenBLAS kernel that ``OPENBLAS_CORETYPE`` selects:
-    the one CPUs with AVX-512 get, and the two that CPUs with AVX2 but no AVX-512 get."""
+    """The block path's bits, and each traced state's, under each OpenBLAS kernel that
+    ``OPENBLAS_CORETYPE`` selects: the one CPUs with AVX-512 get, and the two that CPUs
+    with AVX2 but no AVX-512 get."""
 
     @pytest.mark.skipif(not _openblas_dynamic_arch(),
                         reason="numpy's BLAS is not OpenBLAS with DYNAMIC_ARCH: one kernel only")
@@ -679,7 +708,8 @@ class TestEveryKernel:
                  os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)),
                "OPENBLAS_CORETYPE": core}
-        check = "import test_simulator; test_simulator._check_batches_off_the_multiple()"
+        check = ("import test_simulator as t; "
+                 "t._check_batches_off_the_multiple(); t._check_traces_equal_their_rows()")
         done = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
                               env=env, timeout=120)
         assert done.returncode == 0, done.stderr.strip().splitlines()[-3:]
