@@ -167,6 +167,17 @@ def _result(function: str, algorithm: QQA, parts: Sequence[QQA]) -> Construction
     return ConstructionResult(algorithm, target, float(row.floor), algorithm.query_count)
 
 
+def _labels(algs: Sequence) -> list:
+    """How refusals name the parts: ``first input`` and ``second input`` of two, else
+    ``input i``; a part that is not a :class:`QQA` is refused here with a ``TypeError``."""
+    labels = (["first input", "second input"] if len(algs) == 2
+              else [f"input {i + 1}" for i in range(len(algs))])
+    for label, a in zip(labels, algs):
+        if not isinstance(a, QQA):
+            raise TypeError(f"{label}: expected a QQA, got {type(a).__name__}")
+    return labels
+
+
 def _hadamard_pairs(dim: int, pairs: tuple) -> np.ndarray:
     """Identity with a ((s, s), (s, -s)) block on each (i, j) position pair.
 
@@ -214,40 +225,27 @@ def and_construct(a1: QQA, a2: QQA) -> ConstructionResult:
     accepting discipline.  The two-part :func:`_hadamard_tree`, each part in
     a block as wide as the wider one.
     """
+    labels = _labels((a1, a2))
     m = max(a1.amplitudes, a2.amplitudes)
-    algorithm = _hadamard_tree("and_construct", (a1, a2), ("first input", "second input"), (m, m))
+    algorithm = _hadamard_tree("and_construct", (a1, a2), labels, (m, m))
     return _result("and_construct", algorithm, (a1, a2))
 
 
-def _route(sigma: list, sources: Sequence[int], targets: Sequence[int]) -> None:
-    """Assign sources to targets, keeping positions that already match fixed."""
-    fixed = sorted(set(sources) & set(targets))
-    for s in fixed:
-        sigma[s] = s
-    rest_sources = sorted(set(sources) - set(fixed))
-    rest_targets = sorted(set(targets) - set(fixed))
-    for s, t in zip(rest_sources, rest_targets):
-        sigma[s] = t
+#: Where the ``or`` routing sends each slot once each part's accepting output is swapped to
+#: the front of its part (slots 0 and 4): the accepting pair to slots 0-1, the first part's
+#: rejects to 2-4, the second's to 6-8, auxiliary slot 8 to the free slot 5; 9-15 stay.
+_OR_SLOTS = (0, 4, 2, 3, 1, 8, 6, 7, 5, *range(9, 16))
 
 
 @functools.cache
 def _or_routing(acc1: int, acc2: int) -> np.ndarray:
-    """16-slot permutation placing accepting amplitudes first, rejects in fixed groups.
-
-    ``acc1`` and ``acc2`` are the accepting outputs of the two 4-amplitude
-    parts; each of the 16 gates is built once and kept read-only.
-    """
-    sigma: list = [None] * 16
-    rejecting1 = [i for i in range(4) if i != acc1]
-    rejecting2 = [i for i in range(4, 8) if i != 4 + acc2]
-    _route(sigma, [acc1], [0])
-    _route(sigma, [4 + acc2], [1])
-    _route(sigma, rejecting1, [2, 3, 4])
-    _route(sigma, rejecting2, [6, 7, 8])
-    unused_sources = [i for i in range(16) if sigma[i] is None]
-    unused_targets = sorted(set(range(16)) - set(s for s in sigma if s is not None))
-    _route(sigma, unused_sources, unused_targets)
-    return _freeze(permutation_matrix(sigma))
+    """The permutation that swaps the accepting outputs ``acc1`` and ``acc2`` of the two
+    4-amplitude parts to the fronts of their parts, slots 0 and 4, then routes each slot s
+    to ``_OR_SLOTS[s]``; each of the 16 gates is built once and kept read-only."""
+    slots = list(range(16))
+    slots[0], slots[acc1] = acc1, 0
+    slots[4], slots[4 + acc2] = 4 + acc2, 4
+    return _freeze(permutation_matrix([_OR_SLOTS[s] for s in slots]))
 
 
 @functools.cache
@@ -272,7 +270,7 @@ def or_construct(a1: QQA, a2: QQA) -> ConstructionResult:
     sub-function leaves at least 5/8 of the mass on accepting outputs.
     """
     row = _ROWS["or_construct"]
-    for label, a in (("first input", a1), ("second input", a2)):
+    for label, a in zip(_labels((a1, a2)), (a1, a2)):
         if a.amplitudes != 4:
             raise ValueError(f"{label}: the or-combiner needs 4-amplitude sub-algorithms")
         _admitted(a, row.admits, f"{label}: {row.need}")  # a signed unit is taken as it is
@@ -283,8 +281,7 @@ def or_construct(a1: QQA, a2: QQA) -> ConstructionResult:
 
 def _majority_tree(function: str, algs: Sequence[QQA]) -> QQA:
     """The four-part :func:`_hadamard_tree`, each part in a block of its own width."""
-    labels = [f"input {i + 1}" for i in range(len(algs))]
-    return _hadamard_tree(function, algs, labels, [a.amplitudes for a in algs])
+    return _hadamard_tree(function, algs, _labels(algs), [a.amplitudes for a in algs])
 
 
 def majority_even4_construct(a1: QQA, a2: QQA, a3: QQA, a4: QQA) -> ConstructionResult:

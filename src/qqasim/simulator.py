@@ -286,10 +286,8 @@ def _allowed(which: StructuralProperty) -> str:
 
 
 def _outcome(a: QQA, final: np.ndarray) -> dict:
-    """Outcome probabilities ``{0: p0, 1: p1}`` of a final state."""
-    probs = np.abs(final) ** 2
-    values = np.array(a.measurement)
-    return {0: float(probs[values == 0].sum()), 1: float(probs[values == 1].sum())}
+    """Outcome probabilities ``{0: p0, 1: p1}`` of a final state, as :func:`_p_one` sums them."""
+    return {value: float(_p_one(a, final[np.newaxis], value)[0]) for value in (0, 1)}
 
 
 def run(a: QQA, input_bits: str):
@@ -331,9 +329,24 @@ def run_all(a: QQA) -> np.ndarray:
     batch and the result are float64 for every built-in and constructed
     algorithm, complex otherwise (:func:`_batch`).  A row whose norm drifts
     from 1 by more than ``NORM_TOL`` is an error that names the first such
-    input.
+    input.  An algorithm whose ``2**arity`` rows of ``amplitudes`` entries would
+    pass ``_MAX_BATCH`` is refused before anything of that size is made.
     """
+    _check_batch(a)
     return _per_input(*_simulate(a))
+
+
+#: Most entries, inputs times amplitudes, of an array of every input's state: 128 MiB in
+#: float64.  The largest catalog batch is 4096 x 16.
+_MAX_BATCH = 1 << 24
+
+
+def _check_batch(a: QQA) -> None:
+    """Refuse ``a`` if a state for each of its inputs would pass ``_MAX_BATCH`` entries."""
+    if a.amplitudes << a.arity > _MAX_BATCH:
+        raise ValueError(f"arity {a.arity} and {a.amplitudes} amplitudes need "
+                         f"{a.amplitudes << a.arity} entries for every input's state, "
+                         f"above the bound of {_MAX_BATCH}")
 
 
 def _simulate(a: QQA) -> tuple:
@@ -380,7 +393,8 @@ _BLOCK_ROWS = 2048
 def _final_states(a: QQA) -> tuple:
     """``(states, index)``, unchecked: input i ends in ``states[index[i]]``.
 
-    The dense pass gives one row per input and no index.  Only a batch of
+    The dense pass gives one row per input and no index, and refuses a
+    batch past ``_MAX_BATCH`` before making it.  Only a batch of
     at least ``_BLOCK_ROWS`` rows is searched for independent blocks
     (:func:`_blocks`): below that, the search and the block path's fixed
     costs are more than they save.
@@ -389,6 +403,7 @@ def _final_states(a: QQA) -> tuple:
     initial, steps = _batch(a)
     split = _blocks(a) if 1 << n >= _BLOCK_ROWS else None
     if split is None:
+        _check_batch(a)
         states = np.tile(initial, (1 << n, 1))
         return _evolve_rows(states, _sign_table(tuple(range(n)), n), steps), None
     return _block_states(initial, steps, n, *split)
@@ -558,9 +573,9 @@ def _blocks(a: QQA):
     return labels == np.array(order)[:, np.newaxis], [reads[at] for at in order], prefix
 
 
-def _p_one(a: QQA, states: np.ndarray) -> np.ndarray:
-    """P(output = 1) of every row of ``states``."""
-    mask = np.array(a.measurement) == 1
+def _p_one(a: QQA, states: np.ndarray, value: int = 1) -> np.ndarray:
+    """P(output = ``value``) of every row of ``states``: P(1) unless ``value`` is 0."""
+    mask = np.array(a.measurement) == value
     return (np.abs(states[:, mask]) ** 2).sum(axis=1)
 
 

@@ -160,6 +160,26 @@ for _i, _j in ((1, 4), (5, 8)):
     EXPECTED_SWAP[_i, _i] = EXPECTED_SWAP[_j, _j] = 0.0
     EXPECTED_SWAP[_i, _j] = EXPECTED_SWAP[_j, _i] = 1.0
 
+#: Where each ``or`` routing sends slots 0-8, by the parts' accepting outputs (acc1, acc2).
+_OR_ROUTES = {
+    (0, 0): (0, 4, 2, 3, 1, 8, 6, 7, 5),
+    (0, 1): (0, 4, 2, 3, 8, 1, 6, 7, 5),
+    (0, 2): (0, 4, 2, 3, 6, 8, 1, 7, 5),
+    (0, 3): (0, 4, 2, 3, 7, 8, 6, 1, 5),
+    (1, 0): (4, 0, 2, 3, 1, 8, 6, 7, 5),
+    (1, 1): (4, 0, 2, 3, 8, 1, 6, 7, 5),
+    (1, 2): (4, 0, 2, 3, 6, 8, 1, 7, 5),
+    (1, 3): (4, 0, 2, 3, 7, 8, 6, 1, 5),
+    (2, 0): (2, 4, 0, 3, 1, 8, 6, 7, 5),
+    (2, 1): (2, 4, 0, 3, 8, 1, 6, 7, 5),
+    (2, 2): (2, 4, 0, 3, 6, 8, 1, 7, 5),
+    (2, 3): (2, 4, 0, 3, 7, 8, 6, 1, 5),
+    (3, 0): (3, 4, 2, 0, 1, 8, 6, 7, 5),
+    (3, 1): (3, 4, 2, 0, 8, 1, 6, 7, 5),
+    (3, 2): (3, 4, 2, 0, 6, 8, 1, 7, 5),
+    (3, 3): (3, 4, 2, 0, 7, 8, 6, 1, 5),
+}
+
 
 class TestOrConstruct:
     def test_target_and_probability(self, pe4, f_pe4):
@@ -183,6 +203,16 @@ class TestOrConstruct:
         swap = algorithm.steps[-2]
         assert np.array_equal(swap.real, EXPECTED_SWAP)
         assert np.all(swap.imag == 0)
+
+    @pytest.mark.parametrize("acc1, acc2", sorted(_OR_ROUTES))
+    def test_each_routing_follows_the_rule(self, acc1, acc2):
+        gate = constructors._or_routing(acc1, acc2)
+        sigma = gate.argmax(axis=1).tolist()  # slot i goes to slot sigma[i]
+        assert gate.dtype == np.float64 and np.array_equal(gate, np.eye(16)[sigma])
+        assert tuple(sigma[:9]) == _OR_ROUTES[acc1, acc2] and sigma[9:] == list(range(9, 16))
+        assert sigma[acc1] == 0 and sigma[4 + acc2] == 1 and sigma[8] == 5
+        assert {sigma[i] for i in range(4) if i != acc1} == {2, 3, 4}
+        assert {sigma[i] for i in range(4, 8) if i != 4 + acc2} == {6, 7, 8}
 
     def test_mix_gate_block_structure(self, pe4):
         mix = or_construct(pe4, pe4).algorithm.steps[-1].real

@@ -1,5 +1,6 @@
 """Every public function that takes sizes, indices, bits or arrays either meets its
-contract or refuses the value with a ``ValueError`` that names the argument.
+contract or refuses the value with a ``ValueError`` that names the argument; each
+combiner also takes a part that is not an algorithm with a ``TypeError``.
 
 Each case draws good values and malformed ones (booleans, numeric strings, NaN,
 inf, negatives, out-of-range values, ragged or wrongly shaped arrays).  Every
@@ -16,14 +17,18 @@ from hypothesis import given, settings, strategies as st
 
 from qqasim import (
     MAX_ARITY,
+    QQA,
+    QueryGate,
     TruthTable,
     all_inputs,
     bit_string,
     block_diag,
     computed_function,
     constant_one_algorithm,
+    equality3_algorithm,
     from_accepting,
     input_index,
+    invert_outputs,
     is_unitary,
     named_function,
     pair_equality4_algorithm,
@@ -33,7 +38,9 @@ from qqasim import (
     run,
     run_all,
     trace,
+    verify,
 )
+from qqasim import constructors
 
 #: Integer-like values: integers in and out of range, numpy integers, booleans,
 #: floats (NaN and inf among them), numeric strings and ``None``.
@@ -192,8 +199,86 @@ def _block_diag(draw):
     assert block_diag(blocks).shape == (sum(map(len, blocks)),) * 2
 
 
+#: A drawn field of ``QQA`` on pair_equality4's others: the values drawn, the step a gate or
+#: query assignments replace, and the names a refusal may give.
+_FIELDS = {
+    "arity": (_SIZES, None, "arity"),
+    "amplitudes": (_SIZES, None, r"amplitudes|initial state must have shape"),
+    "initial": (st.lists(_ENTRIES, max_size=5) | _MATRICES, None, "initial"),
+    "unitary": (_MATRICES, 2, r"steps\[2\]\.unitary"),
+    "query": (st.lists(_SIZES, max_size=5), 3, r"steps\[3\]\.query"),
+    "measurement": (st.lists(_SIZES, max_size=5) | _SIZES, None, "measurement"),
+}
+
+
+def _qqa_case(field: str):
+    values, at, names = _FIELDS[field]
+
+    def check(draw):
+        a, value = pair_equality4_algorithm(), draw(values)
+        fields = {name: getattr(a, name) for name in ("arity", "amplitudes", "initial", "steps",
+                                                      "measurement")}
+        if at is not None:
+            step = QueryGate(value) if field == "query" else value
+            fields["steps"] = a.steps[:at] + (step,) + a.steps[at + 1:]
+        else:
+            fields[field] = value
+        b = QQA(**fields)
+        stored = getattr(b, field) if at is None else b.steps[at]
+        stored = stored.assignments if field == "query" else stored
+        assert np.array_equal(stored, value)
+        if not isinstance(stored, np.ndarray):  # sizes, variables and output values
+            assert {type(v) for v in np.ravel(np.array(stored, dtype=object))} <= {int, type(None)}
+
+    _CASES.append(pytest.param(check, names, id=f"QQA-{field}"))
+
+
+for _field in _FIELDS:
+    _qqa_case(_field)
+
+
+#: Parts a combiner may be given: the built-ins, and values that are not algorithms.
+_PARTS = (equality3_algorithm(), pair_equality4_algorithm(), constant_one_algorithm(2, 1, 1))
+_NOT_ALGORITHMS = (None, "builtin:equality3", 3, np.eye(4), named_function("equality3"))
+
+
+def _part(draw):
+    """A built-in, one of its transforms, or a value that is not an algorithm."""
+    kind = draw(st.sampled_from(["built-in", "outputs", "variables", "inverted", "other"]))
+    if kind == "other":
+        return draw(st.sampled_from(_NOT_ALGORITHMS))
+    a = draw(st.sampled_from(_PARTS))
+    if kind == "outputs":
+        return permute_outputs(a, draw(st.permutations(range(a.amplitudes))))
+    if kind == "variables":
+        return permute_variables(a, draw(st.permutations(range(a.arity))))
+    return invert_outputs(a) if kind == "inverted" else a
+
+
+def _combiner_case(row):
+    def check(draw):
+        parts = [_part(draw) for _ in range(row.parts)]
+        try:
+            result = getattr(constructors, row.function)(*parts)
+        except TypeError as error:
+            labels = (["first input", "second input"] if row.parts == 2
+                      else [f"input {i + 1}" for i in range(row.parts)])
+            label, a = next((label, a) for label, a in zip(labels, parts) if not isinstance(a, QQA))
+            assert str(error) == f"{label}: expected a QQA, got {type(a).__name__}"
+            return
+        assert result.queries == max(a.query_count for a in parts)
+        assert result.target.arity == sum(a.arity for a in parts)
+        assert verify(result.algorithm, result.target).worst_case_p >= result.guaranteed_p - 1e-9
+
+    _CASES.append(pytest.param(check, "input", id=f"combiner-{row.method}"))
+
+
+for _row in constructors._COMBINERS:
+    _combiner_case(_row)
+
+
 @pytest.mark.parametrize("case, names", _CASES)
-@settings(max_examples=60)  # keeps the fifteen cases to about 1.7 s
+@settings(max_examples=60)  # keeps the twenty-five cases to about 3.6 s
 @given(data=st.data())
 def test_the_contract_holds_or_a_value_error_names_the_argument(case, names, data):
     with np.errstate(all="ignore"):  # a NaN or inf entry is a value to refuse, not a warning

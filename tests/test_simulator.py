@@ -215,7 +215,54 @@ class TestSingleInput:
         assert probs[0] + probs[1] == pytest.approx(1.0, abs=1e-9)
 
 
+def _in_child(*checks: str, **env):
+    """Call each of this module's functions named in ``checks`` in one new Python process,
+    with ``env`` added to its environment."""
+    paths = [os.path.dirname(os.path.dirname(simulator.__file__)), os.path.dirname(__file__),
+             os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)), **env}
+    code = "import test_simulator as t; " + "; ".join(f"t.{check}()" for check in checks)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr.strip().splitlines()[-3:]
+
+
+def _check_batch_bound():
+    """One amplitude past ``_MAX_BATCH`` at arity 16 is refused before its 128 MiB batch is
+    made, on the dense path and on the block path, under an address-space limit 64 MiB above
+    this process's, so that a missing refusal fails fast instead of allocating."""
+    import resource
+
+    size = int(open("/proc/self/statm").read().split()[0]) * resource.getpagesize()
+    resource.setrlimit(resource.RLIMIT_AS, (size + (64 << 20), resource.getrlimit(
+        resource.RLIMIT_AS)[1]))
+    m, s, table = 257, 2 ** -0.5, TruthTable(16, bytes(1 << 16))
+    query = QueryGate((0, 1) + (None,) * (m - 2))
+    dense = QQA(16, m, [1] + [0] * (m - 1), (query,), (1,) + (0,) * (m - 1))
+    split = QQA(16, m, [s, s] + [0] * (m - 2), (query,), (1,) + (0,) * (m - 1))
+    assert simulator._blocks(dense) is None and simulator._blocks(split) is not None
+    refusal = (r"^arity 16 and 257 amplitudes need 16842752 entries for every input's state, "
+               r"above the bound of 16777216$")
+    for ask in (run_all, lambda a: verify(a, table)):
+        with pytest.raises(ValueError, match=refusal):
+            ask(dense)
+    with pytest.raises(ValueError, match=refusal):
+        run_all(split)
+    assert verify(split, table).worst_case_p == pytest.approx(0.5)  # one row per input only
+
+
 class TestRunAll:
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                        reason="the address-space limit is set from /proc/self/statm")
+    def test_a_batch_past_the_bound_is_refused_before_it_is_made(self):
+        _in_child("_check_batch_bound", OPENBLAS_NUM_THREADS="1")
+
+    def test_the_bound_admits_2_to_the_24_entries_and_no_more(self):
+        at, past = (QQA(16, m, [1] + [0] * (m - 1), (), (1,) + (0,) * (m - 1)) for m in (256, 257))
+        simulator._check_batch(at)
+        with pytest.raises(ValueError, match="^arity 16 and 257 amplitudes need 16842752 "):
+            simulator._check_batch(past)
+
     @pytest.mark.parametrize("shape", [*CATALOG_SHAPES, "complex-phase"])
     def test_matches_single_runs(self, shape, full_catalog, eq3):
         if shape == "complex-phase":
@@ -704,15 +751,8 @@ class TestEveryKernel:
         _core_type("Zen", "AVX2", "FMA3"),
     ])
     def test_block_path_equals_the_dense_pass(self, core):
-        paths = [os.path.dirname(os.path.dirname(simulator.__file__)), os.path.dirname(__file__),
-                 os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)),
-               "OPENBLAS_CORETYPE": core}
-        check = ("import test_simulator as t; "
-                 "t._check_batches_off_the_multiple(); t._check_traces_equal_their_rows()")
-        done = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
-                              env=env, timeout=120)
-        assert done.returncode == 0, done.stderr.strip().splitlines()[-3:]
+        _in_child("_check_batches_off_the_multiple", "_check_traces_equal_their_rows",
+                  OPENBLAS_CORETYPE=core)
 
 
 class TestVerify:
